@@ -12,33 +12,21 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import features, fusion, losses, metrics, raster, resample
 from .errors import PanfuseError, UsageError
 from .raster import Raster
 
-FUSE_METHODS = ("gihs", "brovey", "pca", "gs", "gs-mmse", "hpf")
-LOSS_NAMES = (
-    "l1",
-    "mse",
-    "sam",
-    "sam-printed",
-    "total-sam",
-    "perceptual",
-    "gm-perceptual",
-    "gm-reconstruction",
-    "gen-adv",
-    "disc",
-)
-# loss name -> analytic gradient id (identity-extractor paths only)
-_GRAD_IDS = {
-    "l1": "l1",
-    "mse": "mse",
-    "sam": "sam_cosine",
-    "total-sam": "total_sam",
-    "gm-reconstruction": "gm_reconstruction",
-    "perceptual": "perceptual_identity",
-    "gm-perceptual": "gm_perceptual_identity",
+# method name -> fusion call. ``fusion.fuse_*`` is looked up when the method
+# runs, not bound here, so rebinding a function in ``fusion`` reaches the CLI.
+FUSE_METHODS = {
+    "gihs": lambda fin, lrpan: fusion.fuse_gihs(fin),
+    "brovey": lambda fin, lrpan: fusion.fuse_brovey(fin),
+    "pca": lambda fin, lrpan: fusion.fuse_pca(fin),
+    "gs": lambda fin, lrpan: fusion.fuse_gs(fin, lrpan),
+    "gs-mmse": lambda fin, lrpan: fusion.fuse_gs(fin, "mmse"),  # alias of gs --lrpan mmse
+    "hpf": lambda fin, lrpan: fusion.fuse_hpf(fin),
 }
 
 
@@ -106,22 +94,10 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     lrms = raster.read_raster(args.lrms)
     pan = raster.read_raster(args.pan)
     fin = fusion.FusionInput(lrms=lrms, pan=pan, ratio=args.ratio)
-    method = args.method
     try:
-        if method == "gihs":
-            fused = fusion.fuse_gihs(fin)
-        elif method == "brovey":
-            fused = fusion.fuse_brovey(fin)
-        elif method == "pca":
-            fused = fusion.fuse_pca(fin)
-        elif method == "gs":
-            fused = fusion.fuse_gs(fin, args.lrpan)
-        elif method == "gs-mmse":
-            fused = fusion.fuse_gs(fin, "mmse")
-        else:
-            fused = fusion.fuse_hpf(fin)
+        fused = FUSE_METHODS[args.method](fin, args.lrpan)
     except PanfuseError as exc:
-        raise type(exc)(f"fuse {method}: {exc}") from exc
+        raise type(exc)(f"fuse {args.method}: {exc}") from exc
     out = _out_dir(args)
     path = out / f"{args.name}.msr"
     raster.write_raster(fused, path)
@@ -165,38 +141,69 @@ def _extractor(args: argparse.Namespace) -> features.Extractor:
     return features.load_conv_stack(args.extractor)
 
 
-def _evaluate_loss(args: argparse.Namespace) -> float:
-    name = args.name
-    if name == "disc":
-        if not args.d_fake or not args.d_real:
-            raise UsageError("loss disc needs --d-fake and --d-real")
-        fake = _parse_float_list(args.d_fake, "--d-fake")
-        real = _parse_float_list(args.d_real, "--d-real")
-        return losses.discriminator_loss(fake, real, args.disc_mode)
+class _LossInputs(NamedTuple):
+    """What a loss reads besides the (fused, reference) pair."""
 
+    args: argparse.Namespace
+    lrms: Raster | None
+    ratio: int
+
+
+def _total_sam(a: Raster, b: Raster, inputs: _LossInputs) -> float:
+    if inputs.lrms is None or not inputs.ratio:
+        raise UsageError("loss total-sam needs --lrms and --ratio")
+    return losses.total_sam_loss(a, b, inputs.lrms, inputs.ratio, "cosine")
+
+
+def _gen_adv(a: Raster, b: Raster, inputs: _LossInputs) -> float:
+    if not inputs.args.d_score:
+        raise UsageError("loss gen-adv needs --d-score")
+    scores = _parse_float_list(inputs.args.d_score, "--d-score")
+    spec = losses.LossSpec(alpha=inputs.args.alpha, beta=inputs.args.beta)
+    return losses.generator_loss(scores, [a] * len(scores), [b] * len(scores), spec)
+
+
+def _disc(a: Raster | None, b: Raster | None, inputs: _LossInputs) -> float:
+    args = inputs.args
+    if not args.d_fake or not args.d_real:
+        raise UsageError("loss disc needs --d-fake and --d-real")
+    fake = _parse_float_list(args.d_fake, "--d-fake")
+    real = _parse_float_list(args.d_real, "--d-real")
+    return losses.discriminator_loss(fake, real, args.disc_mode)
+
+
+# loss name -> (value of (fused, reference, inputs), analytic gradient id or None).
+# The "*_identity" gradients hold for the identity extractor only.
+LOSSES = {
+    "l1": (lambda a, b, inputs: losses.pixel_loss(a, b, "l1"), "l1"),
+    "mse": (lambda a, b, inputs: losses.pixel_loss(a, b, "mse"), "mse"),
+    "sam": (lambda a, b, inputs: losses.sam_loss(a, b, "cosine"), "sam_cosine"),
+    "sam-printed": (lambda a, b, inputs: losses.sam_loss(a, b, "as_printed"), None),
+    "total-sam": (_total_sam, "total_sam"),
+    "perceptual": (
+        lambda a, b, inputs: losses.perceptual_loss(a, b, _extractor(inputs.args)),
+        "perceptual_identity",
+    ),
+    "gm-perceptual": (
+        lambda a, b, inputs: losses.gm_perceptual_loss(a, b, _extractor(inputs.args)),
+        "gm_perceptual_identity",
+    ),
+    "gm-reconstruction": (
+        lambda a, b, inputs: losses.gm_reconstruction_loss(a, b),
+        "gm_reconstruction",
+    ),
+    "gen-adv": (_gen_adv, None),
+    "disc": (_disc, None),  # reads scores, not rasters
+}
+
+
+def _evaluate_loss(args: argparse.Namespace) -> float:
+    value, _ = LOSSES[args.name]
+    if args.name == "disc":
+        return value(None, None, _LossInputs(args, None, args.ratio))
     a, b = _loss_rasters(args)
-    if name == "gen-adv":
-        if not args.d_score:
-            raise UsageError("loss gen-adv needs --d-score")
-        scores = _parse_float_list(args.d_score, "--d-score")
-        spec = losses.LossSpec(alpha=args.alpha, beta=args.beta)
-        return losses.generator_loss(scores, [a] * len(scores), [b] * len(scores), spec)
-    if name in ("l1", "mse"):
-        return losses.pixel_loss(a, b, name)
-    if name == "sam":
-        return losses.sam_loss(a, b, "cosine")
-    if name == "sam-printed":
-        return losses.sam_loss(a, b, "as_printed")
-    if name == "total-sam":
-        if not args.lrms or not args.ratio:
-            raise UsageError("loss total-sam needs --lrms and --ratio")
-        lr = raster.read_raster(args.lrms)
-        return losses.total_sam_loss(a, b, lr, args.ratio, "cosine")
-    if name == "perceptual":
-        return losses.perceptual_loss(a, b, _extractor(args))
-    if name == "gm-perceptual":
-        return losses.gm_perceptual_loss(a, b, _extractor(args))
-    return losses.gm_reconstruction_loss(a, b)
+    lrms = raster.read_raster(args.lrms) if args.lrms else None
+    return value(a, b, _LossInputs(args, lrms, args.ratio))
 
 
 def _center_crop(r: Raster, size: int) -> Raster:
@@ -207,41 +214,26 @@ def _center_crop(r: Raster, size: int) -> Raster:
 
 def _grad_check(args: argparse.Namespace) -> int:
     name = args.name
-    if name not in _GRAD_IDS:
+    value, grad_id = LOSSES[name]
+    if grad_id is None:
         raise UsageError(f"loss {name!r} has no analytic gradient to check")
-    if name in ("perceptual", "gm-perceptual") and args.extractor != features.IDENTITY:
+    if grad_id.endswith("_identity") and args.extractor != features.IDENTITY:
         raise UsageError(f"loss {name!r} supports --grad-check only with the identity extractor")
     a, b = _loss_rasters(args)
     ratio = args.ratio if args.ratio else 4
-    if name == "total-sam":
+    crop = min(16, a.height, a.width)
+    lr_c = None
+    if grad_id == "total_sam":
         if not args.lrms:
             raise UsageError("loss total-sam needs --lrms")
-        lrms_full = raster.read_raster(args.lrms)
-        crop = min(16, a.height, a.width)
         crop -= crop % ratio
         if crop < ratio:
             raise UsageError("raster too small for a ratio-aligned gradient check")
-        a_c, b_c = _center_crop(a, crop), _center_crop(b, crop)
-        lr_c = _center_crop(lrms_full, crop // ratio)
-        analytic = losses.loss_gradient("total_sam", a_c, b_c, lrms=lr_c, ratio=ratio)
-        fn = lambda x: losses.total_sam_loss(x, b_c, lr_c, ratio, "cosine")
-        max_rel = losses.gradient_check(fn, analytic, a_c, args.h)
-    else:
-        crop = min(16, a.height, a.width)
-        a_c, b_c = _center_crop(a, crop), _center_crop(b, crop)
-        grad_id = _GRAD_IDS[name]
-        analytic = losses.loss_gradient(grad_id, a_c, b_c)
-        evaluators = {
-            "l1": lambda x: losses.pixel_loss(x, b_c, "l1"),
-            "mse": lambda x: losses.pixel_loss(x, b_c, "mse"),
-            "sam": lambda x: losses.sam_loss(x, b_c, "cosine"),
-            "gm-reconstruction": lambda x: losses.gm_reconstruction_loss(x, b_c),
-            "perceptual": lambda x: losses.perceptual_loss(x, b_c, features.IDENTITY),
-            "gm-perceptual": lambda x: losses.gm_perceptual_loss(
-                x, b_c, features.IDENTITY
-            ),
-        }
-        max_rel = losses.gradient_check(evaluators[name], analytic, a_c, args.h)
+        lr_c = _center_crop(raster.read_raster(args.lrms), crop // ratio)
+    a_c, b_c = _center_crop(a, crop), _center_crop(b, crop)
+    analytic = losses.loss_gradient(grad_id, a_c, b_c, lrms=lr_c, ratio=ratio)
+    inputs = _LossInputs(args, lr_c, ratio)
+    max_rel = losses.gradient_check(lambda x: value(x, b_c, inputs), analytic, a_c, args.h)
     ok = max_rel < 1e-4
     print(f"grad-check {name}: max_rel_err={max_rel:.3e} < 1e-4: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -305,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_loss = sub.add_parser("loss", help="evaluate a loss value or check its gradient")
-    p_loss.add_argument("--name", required=True, choices=LOSS_NAMES)
+    p_loss.add_argument("--name", required=True, choices=LOSSES)
     p_loss.add_argument("rasters", nargs="*", help="fused and reference .msr files")
     p_loss.add_argument("--lrms", default="", help="low-resolution ms for total-sam")
     p_loss.add_argument("--ratio", type=int, default=0)

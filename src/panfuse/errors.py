@@ -30,6 +30,14 @@ class DegenerateInputError(PanfuseError):
     exit_code = 4
 
 
+class RasterShapeError(ShapeMismatchError, ValueError):
+    """Array cannot be a raster: not 2-D or 3-D, or an empty dimension."""
+
+
+class NonFiniteRasterError(DegenerateInputError, ValueError):
+    """Raster data contains NaN or infinite values (e.g. after an overflow)."""
+
+
 class RasterIOError(PanfuseError):
     """File-level failure while reading or writing toolkit formats."""
 

@@ -5,7 +5,7 @@ stack of strided convolutions with leaky-ReLU activations, standing in
 for the bottleneck of a pretrained encoder. Weights come from CSW files;
 training is out of scope, so extraction is deterministic inference only.
 
-CSW file layout:
+CSW file layout (the framing of :mod:`panfuse.raster`'s MSR files):
     bytes 0-3   magic ``CSW1``
     bytes 4-7   little-endian u32 JSON header length
     header      {"bands": B, "layers": [{"out", "in", "k", "stride", "slope"}, ...]}
@@ -14,8 +14,6 @@ CSW file layout:
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -24,15 +22,12 @@ import numpy as np
 
 from .errors import (
     HeaderError,
-    MagicError,
-    MissingFileError,
     NonFiniteDataError,
     PayloadSizeError,
-    RasterIOError,
     ShapeMismatchError,
     UsageError,
 )
-from .raster import Raster
+from .raster import Raster, _check_positive_ints, _read_framed, _write_framed
 
 CSW_MAGIC = b"CSW1"
 
@@ -108,73 +103,49 @@ Extractor = Union[str, ConvStackSpec]
 
 def save_conv_stack(spec: ConvStackSpec, path: str | Path) -> None:
     """Write ``spec`` as a CSW file. Weights are serialized as float32."""
-    header = json.dumps(
-        {
-            "bands": spec.bands,
-            "layers": [
-                {
-                    "out": l.out_channels,
-                    "in": l.in_channels,
-                    "k": l.kernel_size,
-                    "stride": l.stride,
-                    "slope": l.leaky_slope,
-                }
-                for l in spec.layers
-            ],
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CSW_MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for layer in spec.layers:
-                fh.write(layer.weights.astype("<f4").tobytes(order="C"))
-                fh.write(layer.bias.astype("<f4").tobytes(order="C"))
-    except OSError as exc:
-        raise RasterIOError(f"cannot write conv stack to {path}: {exc}") from exc
+    header = {
+        "bands": spec.bands,
+        "layers": [
+            {
+                "out": l.out_channels,
+                "in": l.in_channels,
+                "k": l.kernel_size,
+                "stride": l.stride,
+                "slope": l.leaky_slope,
+            }
+            for l in spec.layers
+        ],
+    }
+    chunks = (
+        arr.astype("<f4").tobytes(order="C")
+        for layer in spec.layers
+        for arr in (layer.weights, layer.bias)
+    )
+    _write_framed(path, CSW_MAGIC, header, chunks, "conv stack")
 
 
 def load_conv_stack(path: str | Path) -> ConvStackSpec:
     """Load and validate a CSW weights file."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"no such weights file: {path}")
-    blob = path.read_bytes()
-    if blob[:4] != CSW_MAGIC:
-        raise MagicError(f"{path}: bad magic {blob[:4]!r}, expected {CSW_MAGIC!r}")
-    if len(blob) < 8:
-        raise HeaderError(f"{path}: file too short for header length field")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderError(f"{path}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header.get("bands"), int) or not isinstance(
-        header.get("layers"), list
-    ):
-        raise HeaderError(f"{path}: header missing 'bands' or 'layers'")
+    header, payload = _read_framed(path, CSW_MAGIC, "weights")
+    _check_positive_ints(path, header, ("bands",))
+    if not isinstance(header.get("layers"), list):
+        raise HeaderError(f"{path}: header field 'layers' missing or not a list")
 
-    offset = 8 + header_len
+    offset = 0
     layers = []
     for i, meta in enumerate(header["layers"]):
+        _check_positive_ints(f"{path}: layer {i}", meta, ("out", "in", "k", "stride"))
         try:
-            out_c, in_c, k, stride, slope = (
-                int(meta["out"]),
-                int(meta["in"]),
-                int(meta["k"]),
-                int(meta["stride"]),
-                float(meta["slope"]),
-            )
+            slope = float(meta["slope"])
         except (KeyError, TypeError, ValueError) as exc:
             raise HeaderError(f"{path}: layer {i} metadata invalid: {exc}") from exc
+        out_c, in_c, k = meta["out"], meta["in"], meta["k"]
         n_w, n_b = out_c * in_c * k * k, out_c
         end = offset + 4 * (n_w + n_b)
-        if end > len(blob):
+        if end > len(payload):
             raise PayloadSizeError(f"{path}: layer {i} weights truncated")
-        w = np.frombuffer(blob[offset : offset + 4 * n_w], dtype="<f4").astype(np.float64)
-        b = np.frombuffer(blob[offset + 4 * n_w : end], dtype="<f4").astype(np.float64)
+        w = np.frombuffer(payload[offset : offset + 4 * n_w], dtype="<f4").astype(np.float64)
+        b = np.frombuffer(payload[offset + 4 * n_w : end], dtype="<f4").astype(np.float64)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise NonFiniteDataError(f"{path}: layer {i} has non-finite weights")
         try:
@@ -182,15 +153,15 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
                 ConvLayer(
                     weights=w.reshape(out_c, in_c, k, k),
                     bias=b,
-                    stride=stride,
+                    stride=meta["stride"],
                     leaky_slope=slope,
                 )
             )
         except ValueError as exc:
             raise HeaderError(f"{path}: layer {i}: {exc}") from exc
         offset = end
-    if offset != len(blob):
-        raise PayloadSizeError(f"{path}: {len(blob) - offset} trailing bytes")
+    if offset != len(payload):
+        raise PayloadSizeError(f"{path}: {len(payload) - offset} trailing bytes")
     try:
         return ConvStackSpec(bands=header["bands"], layers=tuple(layers))
     except ValueError as exc:
@@ -224,6 +195,7 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
             f"raster has {x.bands} bands, extractor expects {extractor.bands}"
         )
     arr = x.data
-    for layer in extractor.layers:
-        arr = _apply_layer(arr, layer)
+    with np.errstate(over="ignore", invalid="ignore"):  # Raster rejects a non-finite result
+        for layer in extractor.layers:
+            arr = _apply_layer(arr, layer)
     return Raster(arr)

@@ -1,9 +1,11 @@
 """Classical pansharpening baselines sharing one input contract.
 
 Component substitution (GIHS, Brovey, PCA, Gram-Schmidt) and multiresolution
-analysis (high-pass filter injection). All methods upsample the low-resolution
-multispectral cube, derive an intensity surrogate, and inject detail from the
-histogram-matched pan band; outputs are clipped to [0, 1].
+analysis (high-pass filter injection), written as one detail injection
+(Vivone et al., IEEE TGRS 2015): fused = clip(ms_up + g * detail, 0, 1), with
+ms_up the upsampled multispectral cube. Component substitution chooses an
+intensity I and gain g and injects detail = P_matched - I, where P_matched is
+the pan band histogram-matched to I. HPF injects P - lowpass(P) with g = 1.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .raster import Raster
-from .resample import _correlate_axis, downsample_antialias, histogram_match, upsample
+from .resample import _STD_EPS, _correlate_axis, downsample_antialias, histogram_match, upsample
 
-_STD_EPS = 1e-12
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
 
 
@@ -48,6 +49,14 @@ def _matched_pan(pan: Raster, target: np.ndarray) -> np.ndarray:
     return histogram_match(pan, Raster(target[:, :, None])).data[:, :, 0]
 
 
+def _inject(ms_up: Raster, gain: np.ndarray | float, detail: np.ndarray) -> Raster:
+    """clip(ms_up + gain * detail, 0, 1), the step every method ends with.
+
+    ``gain`` is a scalar, per band, or per pixel and band; ``detail`` is H x W.
+    """
+    return Raster(np.clip(ms_up.data + gain * detail[:, :, None], 0.0, 1.0))
+
+
 def fuse_gihs(fin: FusionInput) -> Raster:
     """Generalized intensity-hue-saturation fusion (additive form).
 
@@ -58,18 +67,16 @@ def fuse_gihs(fin: FusionInput) -> Raster:
         raise UsageError(f"gihs requires at least 3 bands, got {fin.lrms.bands}")
     ms_up = upsample(fin.lrms, fin.ratio)
     intensity = ms_up.data.mean(axis=2)
-    matched = _matched_pan(fin.pan, intensity)
-    fused = ms_up.data + (matched - intensity)[:, :, None]
-    return Raster(np.clip(fused, 0.0, 1.0))
+    return _inject(ms_up, 1.0, _matched_pan(fin.pan, intensity) - intensity)
 
 
 def fuse_brovey(fin: FusionInput) -> Raster:
     """Brovey transform: band-ratio-preserving multiplicative injection."""
     ms_up = upsample(fin.lrms, fin.ratio)
     intensity = ms_up.data.mean(axis=2)
-    matched = _matched_pan(fin.pan, intensity)
-    gain = matched / (intensity + 1e-12)
-    return Raster(np.clip(ms_up.data * gain[:, :, None], 0.0, 1.0))
+    guarded = intensity + 1e-12  # g divides by it, so detail subtracts the same I
+    gain = ms_up.data / guarded[:, :, None]
+    return _inject(ms_up, gain, _matched_pan(fin.pan, intensity) - guarded)
 
 
 def pca_basis(ms: Raster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,17 +104,15 @@ def pca_basis(ms: Raster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def fuse_pca(fin: FusionInput) -> Raster:
     """Principal-component substitution fusion.
 
-    The pan band is histogram matched to the first principal component,
-    replaces it in score space, and the result is projected back.
+    The pan band is histogram matched to the first principal component and
+    replaces it. With an orthonormal basis, substituting in score space and
+    projecting back equals injecting P_matched - PC1 along the first
+    eigenvector, so I = PC1 score and g = first eigenvector.
     """
     ms_up = upsample(fin.lrms, fin.ratio)
     means, _, vecs = pca_basis(ms_up)
-    flat = ms_up.data.reshape(-1, ms_up.bands)
-    scores = (flat - means) @ vecs
-    pc1 = scores[:, 0].reshape(ms_up.height, ms_up.width)
-    scores[:, 0] = _matched_pan(fin.pan, pc1).ravel()
-    fused = (scores @ vecs.T + means).reshape(ms_up.data.shape)
-    return Raster(np.clip(fused, 0.0, 1.0))
+    pc1 = (ms_up.data - means) @ vecs[:, 0]
+    return _inject(ms_up, vecs[:, 0], _matched_pan(fin.pan, pc1) - pc1)
 
 
 def mmse_band_weights(lrms: Raster, pan: Raster, ratio: int) -> np.ndarray:
@@ -154,21 +159,19 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
         raise DegenerateInputError("gs: intensity surrogate has zero variance")
     dev_b = ms_up.data - ms_up.data.mean(axis=(0, 1))
     gains = np.mean(dev_b * dev_i[:, :, None], axis=(0, 1)) / var_i
-    matched = _matched_pan(fin.pan, intensity)
-    fused = ms_up.data + gains[None, None, :] * (matched - intensity)[:, :, None]
-    return Raster(np.clip(fused, 0.0, 1.0))
+    return _inject(ms_up, gains, _matched_pan(fin.pan, intensity) - intensity)
 
 
 def fuse_hpf(fin: FusionInput) -> Raster:
     """High-pass filter fusion: add the pan's box-filter residual to every band.
 
     The box kernel is (2*ratio + 1) squared, so the extracted detail scales
-    with the resolution gap.
+    with the resolution gap. The pan band is used as is, without histogram
+    matching.
     """
     ms_up = upsample(fin.lrms, fin.ratio)
     k = 2 * fin.ratio + 1
     kernel = np.full(k, 1.0 / k)
     pan2d = fin.pan.data[:, :, 0]
     lowpass = _correlate_axis(_correlate_axis(pan2d, kernel, 0), kernel, 1)
-    detail = pan2d - lowpass
-    return Raster(np.clip(ms_up.data + detail[:, :, None], 0.0, 1.0))
+    return _inject(ms_up, 1.0, pan2d - lowpass)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .features import Extractor, extract_features
-from .raster import Raster
+from .raster import Raster, _check_same_shape
 from .resample import downsample_antialias, downsample_antialias_adjoint
 
 _EPS = 1e-12
@@ -89,13 +89,6 @@ class GramMatrix:
     @property
     def unnormalized(self) -> np.ndarray:
         return self.matrix * self.n
-
-
-def _check_same_shape(a: Raster, b: Raster) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
-            f"raster shapes differ: {a.data.shape} vs {b.data.shape}"
-        )
 
 
 def pixel_loss(a: Raster, b: Raster, mode: str) -> float:

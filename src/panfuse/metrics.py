@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import Raster
+from .raster import Raster, _check_same_shape
 from .resample import downsample_antialias
 
 _EPS = 1e-12
@@ -45,13 +45,6 @@ class MetricReport:
         for name in METRIC_COLUMNS:
             row[name] = round(getattr(self, name), 6)
         return row
-
-
-def _check_same_shape(a: Raster, b: Raster) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
-            f"raster shapes differ: {a.data.shape} vs {b.data.shape}"
-        )
 
 
 def metric_sam(fused: Raster, reference: Raster) -> float:

@@ -10,6 +10,9 @@ MSR file layout:
     bytes 4-7    little-endian u32 header length N
     bytes 8-8+N  UTF-8 JSON {"width": W, "height": H, "bands": B, "dtype": "f64"}
     payload      W*H*B little-endian float64, row-major, band-interleaved
+
+The magic + length + JSON header framing is shared with the CSW weights
+format of :mod:`panfuse.features`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +30,10 @@ from .errors import (
     MagicError,
     MissingFileError,
     NonFiniteDataError,
+    NonFiniteRasterError,
     PayloadSizeError,
     RasterIOError,
+    RasterShapeError,
     ShapeMismatchError,
     UsageError,
 )
@@ -47,11 +52,11 @@ class Raster:
         if arr.ndim == 2:
             arr = arr[:, :, None]
         if arr.ndim != 3:
-            raise ValueError(f"raster data must be 2-D or 3-D, got ndim={arr.ndim}")
+            raise RasterShapeError(f"raster data must be 2-D or 3-D, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
-            raise ValueError(f"raster dimensions must all be >= 1, got {arr.shape}")
+            raise RasterShapeError(f"raster dimensions must all be >= 1, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("raster data contains non-finite values")
+            raise NonFiniteRasterError("raster data contains non-finite values")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -70,6 +75,13 @@ class Raster:
     def band(self, b: int) -> np.ndarray:
         """Read-only 2-D view of band ``b``."""
         return self.data[:, :, b]
+
+
+def _check_same_shape(a: Raster, b: Raster) -> None:
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatchError(
+            f"raster shapes differ: {a.data.shape} vs {b.data.shape}"
+        )
 
 
 class Patch(NamedTuple):
@@ -101,40 +113,34 @@ class PatchSet:
                     raise ShapeMismatchError("patch reference bands must match lrms bands")
 
 
-def write_raster(raster: Raster, path: str | Path) -> None:
-    """Write ``raster`` to ``path`` in MSR format (bit-exact round trip)."""
-    header = json.dumps(
-        {
-            "width": raster.width,
-            "height": raster.height,
-            "bands": raster.bands,
-            "dtype": "f64",
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    payload = raster.data.astype("<f8").tobytes(order="C")
+def _write_framed(
+    path: str | Path, magic: bytes, header: dict, chunks: Iterable[bytes], what: str
+) -> None:
+    """Write ``magic``, the u32 header length, the JSON header, then ``chunks``."""
+    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     try:
         with open(path, "wb") as fh:
-            fh.write(MSR_MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            fh.write(payload)
+            fh.write(magic)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
-        raise RasterIOError(f"cannot write raster to {path}: {exc}") from exc
+        raise RasterIOError(f"cannot write {what} to {path}: {exc}") from exc
 
 
-def read_raster(path: str | Path) -> Raster:
-    """Read an MSR file, validating magic, header, payload size, and finiteness."""
+def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, bytes]:
+    """Read a file written by :func:`_write_framed`; return (header, payload)."""
     path = Path(path)
     if not path.is_file():
-        raise MissingFileError(f"no such raster file: {path}")
+        raise MissingFileError(f"no such {what} file: {path}")
     try:
         blob = path.read_bytes()
     except OSError as exc:
         raise RasterIOError(f"cannot read {path}: {exc}") from exc
 
-    if blob[:4] != MSR_MAGIC:
-        raise MagicError(f"{path}: bad magic {blob[:4]!r}, expected {MSR_MAGIC!r}")
+    if blob[:4] != magic:
+        raise MagicError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
     if len(blob) < 8:
         raise HeaderError(f"{path}: file too short for header length field")
     (header_len,) = struct.unpack("<I", blob[4:8])
@@ -144,15 +150,43 @@ def read_raster(path: str | Path) -> Raster:
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise HeaderError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise HeaderError(f"{path}: header is not a JSON object")
+    return header, blob[8 + header_len :]
 
-    for key in ("width", "height", "bands"):
-        if not isinstance(header.get(key), int) or header[key] < 1:
-            raise HeaderError(f"{path}: header field {key!r} missing or invalid")
+
+def _check_positive_ints(where: object, fields: object, keys: Sequence[str]) -> None:
+    """``fields`` must be a JSON object whose ``keys`` are integers >= 1.
+
+    The test is ``type(v) is int``: JSON ``true`` parses to a bool, which
+    ``isinstance(v, int)`` would accept.
+    """
+    for key in keys:
+        value = fields.get(key) if isinstance(fields, dict) else None
+        if type(value) is not int or value < 1:
+            raise HeaderError(f"{where}: header field {key!r} missing or invalid")
+
+
+def write_raster(raster: Raster, path: str | Path) -> None:
+    """Write ``raster`` to ``path`` in MSR format (bit-exact round trip)."""
+    header = {
+        "width": raster.width,
+        "height": raster.height,
+        "bands": raster.bands,
+        "dtype": "f64",
+    }
+    payload = raster.data.astype("<f8").tobytes(order="C")
+    _write_framed(path, MSR_MAGIC, header, [payload], "raster")
+
+
+def read_raster(path: str | Path) -> Raster:
+    """Read an MSR file, validating magic, header, payload size, and finiteness."""
+    header, payload = _read_framed(path, MSR_MAGIC, "raster")
+    _check_positive_ints(path, header, ("width", "height", "bands"))
     if header.get("dtype") != "f64":
         raise HeaderError(f"{path}: unsupported dtype {header.get('dtype')!r}")
 
     w, h, b = header["width"], header["height"], header["bands"]
-    payload = blob[8 + header_len :]
     expected = w * h * b * 8
     if len(payload) != expected:
         raise PayloadSizeError(
@@ -161,7 +195,7 @@ def read_raster(path: str | Path) -> Raster:
     values = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(values)):
         raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    return Raster(values.reshape(h, w, b).copy())
+    return Raster(values.reshape(h, w, b))
 
 
 def pan_from_weights(hrms: Raster, pan_weights: Sequence[float]) -> Raster:
@@ -260,8 +294,8 @@ def patchify(ms: Raster, pan: Raster, patch: int, ratio: int) -> PatchSet:
             mr, mc = py * mp, px * mp
             patches.append(
                 Patch(
-                    lrms=Raster(ms.data[mr : mr + mp, mc : mc + mp, :].copy()),
-                    pan=Raster(pan.data[pr : pr + patch, pc : pc + patch, :].copy()),
+                    lrms=Raster(ms.data[mr : mr + mp, mc : mc + mp, :]),
+                    pan=Raster(pan.data[pr : pr + patch, pc : pc + patch, :]),
                     reference=None,
                 )
             )

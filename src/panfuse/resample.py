@@ -77,7 +77,7 @@ def downsample_antialias(x: Raster, ratio: int) -> Raster:
     arr = _correlate_axis(_correlate_axis(x.data, kernel, 0), kernel, 1)
     if ratio > 1:
         arr = arr[::ratio, ::ratio, :]
-    return Raster(arr.copy())
+    return Raster(arr)
 
 
 def downsample_antialias_adjoint(grad: Raster, ratio: int, height: int, width: int) -> Raster:

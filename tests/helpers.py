@@ -1,10 +1,30 @@
-"""Shared test fixtures: seeded rasters and brute-force reference filters."""
+"""Shared test fixtures: seeded rasters, brute-force reference filters, CLI runs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import panfuse
 from panfuse import Raster
+
+
+def run_cli(*args, cwd=None):
+    """Run ``python -m panfuse`` on the same panfuse package the tests import,
+    so the suite works from a checkout without installing it."""
+    src = str(Path(panfuse.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "panfuse", *map(str, args)],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=env,
+    )
 
 
 def random_raster(seed, height, width, bands, lo=0.0, hi=1.0):

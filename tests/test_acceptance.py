@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -38,7 +36,7 @@ from panfuse import (
     synth_scene,
     total_sam_loss,
 )
-from helpers import random_raster, separated_pair
+from helpers import random_raster, run_cli, separated_pair
 
 
 def report(criterion, ok, detail):
@@ -188,11 +186,7 @@ def test_criterion_7_end_to_end_table_shape(tmp_path):
     start = time.monotonic()
 
     def cli(*args):
-        r = subprocess.run(
-            [sys.executable, "-m", "panfuse", *map(str, args)],
-            capture_output=True,
-            text=True,
-        )
+        r = run_cli(*args)
         assert r.returncode == 0, f"{args}: {r.stderr}"
         return r
 

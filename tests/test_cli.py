@@ -1,22 +1,22 @@
 """End-to-end CLI behavior: artifacts, formats, and exit codes."""
 
 import json
-import subprocess
-import sys
+import struct
 
 import numpy as np
 import pytest
 
-from panfuse import Raster, read_raster, synth_scene, write_raster
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "panfuse", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+from panfuse import (
+    ConvLayer,
+    ConvStackSpec,
+    Raster,
+    read_raster,
+    save_conv_stack,
+    synth_scene,
+    write_raster,
+)
+from panfuse import cli
+from helpers import random_raster, run_cli, separated_pair
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestPatchify:
 
 
 class TestFuse:
-    @pytest.mark.parametrize("method", ["gihs", "brovey", "pca", "gs", "gs-mmse", "hpf"])
+    @pytest.mark.parametrize("method", list(cli.FUSE_METHODS))
     def test_all_methods_write_output(self, scene_dir, tmp_path, method):
         r = run_cli("fuse", "--method", method, "--lrms", scene_dir / "lrms.msr",
                     "--pan", scene_dir / "pan.msr", "--ratio", 4,
@@ -242,3 +242,54 @@ class TestLoss:
         r = run_cli("loss", "--name", "sam-printed", "--grad-check",
                     scene_dir / "hrms.msr", scene_dir / "reference.msr")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize(
+        "name", [name for name, (_, grad_id) in cli.LOSSES.items() if grad_id is not None]
+    )
+    def test_grad_check_every_analytic_gradient(self, tmp_path, name):
+        # a pair whose per-element gap stays away from zero keeps l1 differentiable
+        fused, reference = separated_pair(5, height=16, width=16, bands=4)
+        write_raster(fused, tmp_path / "f.msr")
+        write_raster(reference, tmp_path / "r.msr")
+        write_raster(random_raster(6, 4, 4, 4, lo=0.1, hi=0.9), tmp_path / "lrms.msr")
+        r = run_cli("loss", "--name", name, "--grad-check",
+                    "--lrms", tmp_path / "lrms.msr", "--ratio", 4,
+                    tmp_path / "f.msr", tmp_path / "r.msr")
+        assert r.returncode == 0, r.stderr + r.stdout
+        assert "PASS" in r.stdout
+
+
+class TestMalformedInputs:
+    """Bad files end with an exit code and a one-line error, never a traceback."""
+
+    def assert_exit(self, r, code):
+        assert r.returncode == code, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ")
+
+    def test_bool_dimension_in_msr_header_exit_five(self, scene_dir, tmp_path):
+        header = json.dumps({"width": True, "height": 1, "bands": 1, "dtype": "f64"}).encode()
+        bad = tmp_path / "bad.msr"
+        bad.write_bytes(b"MSR1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        r = run_cli("degrade", "--hrms", bad, "--pan", scene_dir / "pan.msr",
+                    "--out", tmp_path)
+        self.assert_exit(r, 5)
+
+    def test_zero_output_channels_in_csw_exit_five(self, scene_dir, tmp_path):
+        layer = {"out": 0, "in": 4, "k": 1, "stride": 1, "slope": 0.0}
+        header = json.dumps({"bands": 4, "layers": [layer]}).encode()
+        csw = tmp_path / "x.csw"
+        csw.write_bytes(b"CSW1" + struct.pack("<I", len(header)) + header)
+        r = run_cli("loss", "--name", "perceptual", "--extractor", csw,
+                    scene_dir / "hrms.msr", scene_dir / "reference.msr")
+        self.assert_exit(r, 5)
+
+    def test_overflowing_conv_stack_exit_four(self, scene_dir, tmp_path):
+        # finite float32 weights whose products overflow float64 after 9 layers
+        layer = ConvLayer(weights=np.full((4, 4, 1, 1), 3e38), bias=np.zeros(4),
+                          stride=1, leaky_slope=0.0)
+        csw = tmp_path / "x.csw"
+        save_conv_stack(ConvStackSpec(bands=4, layers=(layer,) * 9), csw)
+        r = run_cli("loss", "--name", "perceptual", "--extractor", csw,
+                    scene_dir / "hrms.msr", scene_dir / "reference.msr")
+        self.assert_exit(r, 4)

@@ -1,5 +1,8 @@
 """Feature extractors: identity, conv stacks, and the CSW weights format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -157,6 +160,15 @@ class TestCswIO:
         header = blob[8 : 8 + header_len].decode()
         blob[8 : 8 + header_len] = header.replace('"bands":2', '"bands":9').encode()
         path.write_bytes(bytes(blob))
+        with pytest.raises(HeaderError):
+            load_conv_stack(path)
+
+    @pytest.mark.parametrize("field, value", [("out", 0), ("k", True), ("stride", 1.5)])
+    def test_bad_layer_field_rejected_on_load(self, tmp_path, field, value):
+        meta = {"out": 1, "in": 1, "k": 1, "stride": 1, "slope": 0.0, field: value}
+        header = json.dumps({"bands": 1, "layers": [meta]}).encode()
+        path = tmp_path / "bad.csw"
+        path.write_bytes(b"CSW1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
         with pytest.raises(HeaderError):
             load_conv_stack(path)
 

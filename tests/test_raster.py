@@ -17,6 +17,7 @@ from panfuse import (
     write_raster,
 )
 from panfuse.errors import (
+    DegenerateInputError,
     HeaderError,
     MagicError,
     MissingFileError,
@@ -61,6 +62,15 @@ class TestRasterType:
     def test_rejects_bad_ndim(self):
         with pytest.raises(ValueError):
             Raster(np.zeros(4))
+
+
+    def test_construction_errors_carry_exit_codes(self):
+        with pytest.raises(DegenerateInputError) as info:
+            Raster(np.array([[1.0, np.inf]]))
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(ShapeMismatchError) as info:
+            Raster(np.zeros((2, 0, 1)))
+        assert isinstance(info.value, ValueError)
 
 
 class TestMsrIO:
@@ -135,6 +145,29 @@ class TestMsrIO:
     def test_bad_header_json(self, tmp_path):
         path = tmp_path / "hdr.msr"
         path.write_bytes(b"MSR1" + struct.pack("<I", 4) + b"{{{{")
+        with pytest.raises(HeaderError):
+            read_raster(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"width": True, "height": 1, "bands": 1},
+            {"width": 1, "height": 0, "bands": 1},
+            {"width": 1, "height": 1, "bands": 1.0},
+            {"width": 1, "height": 1},
+        ],
+        ids=["bool-width", "zero-height", "float-bands", "missing-bands"],
+    )
+    def test_bad_header_dimension(self, tmp_path, fields):
+        header = json.dumps({**fields, "dtype": "f64"}).encode()
+        path = tmp_path / "dims.msr"
+        path.write_bytes(b"MSR1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        with pytest.raises(HeaderError):
+            read_raster(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "list.msr"
+        path.write_bytes(b"MSR1" + struct.pack("<I", 3) + b"[1]" + b"\x00" * 8)
         with pytest.raises(HeaderError):
             read_raster(path)
 
