@@ -18,15 +18,16 @@ from . import features, fusion, losses, metrics, raster, resample
 from .errors import PanfuseError, UsageError
 from .raster import Raster
 
-# method name -> fusion call. ``fusion.fuse_*`` is looked up when the method
-# runs, not bound here, so rebinding a function in ``fusion`` reaches the CLI.
+# method name -> (fusion call, the --lrpan modes it accepts, default first).
+# ``fusion.fuse_*`` is looked up when the method runs, not bound here, so
+# rebinding a function in ``fusion`` reaches the CLI.
 FUSE_METHODS = {
-    "gihs": lambda fin, lrpan: fusion.fuse_gihs(fin),
-    "brovey": lambda fin, lrpan: fusion.fuse_brovey(fin),
-    "pca": lambda fin, lrpan: fusion.fuse_pca(fin),
-    "gs": lambda fin, lrpan: fusion.fuse_gs(fin, lrpan),
-    "gs-mmse": lambda fin, lrpan: fusion.fuse_gs(fin, "mmse"),  # alias of gs --lrpan mmse
-    "hpf": lambda fin, lrpan: fusion.fuse_hpf(fin),
+    "gihs": (lambda fin, lrpan: fusion.fuse_gihs(fin), ()),
+    "brovey": (lambda fin, lrpan: fusion.fuse_brovey(fin), ()),
+    "pca": (lambda fin, lrpan: fusion.fuse_pca(fin), ()),
+    "gs": (lambda fin, lrpan: fusion.fuse_gs(fin, lrpan), fusion.GS_LR_PAN_MODES),
+    "gs-mmse": (lambda fin, lrpan: fusion.fuse_gs(fin, lrpan), ("mmse",)),  # gs --lrpan mmse
+    "hpf": (lambda fin, lrpan: fusion.fuse_hpf(fin), ()),
 }
 
 
@@ -91,11 +92,19 @@ def cmd_patchify(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
+    fuse, lrpan_modes = FUSE_METHODS[args.method]
+    if args.lrpan is not None and args.lrpan not in lrpan_modes:
+        accepted = ", ".join(lrpan_modes) or "none"
+        raise UsageError(
+            f"--lrpan {args.lrpan} does not apply to --method {args.method}"
+            f" (accepted: {accepted})"
+        )
+    lrpan = args.lrpan or (lrpan_modes[0] if lrpan_modes else None)
     lrms = raster.read_raster(args.lrms)
     pan = raster.read_raster(args.pan)
     fin = fusion.FusionInput(lrms=lrms, pan=pan, ratio=args.ratio)
     try:
-        fused = FUSE_METHODS[args.method](fin, args.lrpan)
+        fused = fuse(fin, lrpan)
     except PanfuseError as exc:
         raise type(exc)(f"fuse {args.method}: {exc}") from exc
     out = _out_dir(args)
@@ -281,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--lrms", required=True)
     p_fuse.add_argument("--pan", required=True)
     p_fuse.add_argument("--ratio", type=int, default=4)
-    p_fuse.add_argument("--lrpan", default="weighted-mean", choices=fusion.GS_LR_PAN_MODES)
+    p_fuse.add_argument(
+        "--lrpan", choices=fusion.GS_LR_PAN_MODES, help="gs intensity (default weighted-mean)"
+    )
     p_fuse.add_argument("--name", default="fused", help="output file stem")
     p_fuse.add_argument("--out", default=".")
     p_fuse.set_defaults(func=cmd_fuse)

@@ -102,7 +102,8 @@ Extractor = Union[str, ConvStackSpec]
 
 
 def save_conv_stack(spec: ConvStackSpec, path: str | Path) -> None:
-    """Write ``spec`` as a CSW file. Weights are serialized as float32."""
+    """Write ``spec`` as a CSW file. Weights are serialized as float32;
+    values beyond the float32 range are refused before the file is opened."""
     header = {
         "bands": spec.bands,
         "layers": [
@@ -116,11 +117,14 @@ def save_conv_stack(spec: ConvStackSpec, path: str | Path) -> None:
             for l in spec.layers
         ],
     }
-    chunks = (
-        arr.astype("<f4").tobytes(order="C")
-        for layer in spec.layers
-        for arr in (layer.weights, layer.bias)
-    )
+    chunks = []
+    for i, layer in enumerate(spec.layers):
+        for arr in (layer.weights, layer.bias):
+            with np.errstate(over="ignore"):  # an overflow to inf is refused below
+                f32 = arr.astype("<f4")
+            if not np.all(np.isfinite(f32)):
+                raise NonFiniteDataError(f"{path}: layer {i} has values beyond the float32 range")
+            chunks.append(f32.tobytes(order="C"))
     _write_framed(path, CSW_MAGIC, header, chunks, "conv stack")
 
 

@@ -11,8 +11,10 @@ order so results are bit-deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -88,12 +90,54 @@ def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
     return float(100.0 / ratio * np.sqrt(np.mean((rmse / mu) ** 2)))
 
 
-def _tile_origins(height: int, width: int, block: int) -> list[tuple[int, int]]:
-    return [
-        (r, c)
-        for r in range(0, height - block + 1, block)
-        for c in range(0, width - block + 1, block)
-    ]
+def _tile_mean(
+    x: np.ndarray, y: np.ndarray, block: int, tile_q: Callable[..., tuple[np.ndarray, np.ndarray]]
+) -> float:
+    """Mean of a per-tile index over the distinct block x block tiles of two
+    H x W x C arrays; partial edge tiles are left out.
+
+    Tiles are walked one row of tiles at a time. ``tile_q(mx, my, vx, vy,
+    cxy)`` gets the per-tile band means (t, C), band variances (t, C) and
+    cross-covariances ``cxy[t, i, j] = cov(x_i, y_j)`` (t, C, C), all with
+    (n-1) normalization, and returns (values, valid). Invalid tiles are
+    skipped; if no tile is valid the index is 1 for identical inputs and 0
+    otherwise.
+    """
+    height, width, channels = x.shape
+    if block > min(height, width):
+        raise ShapeMismatchError(f"block {block} larger than image {height}x{width}")
+    if block < 2:
+        raise ShapeMismatchError("block must be >= 2 for tile statistics")
+    n, cols = block * block, width // block
+
+    def row_tiles(a: np.ndarray, r: int) -> np.ndarray:
+        row = a[r : r + block, : cols * block].reshape(block, cols, block, channels)
+        return row.transpose(1, 0, 2, 3).reshape(cols, n, channels)
+
+    total, count = 0.0, 0
+    # Skipped tiles may divide by zero; their values are dropped below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, height - block + 1, block):
+            tx, ty = row_tiles(x, r), row_tiles(y, r)
+            mx, my = tx.mean(axis=1), ty.mean(axis=1)
+            dx, dy = tx - mx[:, None, :], ty - my[:, None, :]
+            vx = np.einsum("tnc,tnc->tc", dx, dx) / (n - 1)
+            vy = np.einsum("tnc,tnc->tc", dy, dy) / (n - 1)
+            cxy = np.matmul(dx.transpose(0, 2, 1), dy) / (n - 1)
+            values, valid = tile_q(mx, my, vx, vy, cxy)
+            total += float(values[valid].sum())
+            count += int(np.count_nonzero(valid))
+    if count == 0:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    return total / count
+
+
+def _uiqi_tiles(mx, my, vx, vy, cxy) -> tuple[np.ndarray, np.ndarray]:
+    mx, my, vx, vy, cxy = mx[:, 0], my[:, 0], vx[:, 0], vy[:, 0], cxy[:, 0, 0]
+    den_var = vx + vy
+    den_mean = mx * mx + my * my
+    valid = (den_var >= _EPS) & (den_mean >= _EPS)
+    return 4.0 * cxy * mx * my / (den_var * den_mean), valid
 
 
 def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
@@ -108,53 +152,35 @@ def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
     _check_same_shape(a, b)
     if a.bands != 1:
         raise ShapeMismatchError("uiqi expects single-band rasters")
-    if block > min(a.height, a.width):
-        raise ShapeMismatchError(
-            f"block {block} larger than image {a.height}x{a.width}"
-        )
-    if block < 2:
-        raise ShapeMismatchError("block must be >= 2 for tile statistics")
-    x2d, y2d = a.data[:, :, 0], b.data[:, :, 0]
-    n = block * block
-    total, count = 0.0, 0
-    for r, c in _tile_origins(a.height, a.width, block):
-        x = x2d[r : r + block, c : c + block].ravel()
-        y = y2d[r : r + block, c : c + block].ravel()
-        mx, my = x.mean(), y.mean()
-        dx, dy = x - mx, y - my
-        vx = np.dot(dx, dx) / (n - 1)
-        vy = np.dot(dy, dy) / (n - 1)
-        cxy = np.dot(dx, dy) / (n - 1)
-        den_var = vx + vy
-        den_mean = mx * mx + my * my
-        if den_var < _EPS or den_mean < _EPS:
-            continue
-        total += 4.0 * cxy * mx * my / (den_var * den_mean)
-        count += 1
-    if count == 0:
-        return 1.0 if np.array_equal(a.data, b.data) else 0.0
-    return float(total / count)
+    return _tile_mean(a.data, b.data, block, _uiqi_tiles)
 
 
-def _quat_mult(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternion arrays with components on the last axis."""
-    a0, a1, a2, a3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    b0, b1, b2, b3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
+def _q4_tiles(mx, my, vx, vy, s) -> tuple[np.ndarray, np.ndarray]:
+    var1, var2 = vx.sum(axis=1), vy.sum(axis=1)
+    sigma1, sigma2 = np.sqrt(var1), np.sqrt(var2)
+    # Quaternion covariance sum(d1 * conj(d2)) / (n-1), read off s[t, i, j] = cov(z1_i, z2_j).
+    cov = np.stack(
         [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+            s[:, 0, 0] + s[:, 1, 1] + s[:, 2, 2] + s[:, 3, 3],
+            s[:, 1, 0] - s[:, 0, 1] + s[:, 3, 2] - s[:, 2, 3],
+            s[:, 2, 0] - s[:, 0, 2] + s[:, 1, 3] - s[:, 3, 1],
+            s[:, 3, 0] - s[:, 0, 3] + s[:, 2, 1] - s[:, 1, 2],
         ],
-        axis=-1,
+        axis=1,
     )
-
-
-def _quat_conj(q: np.ndarray) -> np.ndarray:
-    out = q.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
+    mod_cov = np.sqrt(np.sum(cov * cov, axis=1))
+    mod_mu1 = np.sqrt(np.sum(mx * mx, axis=1))
+    mod_mu2 = np.sqrt(np.sum(my * my, axis=1))
+    den_corr = sigma1 * sigma2
+    den_var = var1 + var2
+    den_mean = mod_mu1 * mod_mu1 + mod_mu2 * mod_mu2
+    valid = (den_corr >= _EPS) & (den_var >= _EPS) & (den_mean >= _EPS)
+    values = (
+        (mod_cov / den_corr)
+        * (2.0 * sigma1 * sigma2 / den_var)
+        * (2.0 * mod_mu1 * mod_mu2 / den_mean)
+    )
+    return values, valid
 
 
 def metric_q4(fused: Raster, reference: Raster, block: int) -> float:
@@ -168,40 +194,7 @@ def metric_q4(fused: Raster, reference: Raster, block: int) -> float:
     _check_same_shape(fused, reference)
     if fused.bands != 4:
         raise ShapeMismatchError(f"q4 requires exactly 4 bands, got {fused.bands}")
-    if block > min(fused.height, fused.width):
-        raise ShapeMismatchError(
-            f"block {block} larger than image {fused.height}x{fused.width}"
-        )
-    if block < 2:
-        raise ShapeMismatchError("block must be >= 2 for tile statistics")
-    n = block * block
-    total, count = 0.0, 0
-    for r, c in _tile_origins(fused.height, fused.width, block):
-        z1 = reference.data[r : r + block, c : c + block, :].reshape(n, 4)
-        z2 = fused.data[r : r + block, c : c + block, :].reshape(n, 4)
-        mu1, mu2 = z1.mean(axis=0), z2.mean(axis=0)
-        d1, d2 = z1 - mu1, z2 - mu2
-        var1 = np.sum(np.sum(d1 * d1, axis=1)) / (n - 1)
-        var2 = np.sum(np.sum(d2 * d2, axis=1)) / (n - 1)
-        sigma1, sigma2 = np.sqrt(var1), np.sqrt(var2)
-        cov = _quat_mult(d1, _quat_conj(d2)).sum(axis=0) / (n - 1)
-        mod_cov = np.sqrt(np.sum(cov * cov))
-        mod_mu1 = np.sqrt(np.sum(mu1 * mu1))
-        mod_mu2 = np.sqrt(np.sum(mu2 * mu2))
-        den_corr = sigma1 * sigma2
-        den_var = var1 + var2
-        den_mean = mod_mu1 * mod_mu1 + mod_mu2 * mod_mu2
-        if den_corr < _EPS or den_var < _EPS or den_mean < _EPS:
-            continue
-        total += (
-            (mod_cov / den_corr)
-            * (2.0 * sigma1 * sigma2 / den_var)
-            * (2.0 * mod_mu1 * mod_mu2 / den_mean)
-        )
-        count += 1
-    if count == 0:
-        return 1.0 if np.array_equal(fused.data, reference.data) else 0.0
-    return float(total / count)
+    return _tile_mean(reference.data, fused.data, block, _q4_tiles)
 
 
 def _ssim_window() -> np.ndarray:
@@ -277,32 +270,23 @@ def metric_qnr(
     if nbands < 2:
         raise ShapeMismatchError("qnr requires at least 2 bands")
     lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
+    pan_lr = downsample_antialias(pan, ratio).data
 
-    def q_hr(x: np.ndarray, y: np.ndarray) -> float:
-        return metric_uiqi(Raster(x[:, :, None]), Raster(y[:, :, None]), block)
-
-    def q_lr(x: np.ndarray, y: np.ndarray) -> float:
-        return metric_uiqi(Raster(x[:, :, None]), Raster(y[:, :, None]), lr_block)
-
-    d_lambda = 0.0
-    for i in range(nbands):
-        for j in range(nbands):
-            if i == j:
-                continue
-            d_lambda += abs(
-                q_hr(fused.data[:, :, i], fused.data[:, :, j])
-                - q_lr(lrms.data[:, :, i], lrms.data[:, :, j])
-            )
-    d_lambda = min(max(d_lambda / (nbands * (nbands - 1)), 0.0), 1.0)
-
-    pan_lr = downsample_antialias(pan, ratio)
-    d_s = 0.0
-    for b in range(nbands):
-        d_s += abs(
-            q_hr(fused.data[:, :, b], pan.data[:, :, 0])
-            - q_lr(lrms.data[:, :, b], pan_lr.data[:, :, 0])
+    def q_gap(hr_x, hr_y, lr_x, lr_y) -> float:
+        return abs(
+            _tile_mean(hr_x, hr_y, block, _uiqi_tiles)
+            - _tile_mean(lr_x, lr_y, lr_block, _uiqi_tiles)
         )
-    d_s = min(max(d_s / nbands, 0.0), 1.0)
+
+    fb = [fused.data[:, :, b : b + 1] for b in range(nbands)]
+    lb = [lrms.data[:, :, b : b + 1] for b in range(nbands)]
+    # Q is symmetric, so each unordered band pair is visited once.
+    pairs = list(itertools.combinations(range(nbands), 2))
+    d_lambda = sum(q_gap(fb[i], fb[j], lb[i], lb[j]) for i, j in pairs) / len(pairs)
+    d_lambda = min(max(d_lambda, 0.0), 1.0)
+
+    d_s = sum(q_gap(fb[b], pan.data, lb[b], pan_lr) for b in range(nbands)) / nbands
+    d_s = min(max(d_s, 0.0), 1.0)
 
     return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s
 

@@ -192,10 +192,10 @@ def read_raster(path: str | Path) -> Raster:
         raise PayloadSizeError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"
         )
-    values = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    return Raster(values.reshape(h, w, b))
+    try:
+        return Raster(np.frombuffer(payload, dtype="<f8").reshape(h, w, b))
+    except NonFiniteRasterError as exc:
+        raise NonFiniteDataError(f"{path}: payload contains non-finite values") from exc
 
 
 def pan_from_weights(hrms: Raster, pan_weights: Sequence[float]) -> Raster:

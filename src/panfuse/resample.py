@@ -16,9 +16,8 @@ from .raster import Raster
 _STD_EPS = 1e-12
 
 
-def _reflect_indices(n: int, pad: int) -> np.ndarray:
-    """Symmetric (half-sample) boundary index map for [-pad, n + pad)."""
-    idx = np.arange(-pad, n + pad)
+def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
+    """Fold indices into [0, n) with the symmetric (half-sample) boundary."""
     m = np.mod(idx, 2 * n)
     return np.where(m < n, m, 2 * n - 1 - m)
 
@@ -27,7 +26,7 @@ def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarra
     """Correlate ``arr`` with a 1-D kernel along ``axis``, symmetric borders."""
     n = arr.shape[axis]
     pad = kernel.size // 2
-    padded = np.take(arr, _reflect_indices(n, pad), axis=axis)
+    padded = np.take(arr, _reflect(np.arange(-pad, n + pad), n), axis=axis)
     out = np.zeros(arr.shape, dtype=np.float64)
     sl = [slice(None)] * arr.ndim
     for j, kj in enumerate(kernel):
@@ -47,7 +46,7 @@ def _correlate_axis_adjoint(grad: np.ndarray, kernel: np.ndarray, axis: int) -> 
     for j, kj in enumerate(kernel):
         sl[axis] = slice(j, j + n)
         scattered[tuple(sl)] += kj * grad
-    idx = _reflect_indices(n, pad)
+    idx = _reflect(np.arange(-pad, n + pad), n)
     moved = np.moveaxis(scattered, axis, 0)
     out = np.zeros((n,) + moved.shape[1:], dtype=np.float64)
     np.add.at(out, idx, moved)
@@ -120,10 +119,7 @@ def _cubic_axis(arr: np.ndarray, ratio: int, axis: int) -> np.ndarray:
     out_shape[axis] = n * ratio
     out = np.zeros(out_shape, dtype=np.float64)
     for offset, w in zip((-1, 0, 1, 2), weights):
-        idx = base + offset
-        m = np.mod(idx, 2 * n)
-        idx = np.where(m < n, m, 2 * n - 1 - m)
-        out += w.reshape(shape) * np.take(arr, idx, axis=axis)
+        out += w.reshape(shape) * np.take(arr, _reflect(base + offset, n), axis=axis)
     return out
 
 

@@ -124,6 +124,27 @@ class TestFuse:
                     "--name", "alias", "--out", tmp_path)
         assert r.returncode == 0
         assert np.array_equal(read_raster(tmp_path / "alias.msr").data, mm.data)
+        # an --lrpan that agrees with the alias is accepted
+        r = run_cli("fuse", "--method", "gs-mmse", "--lrpan", "mmse",
+                    "--lrms", scene_dir / "lrms.msr", "--pan", scene_dir / "pan.msr",
+                    "--ratio", 4, "--name", "alias2", "--out", tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert np.array_equal(read_raster(tmp_path / "alias2.msr").data, mm.data)
+
+    @pytest.mark.parametrize("method, lrpan", [
+        ("gs-mmse", "blur-decimate"),
+        ("gihs", "mmse"),
+        ("hpf", "weighted-mean"),
+    ])
+    def test_lrpan_the_method_does_not_read_exit_two(self, scene_dir, tmp_path,
+                                                     method, lrpan):
+        r = run_cli("fuse", "--method", method, "--lrpan", lrpan,
+                    "--lrms", scene_dir / "lrms.msr", "--pan", scene_dir / "pan.msr",
+                    "--out", tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "--lrpan" in r.stderr and "--method" in r.stderr
+        assert not (tmp_path / "fused.msr").exists()
 
     def test_degenerate_scene_exit_four(self, tmp_path):
         const = Raster(np.full((16, 16, 4), 0.5))
@@ -274,6 +295,16 @@ class TestMalformedInputs:
         r = run_cli("degrade", "--hrms", bad, "--pan", scene_dir / "pan.msr",
                     "--out", tmp_path)
         self.assert_exit(r, 5)
+
+    def test_nan_msr_payload_exit_five(self, scene_dir, tmp_path):
+        header = json.dumps({"width": 1, "height": 1, "bands": 1, "dtype": "f64"}).encode()
+        bad = tmp_path / "nan.msr"
+        bad.write_bytes(b"MSR1" + struct.pack("<I", len(header)) + header
+                        + struct.pack("<d", float("nan")))
+        r = run_cli("degrade", "--hrms", bad, "--pan", scene_dir / "pan.msr",
+                    "--out", tmp_path)
+        self.assert_exit(r, 5)
+        assert "nan.msr" in r.stderr
 
     def test_zero_output_channels_in_csw_exit_five(self, scene_dir, tmp_path):
         layer = {"out": 0, "in": 4, "k": 1, "stride": 1, "slope": 0.0}

@@ -15,7 +15,7 @@ from panfuse import (
     load_conv_stack,
     save_conv_stack,
 )
-from panfuse.errors import HeaderError, MagicError, ShapeMismatchError
+from panfuse.errors import HeaderError, MagicError, NonFiniteDataError, ShapeMismatchError
 from helpers import random_raster
 
 
@@ -141,6 +141,20 @@ class TestCswIO:
             assert np.array_equal(got.bias, want.bias)
             assert got.stride == want.stride
             assert got.leaky_slope == want.leaky_slope
+
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_float32_overflow_refused_at_save(self, tmp_path, part):
+        w, b = np.ones((1, 1, 1, 1)), np.zeros(1)
+        if part == "weights":
+            w[0, 0, 0, 0] = 1e39
+        else:
+            b[0] = -1e39
+        ok = single_layer(np.ones((1, 1, 1, 1)), [0.0]).layers[0]
+        big = ConvLayer(weights=w, bias=b, stride=1, leaky_slope=0.0)
+        path = tmp_path / "big.csw"
+        with pytest.raises(NonFiniteDataError, match="layer 1"):
+            save_conv_stack(ConvStackSpec(bands=1, layers=(ok, big)), path)
+        assert not path.exists()
 
     def test_identity_kernel_file(self, tmp_path):
         spec = single_layer(np.ones((1, 1, 1, 1)), [0.0])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panfuse import (
     MetricReport,
@@ -65,6 +66,66 @@ def q4_tile_oracle(ref, fus):
         * (2 * s1 * s2 / (var1 + var2))
         * (2 * m1 * m2 / (m1 * m1 + m2 * m2))
     )
+
+
+def uiqi_loop_oracle(a, b, block):
+    """Pre-tile-core metric_uiqi: one Python iteration per tile."""
+    x2d, y2d = a.data[:, :, 0], b.data[:, :, 0]
+    n = block * block
+    total, count = 0.0, 0
+    for r in range(0, a.height - block + 1, block):
+        for c in range(0, a.width - block + 1, block):
+            x = x2d[r : r + block, c : c + block].ravel()
+            y = y2d[r : r + block, c : c + block].ravel()
+            mx, my = x.mean(), y.mean()
+            dx, dy = x - mx, y - my
+            vx, vy = np.dot(dx, dx) / (n - 1), np.dot(dy, dy) / (n - 1)
+            cxy = np.dot(dx, dy) / (n - 1)
+            if vx + vy < 1e-12 or mx * mx + my * my < 1e-12:
+                continue
+            total += 4.0 * cxy * mx * my / ((vx + vy) * (mx * mx + my * my))
+            count += 1
+    if count == 0:
+        return 1.0 if np.array_equal(a.data, b.data) else 0.0
+    return total / count
+
+
+def qnr_oracle(fused, lrms, pan, ratio, block):
+    """Pre-tile-core metric_qnr: ordered band pairs, each Q over Raster-wrapped
+    band slices."""
+    nbands = fused.bands
+    lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
+
+    def q(x, y, blk):
+        return uiqi_loop_oracle(Raster(x[:, :, None]), Raster(y[:, :, None]), blk)
+
+    d_lambda = 0.0
+    for i in range(nbands):
+        for j in range(nbands):
+            if i != j:
+                d_lambda += abs(
+                    q(fused.data[:, :, i], fused.data[:, :, j], block)
+                    - q(lrms.data[:, :, i], lrms.data[:, :, j], lr_block)
+                )
+    d_lambda = min(max(d_lambda / (nbands * (nbands - 1)), 0.0), 1.0)
+    pan_lr = downsample_antialias(pan, ratio)
+    d_s = 0.0
+    for b in range(nbands):
+        d_s += abs(
+            q(fused.data[:, :, b], pan.data[:, :, 0], block)
+            - q(lrms.data[:, :, b], pan_lr.data[:, :, 0], lr_block)
+        )
+    d_s = min(max(d_s / nbands, 0.0), 1.0)
+    return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s
+
+
+def full_tiles(height, width, block):
+    """Origins of the whole block x block tiles, row-major."""
+    return [
+        (r, c)
+        for r in range(0, height - block + 1, block)
+        for c in range(0, width - block + 1, block)
+    ]
 
 
 class TestSam:
@@ -187,6 +248,26 @@ class TestUiqi:
         other = Raster(np.full((8, 8, 1), 0.25))
         assert metric_uiqi(const, other, 8) == 0.0
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(2, 40),
+        width=st.integers(2, 40),
+        block_frac=st.floats(0.0, 1.0),
+    )
+    def test_property_tile_mean_and_symmetry(self, seed, height, width, block_frac):
+        block = 2 + int(block_frac * (min(height, width) - 2))
+        a = random_raster(seed, height, width, 1)
+        b = random_raster(seed + 1, height, width, 1)
+        want = np.mean([
+            uiqi_tile_oracle(a.data[r : r + block, c : c + block, 0].ravel(),
+                             b.data[r : r + block, c : c + block, 0].ravel())
+            for r, c in full_tiles(height, width, block)
+        ])
+        got = metric_uiqi(a, b, block)
+        assert abs(got - want) < 1e-12
+        assert abs(got - metric_uiqi(b, a, block)) < 1e-12
+
     def test_block_larger_than_image_rejected(self):
         with pytest.raises(ShapeMismatchError):
             metric_uiqi(random_raster(0, 8, 8, 1), random_raster(1, 8, 8, 1), 16)
@@ -219,6 +300,22 @@ class TestQ4:
         )
         assert abs(got - want) < 1e-12
         assert got < 1.0
+
+    def test_partial_and_constant_tiles_match_oracle(self):
+        block, height, width = 16, 40, 56  # 2 x 3 whole tiles plus partial edges
+        ref = random_raster(23, height, width, 4).data.copy()
+        fus = random_raster(24, height, width, 4).data.copy()
+        constant = {(0, 0), (16, 32)}  # zero-variance tiles are skipped
+        for r, c in constant:
+            ref[r : r + block, c : c + block] = 0.4
+            fus[r : r + block, c : c + block] = 0.6
+        want = np.mean([
+            q4_tile_oracle(ref[r : r + block, c : c + block].reshape(-1, 4),
+                           fus[r : r + block, c : c + block].reshape(-1, 4))
+            for r, c in full_tiles(height, width, block)
+            if (r, c) not in constant
+        ])
+        assert abs(metric_q4(Raster(fus), Raster(ref), block) - want) < 1e-12
 
     def test_requires_four_bands(self):
         with pytest.raises(ShapeMismatchError):
@@ -279,6 +376,26 @@ class TestQnr:
         qnr_bad, _, ds_bad = metric_qnr(Raster(shuffled), lrms, pan, 4, 32)
         assert ds_bad > ds_good
         assert qnr_bad < qnr_good
+
+    @pytest.mark.parametrize("bands", [3, 5])
+    @pytest.mark.parametrize("ratio", [2, 4])
+    @pytest.mark.parametrize("height, width", [(64, 64), (72, 88)])
+    def test_matches_ordered_pair_oracle(self, bands, ratio, height, width):
+        hrms, pan = synth_scene(width, height, bands, 40 + bands, [1.0] * bands)
+        lrms = downsample_antialias(hrms, ratio)
+        noise = np.random.default_rng(bands * ratio).normal(0.0, 0.03, hrms.data.shape)
+        fused = Raster(np.clip(hrms.data + noise, 0.0, 1.0))
+        got = metric_qnr(fused, lrms, pan, ratio, 32)
+        want = qnr_oracle(fused, lrms, pan, ratio, 32)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
+
+    def test_all_constant_scene_skips_every_tile(self):
+        hrms = Raster(np.full((72, 88, 3), 0.5))
+        pan = Raster(np.full((72, 88, 1), 0.5))
+        lrms = downsample_antialias(hrms, 4)
+        got = metric_qnr(hrms, lrms, pan, 4, 32)
+        assert got == qnr_oracle(hrms, lrms, pan, 4, 32)
+        assert got[0] == 1.0
 
     def test_dimension_mismatch(self):
         hrms, lrms, pan = self._consistent_scene(size=64)
