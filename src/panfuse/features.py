@@ -56,6 +56,8 @@ class ConvLayer:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer weights must be finite")
+        if not np.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky slope must be finite, got {self.leaky_slope}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -141,7 +143,7 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
         _check_positive_ints(f"{path}: layer {i}", meta, ("out", "in", "k", "stride"))
         try:
             slope = float(meta["slope"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise HeaderError(f"{path}: layer {i} metadata invalid: {exc}") from exc
         out_c, in_c, k = meta["out"], meta["in"], meta["k"]
         n_w, n_b = out_c * in_c * k * k, out_c

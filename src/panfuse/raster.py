@@ -146,9 +146,11 @@ def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, bytes
     (header_len,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + header_len:
         raise HeaderError(f"{path}: declared header length {header_len} exceeds file size")
+    # ValueError covers bad UTF-8, bad JSON and integer literals too long to
+    # convert; RecursionError covers a header nested too deep to decode.
     try:
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise HeaderError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise HeaderError(f"{path}: header is not a JSON object")

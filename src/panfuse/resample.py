@@ -22,34 +22,60 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
-def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate ``arr`` with a 1-D kernel along ``axis``, symmetric borders."""
+def _correlate_axis(
+    arr: np.ndarray, kernel: np.ndarray, axis: int, step: int = 1
+) -> np.ndarray:
+    """Correlate ``arr`` with a 1-D kernel along ``axis``, symmetric borders,
+    evaluated only at every ``step``-th position (0, step, 2*step, ...).
+
+    Each kept output sums the same taps in the same order as the full
+    correlation, so decimating afterwards gives bit-identical values.
+    """
     n = arr.shape[axis]
     pad = kernel.size // 2
     padded = np.take(arr, _reflect(np.arange(-pad, n + pad), n), axis=axis)
-    out = np.zeros(arr.shape, dtype=np.float64)
+    shape = list(arr.shape)
+    shape[axis] = len(range(0, n, step))
+    out = np.zeros(shape, dtype=np.float64)
     sl = [slice(None)] * arr.ndim
     for j, kj in enumerate(kernel):
-        sl[axis] = slice(j, j + n)
+        sl[axis] = slice(j, j + n, step)
         out += kj * padded[tuple(sl)]
     return out
 
 
-def _correlate_axis_adjoint(grad: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Exact adjoint of :func:`_correlate_axis` (scatter then boundary fold)."""
-    n = grad.shape[axis]
+def _correlate_axis_adjoint(
+    grad: np.ndarray, kernel: np.ndarray, axis: int, step: int = 1
+) -> np.ndarray:
+    """Exact transpose of :func:`_correlate_axis` with the same ``step``; the
+    result is ``step`` times longer than ``grad`` along ``axis``.
+
+    ``grad`` is scattered straight into the padded axis, then the 2*pad
+    border rows are folded back through the symmetric boundary. Every input
+    row receives its contributions in increasing padded-row order, so the
+    sums match a scatter-then-fold over the full grid bit for bit, also when
+    a border folds more than once (n < pad).
+    """
+    n = grad.shape[axis] * step
     pad = kernel.size // 2
     shape = list(grad.shape)
     shape[axis] = n + 2 * pad
-    scattered = np.zeros(shape, dtype=np.float64)
-    sl = [slice(None)] * grad.ndim
+    # Axis-first views of arrays kept in the caller's layout, which the next
+    # pass reads in row order.
+    g = np.moveaxis(grad, axis, 0)
+    scattered = np.moveaxis(np.zeros(shape, dtype=np.float64), axis, 0)
     for j, kj in enumerate(kernel):
-        sl[axis] = slice(j, j + n)
-        scattered[tuple(sl)] += kj * grad
-    idx = _reflect(np.arange(-pad, n + pad), n)
-    moved = np.moveaxis(scattered, axis, 0)
-    out = np.zeros((n,) + moved.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, moved)
+        scattered[j : j + n : step] += kj * g
+    src = _reflect(np.arange(-pad, n + pad), n)
+    # The left border precedes the interior in padded-row order; sum it apart
+    # first. Addition commutes, so adding it to the interior is then exact.
+    left = np.zeros((min(n, pad),) + g.shape[1:], dtype=np.float64)
+    for p in range(pad):
+        left[src[p]] += scattered[p]
+    out = scattered[pad : pad + n]
+    out[: left.shape[0]] += left
+    for p in range(pad + n, n + 2 * pad):
+        out[src[p]] += scattered[p]
     return np.moveaxis(out, 0, axis)
 
 
@@ -73,15 +99,14 @@ def downsample_antialias(x: Raster, ratio: int) -> Raster:
             f"dims {x.height}x{x.width} not divisible by ratio {ratio}"
         )
     kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
-    arr = _correlate_axis(_correlate_axis(x.data, kernel, 0), kernel, 1)
-    if ratio > 1:
-        arr = arr[::ratio, ::ratio, :]
+    arr = _correlate_axis(_correlate_axis(x.data, kernel, 0, ratio), kernel, 1, ratio)
     return Raster(arr)
 
 
 def downsample_antialias_adjoint(grad: Raster, ratio: int, height: int, width: int) -> Raster:
-    """Adjoint of :func:`downsample_antialias`: zero-upsample, then apply the
-    transposed blur. Needed to backpropagate losses evaluated at reduced scale.
+    """Adjoint of :func:`downsample_antialias`: the transposed decimating
+    blur, axis 1 then axis 0. Needed to backpropagate losses evaluated at
+    reduced scale.
     """
     if ratio < 1:
         raise UsageError(f"ratio must be >= 1, got {ratio}")
@@ -91,11 +116,8 @@ def downsample_antialias_adjoint(grad: Raster, ratio: int, height: int, width: i
             f"{grad.height}x{grad.width}"
         )
     kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
-    z = np.zeros((height, width, grad.bands), dtype=np.float64)
-    z[::ratio, ::ratio, :] = grad.data
-    z = _correlate_axis_adjoint(z, kernel, 1)
-    z = _correlate_axis_adjoint(z, kernel, 0)
-    return Raster(z)
+    z = _correlate_axis_adjoint(grad.data, kernel, 1, ratio)
+    return Raster(_correlate_axis_adjoint(z, kernel, 0, ratio))
 
 
 def _catmull_rom_weights(frac: np.ndarray) -> tuple[np.ndarray, ...]:

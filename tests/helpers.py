@@ -2,11 +2,13 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import panfuse
 from panfuse import Raster
@@ -25,6 +27,24 @@ def run_cli(*args, cwd=None):
         cwd=cwd,
         env=env,
     )
+
+
+def framed(magic, header, payload=b""):
+    """MSR/CSW file bytes: magic, u32 header length, header bytes, payload."""
+    return magic + struct.pack("<I", len(header)) + header + payload
+
+
+# Any JSON value, small integers (valid dimensions) weighted in.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 4)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
 
 
 def random_raster(seed, height, width, bands, lo=0.0, hi=1.0):

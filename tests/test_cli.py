@@ -324,3 +324,41 @@ class TestMalformedInputs:
         r = run_cli("loss", "--name", "perceptual", "--extractor", csw,
                     scene_dir / "hrms.msr", scene_dir / "reference.msr")
         self.assert_exit(r, 4)
+
+    # A JSON header nested too deep to decode, and an integer literal longer
+    # than Python converts from a string (4300 digits by default).
+    DEEP_HEADER = b"[" * 100000
+    LONG_INT_HEADER = b'{"width": ' + b"9" * 5000 + b', "height": 1, "bands": 1}'
+
+    @pytest.mark.parametrize("header", [DEEP_HEADER, LONG_INT_HEADER],
+                             ids=["deep-nesting", "long-integer"])
+    @pytest.mark.parametrize("command", ["degrade", "eval"])
+    def test_undecodable_msr_header_exit_five(self, scene_dir, tmp_path, command, header):
+        bad = tmp_path / "bad.msr"
+        bad.write_bytes(b"MSR1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        if command == "degrade":
+            args = ["--hrms", bad, "--pan", scene_dir / "pan.msr"]
+        else:
+            args = ["--fused", bad, "--reference", scene_dir / "reference.msr",
+                    "--lrms", scene_dir / "lrms.msr", "--pan", scene_dir / "pan.msr"]
+        r = run_cli(command, *args, "--ratio", 4, "--out", tmp_path)
+        self.assert_exit(r, 5)
+        assert "bad.msr" in r.stderr
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            DEEP_HEADER,
+            b'{"bands": ' + b"9" * 5000 + b', "layers": []}',
+            b'{"bands": 1, "layers": [{"out": 1, "in": 1, "k": 1, "stride": 1, "slope": '
+            + b"9" * 400 + b"}]}",
+        ],
+        ids=["deep-nesting", "long-integer", "slope-beyond-float"],
+    )
+    def test_undecodable_csw_header_exit_five(self, scene_dir, tmp_path, header):
+        csw = tmp_path / "bad.csw"
+        csw.write_bytes(b"CSW1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        r = run_cli("loss", "--name", "perceptual", "--extractor", csw,
+                    scene_dir / "hrms.msr", scene_dir / "reference.msr")
+        self.assert_exit(r, 5)
+        assert "bad.csw" in r.stderr

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panfuse import (
     ConvLayer,
@@ -15,8 +16,14 @@ from panfuse import (
     load_conv_stack,
     save_conv_stack,
 )
-from panfuse.errors import HeaderError, MagicError, NonFiniteDataError, ShapeMismatchError
-from helpers import random_raster
+from panfuse.errors import (
+    HeaderError,
+    MagicError,
+    NonFiniteDataError,
+    PanfuseError,
+    ShapeMismatchError,
+)
+from helpers import JSON_VALUES, framed, random_raster
 
 
 def single_layer(weights, bias, stride=1, slope=0.0, bands=None):
@@ -177,7 +184,10 @@ class TestCswIO:
         with pytest.raises(HeaderError):
             load_conv_stack(path)
 
-    @pytest.mark.parametrize("field, value", [("out", 0), ("k", True), ("stride", 1.5)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("out", 0), ("k", True), ("stride", 1.5), ("slope", float("nan")), ("slope", "inf")],
+    )
     def test_bad_layer_field_rejected_on_load(self, tmp_path, field, value):
         meta = {"out": 1, "in": 1, "k": 1, "stride": 1, "slope": 0.0, field: value}
         header = json.dumps({"bands": 1, "layers": [meta]}).encode()
@@ -191,3 +201,50 @@ class TestCswIO:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(MagicError):
             load_conv_stack(path)
+
+
+class TestCswFuzz:
+    """Whatever the bytes, ``load_conv_stack`` returns a spec or raises a
+    ``PanfuseError`` (which the CLI maps to an exit code), nothing else."""
+
+    LAYER = st.fixed_dictionaries(
+        {},
+        optional={key: JSON_VALUES for key in ("out", "in", "k", "stride", "slope")},
+    )
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "x.csw"
+
+    def load(self, path, blob):
+        path.write_bytes(blob)
+        try:
+            load_conv_stack(path)
+        except PanfuseError:
+            pass
+
+    @settings(derandomize=True, deadline=None)
+    @given(blob=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, path, blob):
+        self.load(path, blob)
+
+    @settings(derandomize=True, deadline=None)
+    @given(blob=st.binary(max_size=200).map(lambda b: b"CSW1" + b))
+    def test_arbitrary_bytes_after_magic(self, path, blob):
+        self.load(path, blob)
+
+    @settings(derandomize=True, deadline=None)
+    @given(header=st.binary(max_size=200), payload=st.binary(max_size=64))
+    def test_arbitrary_header_bytes(self, path, header, payload):
+        self.load(path, framed(b"CSW1", header, payload))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        header=st.fixed_dictionaries(
+            {},
+            optional={"bands": JSON_VALUES, "layers": st.lists(LAYER, max_size=3) | JSON_VALUES},
+        ),
+        payload=st.binary(max_size=64),
+    )
+    def test_arbitrary_header_fields(self, path, header, payload):
+        self.load(path, framed(b"CSW1", json.dumps(header).encode(), payload))

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panfuse import (
     Patch,
@@ -22,11 +23,12 @@ from panfuse.errors import (
     MagicError,
     MissingFileError,
     NonFiniteDataError,
+    PanfuseError,
     PayloadSizeError,
     ShapeMismatchError,
     UsageError,
 )
-from helpers import random_raster
+from helpers import JSON_VALUES, framed, random_raster
 
 
 class TestRasterType:
@@ -177,6 +179,53 @@ class TestMsrIO:
         path.write_bytes(b"MSR1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
         with pytest.raises(HeaderError):
             read_raster(path)
+
+
+class TestMsrFuzz:
+    """Whatever the bytes, ``read_raster`` returns a raster or raises a
+    ``PanfuseError`` (which the CLI maps to an exit code), nothing else."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "x.msr"
+
+    def read(self, path, blob):
+        path.write_bytes(blob)
+        try:
+            read_raster(path)
+        except PanfuseError:
+            pass
+
+    @settings(derandomize=True, deadline=None)
+    @given(blob=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, path, blob):
+        self.read(path, blob)
+
+    @settings(derandomize=True, deadline=None)
+    @given(blob=st.binary(max_size=200).map(lambda b: b"MSR1" + b))
+    def test_arbitrary_bytes_after_magic(self, path, blob):
+        self.read(path, blob)
+
+    @settings(derandomize=True, deadline=None)
+    @given(header=st.binary(max_size=200), payload=st.binary(max_size=64))
+    def test_arbitrary_header_bytes(self, path, header, payload):
+        self.read(path, framed(b"MSR1", header, payload))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        header=st.fixed_dictionaries(
+            {},
+            optional={
+                "width": JSON_VALUES,
+                "height": JSON_VALUES,
+                "bands": JSON_VALUES,
+                "dtype": st.one_of(st.just("f64"), JSON_VALUES),
+            },
+        ),
+        payload=st.binary(max_size=64),
+    )
+    def test_arbitrary_header_fields(self, path, header, payload):
+        self.read(path, framed(b"MSR1", json.dumps(header).encode(), payload))
 
 
 class TestSynthScene:

@@ -62,7 +62,13 @@ class TestDownsample:
 
 
 class TestDownsampleAdjoint:
-    @pytest.mark.parametrize("dims,ratio", [((16, 16), 4), ((8, 8), 4), ((12, 8), 2)])
+    # (4, 4) at 4 and (2, 2) at 2 are shorter than the kernel radius 2*ratio,
+    # so a border folds back onto the image more than once; (6, 9) at 3 has a
+    # side equal to it.
+    @pytest.mark.parametrize(
+        "dims,ratio",
+        [((16, 16), 4), ((8, 8), 4), ((12, 8), 2), ((4, 4), 4), ((6, 9), 3), ((2, 2), 2)],
+    )
     def test_dot_product_identity(self, dims, ratio):
         # <D x, y> == <x, D^T y> characterizes the exact adjoint
         h, w = dims
