@@ -18,6 +18,7 @@ format of :mod:`panfuse.features`.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,17 +49,15 @@ class Raster:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, order="C")
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise RasterShapeError(f"raster data must be 2-D or 3-D, got ndim={arr.ndim}")
-        if min(arr.shape) < 1:
-            raise RasterShapeError(f"raster dimensions must all be >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteRasterError("raster data contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _checked(np.array(self.data, dtype=np.float64, order="C")))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> Raster:
+        """Wrap ``arr``, an array no other code holds, without the copy the
+        constructor makes; the checks are the same."""
+        raster = object.__new__(cls)
+        object.__setattr__(raster, "data", _checked(np.asarray(arr, dtype=np.float64, order="C")))
+        return raster
 
     @property
     def height(self) -> int:
@@ -75,6 +74,20 @@ class Raster:
     def band(self, b: int) -> np.ndarray:
         """Read-only 2-D view of band ``b``."""
         return self.data[:, :, b]
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only H x W x B cube, or the error it breaks."""
+    if arr.ndim == 2:
+        arr = arr[:, :, None]
+    if arr.ndim != 3:
+        raise RasterShapeError(f"raster data must be 2-D or 3-D, got ndim={arr.ndim}")
+    if min(arr.shape) < 1:
+        raise RasterShapeError(f"raster dimensions must all be >= 1, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteRasterError("raster data contains non-finite values")
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_same_shape(a: Raster, b: Raster) -> None:
@@ -114,7 +127,11 @@ class PatchSet:
 
 
 def _write_framed(
-    path: str | Path, magic: bytes, header: dict, chunks: Iterable[bytes], what: str
+    path: str | Path,
+    magic: bytes,
+    header: dict,
+    chunks: Iterable[bytes | memoryview],
+    what: str,
 ) -> None:
     """Write ``magic``, the u32 header length, the JSON header, then ``chunks``."""
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -129,32 +146,44 @@ def _write_framed(
         raise RasterIOError(f"cannot write {what} to {path}: {exc}") from exc
 
 
-def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, bytes]:
-    """Read a file written by :func:`_write_framed`; return (header, payload)."""
+def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, np.ndarray]:
+    """Read a file written by :func:`_write_framed`; return (header, payload).
+
+    The payload is read straight into a fresh, aligned uint8 array, so a
+    reader can view it as its element type without a copy.
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingFileError(f"no such {what} file: {path}")
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(8)
+            if head[:4] != magic:
+                raise MagicError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+            if len(head) < 8:
+                raise HeaderError(f"{path}: file too short for header length field")
+            (header_len,) = struct.unpack("<I", head[4:])
+            rest = os.fstat(fh.fileno()).st_size - 8
+            if rest < header_len:
+                raise HeaderError(
+                    f"{path}: declared header length {header_len} exceeds file size"
+                )
+            raw = fh.read(header_len)
+            payload = np.empty(rest - header_len, dtype=np.uint8)
+            got = fh.readinto(payload)
     except OSError as exc:
         raise RasterIOError(f"cannot read {path}: {exc}") from exc
-
-    if blob[:4] != magic:
-        raise MagicError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
-    if len(blob) < 8:
-        raise HeaderError(f"{path}: file too short for header length field")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + header_len:
-        raise HeaderError(f"{path}: declared header length {header_len} exceeds file size")
+    if len(raw) != header_len or got != payload.size:
+        raise RasterIOError(f"{path}: file changed while it was read")
     # ValueError covers bad UTF-8, bad JSON and integer literals too long to
     # convert; RecursionError covers a header nested too deep to decode.
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise HeaderError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise HeaderError(f"{path}: header is not a JSON object")
-    return header, blob[8 + header_len :]
+    return header, payload
 
 
 def _check_positive_ints(where: object, fields: object, keys: Sequence[str]) -> None:
@@ -177,7 +206,7 @@ def write_raster(raster: Raster, path: str | Path) -> None:
         "bands": raster.bands,
         "dtype": "f64",
     }
-    payload = raster.data.astype("<f8").tobytes(order="C")
+    payload = memoryview(np.ascontiguousarray(raster.data, dtype="<f8")).cast("B")
     _write_framed(path, MSR_MAGIC, header, [payload], "raster")
 
 
@@ -195,7 +224,7 @@ def read_raster(path: str | Path) -> Raster:
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"
         )
     try:
-        return Raster(np.frombuffer(payload, dtype="<f8").reshape(h, w, b))
+        return Raster._adopt(payload.view("<f8").reshape(h, w, b))
     except NonFiniteRasterError as exc:
         raise NonFiniteDataError(f"{path}: payload contains non-finite values") from exc
 
@@ -242,9 +271,10 @@ def synth_scene(
         raise UsageError("pan_weights must be nonnegative with a positive sum")
 
     rng = np.random.default_rng(seed)
-    yy, xx = np.meshgrid(
-        np.linspace(0.0, 1.0, height), np.linspace(0.0, 1.0, width), indexing="ij"
-    )
+    # A 1 x W row and an H x 1 column; each expression broadcasts them to
+    # H x W with the operands in the order a full meshgrid would use.
+    xx = np.linspace(0.0, 1.0, width)[None, :]
+    yy = np.linspace(0.0, 1.0, height)[:, None]
     cube = np.empty((height, width, bands), dtype=np.float64)
     for b in range(bands):
         theta = rng.uniform(0.0, 2.0 * np.pi)
@@ -263,7 +293,13 @@ def synth_scene(
             u = (dx * np.cos(phi) + dy * np.sin(phi)) / rx
             v = (-dx * np.sin(phi) + dy * np.cos(phi)) / ry
             d = np.sqrt(u * u + v * v)
-            img += amp / (1.0 + np.exp(np.clip((d - 1.0) / soft, -60.0, 60.0)))
+            # The soft edge amp / (1 + exp(clip((d - 1) / soft, -60, 60))), in place.
+            d -= 1.0
+            d /= soft
+            np.clip(d, -60.0, 60.0, out=d)
+            np.exp(d, out=d)
+            d += 1.0
+            img += np.divide(amp, d, out=d)
         cube[:, :, b] = np.clip(img, 0.0, 1.0)
 
     hrms = Raster(cube)

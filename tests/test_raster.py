@@ -1,6 +1,7 @@
 """Raster type, MSR file IO, synthetic scenes, and patch extraction."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -25,6 +26,7 @@ from panfuse.errors import (
     NonFiniteDataError,
     PanfuseError,
     PayloadSizeError,
+    RasterIOError,
     ShapeMismatchError,
     UsageError,
 )
@@ -134,6 +136,46 @@ class TestMsrIO:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(PayloadSizeError):
             read_raster(path)
+
+    @pytest.mark.parametrize("delta", [-8, -1, 1, 8])
+    def test_payload_off_by_bytes_rejected(self, tmp_path, delta):
+        path = tmp_path / "off.msr"
+        write_raster(random_raster(7, 3, 5, 2), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:delta] if delta < 0 else blob + b"\x00" * delta)
+        with pytest.raises(PayloadSizeError):
+            read_raster(path)
+
+    def test_file_shorter_than_its_size_at_open(self, tmp_path, monkeypatch):
+        # A file truncated between the size check and the read is refused,
+        # not returned with unread bytes.
+        path = tmp_path / "shrunk.msr"
+        write_raster(random_raster(8, 4, 4, 1), path)
+        real_fstat = os.fstat
+
+        class Grown:
+            def __init__(self, fd):
+                self.st_size = real_fstat(fd).st_size + 8
+
+        monkeypatch.setattr(os, "fstat", Grown)
+        with pytest.raises(RasterIOError, match="changed while it was read"):
+            read_raster(path)
+
+    def test_read_raster_owns_aligned_data(self, tmp_path):
+        path = tmp_path / "own.msr"
+        write_raster(random_raster(9, 5, 3, 2), path)
+        data = read_raster(path).data
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert data.flags.aligned and not data.flags.writeable
+
+    @pytest.mark.parametrize("spaces", range(8))
+    def test_payload_at_any_alignment(self, tmp_path, spaces):
+        # Header padding moves the payload to every offset modulo 8.
+        data = np.random.default_rng(spaces).random((3, 4, 2))
+        header = b'{"width":4,"height":3,"bands":2,"dtype":"f64"}' + b" " * spaces
+        path = tmp_path / "aligned.msr"
+        path.write_bytes(framed(b"MSR1", header, data.astype("<f8").tobytes()))
+        assert np.array_equal(read_raster(path).data, data)
 
     def test_nonfinite_payload(self, tmp_path):
         header = json.dumps({"width": 1, "height": 1, "bands": 1, "dtype": "f64"}).encode()
