@@ -14,6 +14,9 @@ CSW file layout (the framing of :mod:`panfuse.raster`'s MSR files):
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -52,14 +55,18 @@ class ConvLayer:
             raise ValueError(f"kernel size must be odd, got {w.shape[2]}")
         if b.shape != (w.shape[0],):
             raise ValueError(f"bias shape {b.shape} does not match out={w.shape[0]}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        stride = _positive_int("stride", self.stride)
+        if not isinstance(self.leaky_slope, numbers.Real):
+            raise ValueError(f"leaky slope must be a real number, got {self.leaky_slope!r}")
+        slope = float(self.leaky_slope)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer weights must be finite")
-        if not np.isfinite(self.leaky_slope):
-            raise ValueError(f"leaky slope must be finite, got {self.leaky_slope}")
+        if not math.isfinite(slope):
+            raise ValueError(f"leaky slope must be finite, got {slope}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "stride", stride)
+        object.__setattr__(self, "leaky_slope", slope)
 
     @property
     def out_channels(self) -> int:
@@ -74,6 +81,20 @@ class ConvLayer:
         return self.weights.shape[2]
 
 
+def _positive_int(name: str, value: object) -> int:
+    """``value`` as a plain ``int`` >= 1; a bool, float or other non-integer
+    raises ``ValueError``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < 1:
+        raise ValueError(f"{name} must be >= 1, got {number}")
+    return number
+
+
 @dataclass(frozen=True, eq=False)
 class ConvStackSpec:
     """Validated chain of conv layers with a declared input band count."""
@@ -82,8 +103,7 @@ class ConvStackSpec:
     layers: tuple[ConvLayer, ...]
 
     def __post_init__(self) -> None:
-        if self.bands < 1:
-            raise ValueError(f"declared bands must be >= 1, got {self.bands}")
+        object.__setattr__(self, "bands", _positive_int("declared bands", self.bands))
         if not self.layers:
             raise ValueError("conv stack needs at least one layer")
         expected = self.bands
@@ -175,14 +195,26 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
 
 
 def _apply_layer(arr: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Zero-padded strided cross-correlation + bias + leaky-ReLU."""
-    k = layer.kernel_size
+    """Zero-padded strided cross-correlation + bias + leaky-ReLU.
+
+    One (H'*W' x C) @ (C x O) product per tap (i, j), on a strided view of
+    the padded input, accumulated in (i, j) order onto the bias.
+    """
+    k, s = layer.kernel_size, layer.stride
     pad = k // 2
     padded = np.pad(arr, ((pad, pad), (pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    windows = windows[:: layer.stride, :: layer.stride]
-    out = np.einsum("hwcij,ocij->hwo", windows, layer.weights) + layer.bias
-    return np.where(out > 0, out, layer.leaky_slope * out)
+    h, w = (arr.shape[0] - 1) // s + 1, (arr.shape[1] - 1) // s + 1
+    # (k, k, C, O), C-contiguous: a strided (C, O) slice would not reach BLAS.
+    taps = np.ascontiguousarray(layer.weights.transpose(2, 3, 1, 0))
+    out = np.empty((h, w, layer.out_channels))
+    out[...] = layer.bias
+    term = np.empty_like(out)
+    for i in range(k):
+        for j in range(k):
+            np.matmul(padded[i::s, j::s][:h, :w], taps[i, j], out=term)
+            out += term
+    np.multiply(out, layer.leaky_slope, out=out, where=out <= 0)
+    return out
 
 
 def extract_features(x: Raster, extractor: Extractor) -> Raster:
@@ -204,4 +236,4 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
     with np.errstate(over="ignore", invalid="ignore"):  # Raster rejects a non-finite result
         for layer in extractor.layers:
             arr = _apply_layer(arr, layer)
-    return Raster(arr)
+    return Raster._adopt(arr)

@@ -33,16 +33,6 @@ SAM_MODES = ("cosine", "as_printed")
 DISC_MODES = ("as_printed", "bce")
 PIXEL_MODES = ("l1", "mse")
 
-GRADIENT_LOSSES = (
-    "l1",
-    "mse",
-    "sam_cosine",
-    "total_sam",
-    "gm_reconstruction",
-    "perceptual_identity",
-    "gm_perceptual_identity",
-)
-
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -270,6 +260,73 @@ def _gram_delta_gradient(
     return grad.reshape(h, w, c)
 
 
+def _l1_gradient(
+    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
+) -> np.ndarray:
+    return np.sign(fused.data - reference.data) / fused.data.size
+
+
+def _mse_gradient(
+    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
+) -> np.ndarray:
+    return 2.0 * (fused.data - reference.data) / fused.data.size
+
+
+def _sam_gradient(
+    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
+) -> np.ndarray:
+    return _sam_cosine_gradient(fused.data, reference.data)
+
+
+def _total_sam_gradient(
+    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
+) -> np.ndarray:
+    if lrms is None or ratio is None:
+        raise UsageError("total_sam gradient needs lrms and ratio")
+    down = downsample_antialias(fused, ratio)
+    if down.data.shape != lrms.data.shape:
+        raise ShapeMismatchError("lrms dims must be fused dims / ratio")
+    grad_full = _sam_cosine_gradient(fused.data, reference.data)
+    grad_low = _sam_cosine_gradient(down.data, lrms.data)
+    pulled = downsample_antialias_adjoint(
+        Raster._adopt(grad_low), ratio, fused.height, fused.width
+    )
+    return 0.5 * grad_full + 0.5 * pulled.data
+
+
+def _gram_gradient(
+    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
+) -> np.ndarray:
+    delta = gram_matrix(fused).matrix - gram_matrix(reference).matrix
+    fro = float(np.sqrt(np.sum(delta * delta)))
+    return _gram_delta_gradient(fused.data, delta, fro)
+
+
+def _perceptual_gradient(
+    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
+) -> np.ndarray:
+    diff = fused.data - reference.data
+    norm = float(np.sqrt(np.sum(diff * diff)))
+    if norm == 0.0:
+        return np.zeros_like(diff)
+    return diff / norm
+
+
+# gradient id -> d loss / d fused of (fused, reference, lrms, ratio), as a
+# fresh array. The "*_identity" entries hold for the identity extractor only.
+GRADIENTS: dict[str, Callable[[Raster, Raster, Raster | None, int | None], np.ndarray]] = {
+    "l1": _l1_gradient,
+    "mse": _mse_gradient,
+    "sam_cosine": _sam_gradient,
+    "total_sam": _total_sam_gradient,
+    "gm_reconstruction": _gram_gradient,
+    "perceptual_identity": _perceptual_gradient,
+    "gm_perceptual_identity": _gram_gradient,
+}
+
+GRADIENT_LOSSES = tuple(GRADIENTS)
+
+
 def loss_gradient(
     loss_id: str,
     fused: Raster,
@@ -284,40 +341,10 @@ def loss_gradient(
     zero difference is zero. Frobenius-norm losses return a zero raster
     at their (non-differentiable) minimum.
     """
-    if loss_id not in GRADIENT_LOSSES:
+    if loss_id not in GRADIENTS:
         raise UsageError(f"no analytic gradient for loss {loss_id!r}")
     _check_same_shape(fused, reference)
-    f, g = fused.data, reference.data
-    nelem = f.size
-
-    if loss_id == "l1":
-        return Raster(np.sign(f - g) / nelem)
-    if loss_id == "mse":
-        return Raster(2.0 * (f - g) / nelem)
-    if loss_id == "sam_cosine":
-        return Raster(_sam_cosine_gradient(f, g))
-    if loss_id == "total_sam":
-        if lrms is None or ratio is None:
-            raise UsageError("total_sam gradient needs lrms and ratio")
-        down = downsample_antialias(fused, ratio)
-        if down.data.shape != lrms.data.shape:
-            raise ShapeMismatchError("lrms dims must be fused dims / ratio")
-        grad_full = _sam_cosine_gradient(f, g)
-        grad_low = _sam_cosine_gradient(down.data, lrms.data)
-        pulled = downsample_antialias_adjoint(
-            Raster(grad_low), ratio, fused.height, fused.width
-        )
-        return Raster(0.5 * grad_full + 0.5 * pulled.data)
-    if loss_id in ("gm_reconstruction", "gm_perceptual_identity"):
-        delta = gram_matrix(fused).matrix - gram_matrix(reference).matrix
-        fro = float(np.sqrt(np.sum(delta * delta)))
-        return Raster(_gram_delta_gradient(f, delta, fro))
-    # perceptual_identity
-    diff = f - g
-    norm = float(np.sqrt(np.sum(diff * diff)))
-    if norm == 0.0:
-        return Raster(np.zeros_like(f))
-    return Raster(diff / norm)
+    return Raster._adopt(GRADIENTS[loss_id](fused, reference, lrms, ratio))
 
 
 def finite_difference_gradient(

@@ -134,6 +134,33 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ConvLayer(weights=w, bias=np.zeros(1), stride=1, leaky_slope=0.0)
 
+    @pytest.mark.parametrize("stride", [1.5, 2.0, True, np.True_, "2", None, 0, -1, np.int64(0)])
+    def test_bad_stride_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            ConvLayer(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=stride,
+                      leaky_slope=0.0)
+
+    @pytest.mark.parametrize("stride", [np.int64(2), np.uint8(2), np.int32(2)])
+    def test_numpy_int_stride_stored_as_int(self, stride):
+        layer = ConvLayer(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=stride,
+                          leaky_slope=0.0)
+        assert type(layer.stride) is int and layer.stride == 2
+        out = extract_features(random_raster(4, 5, 6, 1), ConvStackSpec(bands=1, layers=(layer,)))
+        assert out.data.shape == (3, 3, 1)
+
+    @pytest.mark.parametrize("bands", [True, 1.0, "1", 0])
+    def test_bad_declared_bands_rejected(self, bands):
+        layer = ConvLayer(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=1,
+                          leaky_slope=0.0)
+        with pytest.raises(ValueError, match="bands"):
+            ConvStackSpec(bands=bands, layers=(layer,))
+
+    @pytest.mark.parametrize("slope", ["0.2", None, 1j])
+    def test_non_real_slope_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            ConvLayer(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=1,
+                      leaky_slope=slope)
+
 
 class TestCswIO:
     def test_roundtrip(self, tmp_path):
@@ -148,6 +175,17 @@ class TestCswIO:
             assert np.array_equal(got.bias, want.bias)
             assert got.stride == want.stride
             assert got.leaky_slope == want.leaky_slope
+
+    def test_numpy_number_fields_roundtrip(self, tmp_path):
+        spec = single_layer(np.ones((1, 1, 3, 3)), [0.0], stride=np.int64(2),
+                            slope=np.float32(0.25), bands=np.int64(1))
+        path = tmp_path / "stack.csw"
+        save_conv_stack(spec, path)
+        back = load_conv_stack(path)
+        assert type(back.layers[0].stride) is int and back.layers[0].stride == 2
+        assert back.layers[0].leaky_slope == 0.25 and back.bands == 1
+        x = random_raster(13, 7, 9, 1)
+        assert np.array_equal(extract_features(x, back).data, extract_features(x, spec).data)
 
     @pytest.mark.parametrize("part", ["weights", "bias"])
     def test_float32_overflow_refused_at_save(self, tmp_path, part):

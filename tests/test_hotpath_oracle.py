@@ -4,10 +4,12 @@ Each ``old_*`` function below is the code path as it was written before
 downsampling evaluated the blur only at kept pixels, its adjoint stopped
 zero-upsampling, SSIM, SAM and ERGAS ran in row strips (SSIM from four window
 means with a folded kernel), ``synth_scene`` broadcast a row and a column
-instead of a meshgrid, and MSR payloads were written without a ``tobytes``
-copy. They are test-only oracles: the resampling, the scene and the written
-bytes must match them bit for bit, and SSIM, SAM and ERGAS within 1e-14 (the
-order of the sums changed).
+instead of a meshgrid, MSR payloads were written without a ``tobytes``
+copy, the conv layer became one matmul per kernel tap, and ``loss_gradient``
+became one table. They are test-only oracles: the resampling, the scene, the
+written bytes and the gradients must match them bit for bit, SSIM, SAM and
+ERGAS within 1e-14, and the conv features within 1e-12 of their largest
+magnitude (the order of the sums changed).
 """
 
 import os
@@ -21,9 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 import panfuse
 from panfuse import (
+    ConvLayer,
+    ConvStackSpec,
     Raster,
     downsample_antialias,
     downsample_antialias_adjoint,
+    extract_features,
+    loss_gradient,
     metric_ergas,
     metric_sam,
     metric_ssim,
@@ -32,6 +38,14 @@ from panfuse import (
     write_raster,
 )
 from panfuse.errors import ShapeMismatchError
+from panfuse.features import _apply_layer
+from panfuse.losses import (
+    GRADIENT_LOSSES,
+    GRADIENTS,
+    _gram_delta_gradient,
+    _sam_cosine_gradient,
+    gram_matrix,
+)
 from panfuse.resample import _gaussian_kernel, _reflect
 
 
@@ -160,6 +174,50 @@ def old_synth_scene(width, height, bands, seed, pan_weights):
         cube[:, :, b] = np.clip(img, 0.0, 1.0)
     hrms = Raster(cube)
     return hrms, pan_from_weights(hrms, pan_weights)
+
+
+def old_apply_layer(arr, layer):
+    k = layer.kernel_size
+    pad = k // 2
+    padded = np.pad(arr, ((pad, pad), (pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
+    windows = windows[:: layer.stride, :: layer.stride]
+    out = np.einsum("hwcij,ocij->hwo", windows, layer.weights) + layer.bias
+    return np.where(out > 0, out, layer.leaky_slope * out)
+
+
+def old_extract_features(data, spec):
+    for layer in spec.layers:
+        data = old_apply_layer(data, layer)
+    return data
+
+
+def old_loss_gradient(loss_id, fused, reference, lrms=None, ratio=None):
+    f, g = fused.data, reference.data
+    nelem = f.size
+    if loss_id == "l1":
+        return Raster(np.sign(f - g) / nelem)
+    if loss_id == "mse":
+        return Raster(2.0 * (f - g) / nelem)
+    if loss_id == "sam_cosine":
+        return Raster(_sam_cosine_gradient(f, g))
+    if loss_id == "total_sam":
+        down = downsample_antialias(fused, ratio)
+        grad_full = _sam_cosine_gradient(f, g)
+        grad_low = _sam_cosine_gradient(down.data, lrms.data)
+        pulled = downsample_antialias_adjoint(
+            Raster(grad_low), ratio, fused.height, fused.width
+        )
+        return Raster(0.5 * grad_full + 0.5 * pulled.data)
+    if loss_id in ("gm_reconstruction", "gm_perceptual_identity"):
+        delta = gram_matrix(fused).matrix - gram_matrix(reference).matrix
+        fro = float(np.sqrt(np.sum(delta * delta)))
+        return Raster(_gram_delta_gradient(f, delta, fro))
+    diff = f - g
+    norm = float(np.sqrt(np.sum(diff * diff)))
+    if norm == 0.0:
+        return Raster(np.zeros_like(f))
+    return Raster(diff / norm)
 
 
 def old_msr_bytes(raster):
@@ -325,3 +383,135 @@ def test_written_bytes_match_old_writer(tmp_path, shape):
     path = tmp_path / "r.msr"
     write_raster(raster, path)
     assert path.read_bytes() == old_msr_bytes(raster)
+
+
+def random_layer(rng, c_in, c_out, k, stride, slope=0.2):
+    return ConvLayer(
+        weights=rng.normal(0.0, 0.3, (c_out, c_in, k, k)),
+        bias=rng.normal(0.0, 0.05, c_out),
+        stride=stride,
+        leaky_slope=slope,
+    )
+
+
+def assert_close_to_oracle(got, want):
+    """Within 1e-12 of the oracle's largest magnitude, and the same shape."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# (height, width): a single pixel, sides shorter than the kernel, odd and
+# non-square sides, and the benchmark's patch size.
+CONV_SHAPES = [(1, 1), (2, 3), (7, 9), (64, 64), (33, 17)]
+
+
+@pytest.mark.parametrize("height, width", CONV_SHAPES)
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("c_in, c_out", [(1, 1), (4, 8), (8, 3)])
+def test_conv_layer_matches_einsum_body(height, width, k, stride, c_in, c_out):
+    rng = np.random.default_rng(height * 1000 + width * 100 + k * 10 + stride + c_in * c_out)
+    layer = random_layer(rng, c_in, c_out, k, stride)
+    x = rng.random((height, width, c_in))
+    assert_close_to_oracle(_apply_layer(x, layer), old_apply_layer(x, layer))
+
+
+@pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 3)])
+def test_conv_layer_all_negative_takes_leaky_branch(k, stride):
+    """Negative weights and bias on a positive input: every output is on the
+    leaky branch, slope times the linear response."""
+    rng = np.random.default_rng(k + stride)
+    layer = ConvLayer(
+        weights=-rng.random((3, 2, k, k)) - 0.1,
+        bias=-rng.random(3) - 0.1,
+        stride=stride,
+        leaky_slope=0.3,
+    )
+    x = rng.random((9, 8, 2)) + 0.1
+    got = _apply_layer(x, layer)
+    assert np.all(got < 0)
+    assert_close_to_oracle(got, old_apply_layer(x, layer))
+    linear = ConvLayer(weights=layer.weights, bias=layer.bias, stride=stride, leaky_slope=1.0)
+    assert_close_to_oracle(got, 0.3 * old_apply_layer(x, linear))
+
+
+@st.composite
+def stacks_and_inputs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    bands = draw(st.integers(1, 6))
+    layers, c_in = [], bands
+    for _ in range(draw(st.integers(1, 3))):
+        c_out = draw(st.integers(1, 6))
+        k, stride = draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 3))
+        slope = draw(st.sampled_from([0.0, 0.2, 1.0, -0.5]))
+        layers.append(random_layer(rng, c_in, c_out, k, stride, slope))
+        c_in = c_out
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    x = Raster(rng.random((height, width, bands)))
+    return ConvStackSpec(bands=bands, layers=tuple(layers)), x
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(stacks_and_inputs())
+def test_extract_features_matches_einsum_stack(case):
+    spec, x = case
+    got = extract_features(x, spec).data
+    want = old_extract_features(x.data, spec)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), np.finfo(float).tiny)
+
+
+def test_extract_features_same_bits_at_one_and_two_blas_threads():
+    """Each output element sums its taps in one fixed order, whatever the
+    BLAS thread count."""
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from panfuse import ConvLayer, ConvStackSpec, Raster, extract_features\n"
+        "rng = np.random.default_rng(12)\n"
+        "layers = tuple(\n"
+        "    ConvLayer(rng.normal(0.0, 0.3, (o, i, 3, 3)), rng.normal(0.0, 0.05, o), s, 0.2)\n"
+        "    for i, o, s in ((4, 8, 1), (8, 16, 2))\n"
+        ")\n"
+        "x = Raster(rng.random((64, 64, 4)))\n"
+        "out = extract_features(x, ConvStackSpec(bands=4, layers=layers))\n"
+        "print(hashlib.sha256(out.data.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(panfuse.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        outputs.append(done.stdout.strip())
+    assert outputs[0] == outputs[1]
+
+
+def test_gradient_ids_kept_in_order():
+    assert GRADIENT_LOSSES == tuple(GRADIENTS) == (
+        "l1",
+        "mse",
+        "sam_cosine",
+        "total_sam",
+        "gm_reconstruction",
+        "perceptual_identity",
+        "gm_perceptual_identity",
+    )
+
+
+@pytest.mark.parametrize("loss_id", GRADIENT_LOSSES)
+@pytest.mark.parametrize("height, width, bands", [(8, 8, 4), (12, 16, 3), (4, 20, 2)])
+@pytest.mark.parametrize("same", [False, True])
+def test_gradient_table_matches_old_if_chain(loss_id, height, width, bands, same):
+    """Bit-equal to the old if-chain, also at identity, where the Frobenius
+    gradients take their zero branch."""
+    rng = np.random.default_rng(height * width + bands)
+    fused = Raster(rng.random((height, width, bands)))
+    reference = fused if same else Raster(rng.random((height, width, bands)))
+    lrms = Raster(rng.random((height // 4, width // 4, bands)))
+    got = loss_gradient(loss_id, fused, reference, lrms=lrms, ratio=4)
+    want = old_loss_gradient(loss_id, fused, reference, lrms=lrms, ratio=4)
+    assert np.array_equal(got.data, want.data)
