@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeMismatchError, UsageError
-from .raster import Raster
-from .resample import _STD_EPS, _correlate_axis, downsample_antialias, histogram_match, upsample
+from .errors import DegenerateInputError, UsageError
+from .raster import Raster, _check_scale_pair
+from .resample import _STD_EPS, _correlate_axis, _downsample, _match_moments, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
 
@@ -30,31 +30,18 @@ class FusionInput:
     ratio: int
 
     def __post_init__(self) -> None:
-        if self.ratio < 1:
-            raise UsageError(f"ratio must be >= 1, got {self.ratio}")
-        if self.pan.bands != 1:
-            raise ShapeMismatchError("pan must be single band")
-        if (self.pan.height, self.pan.width) != (
-            self.ratio * self.lrms.height,
-            self.ratio * self.lrms.width,
-        ):
-            raise ShapeMismatchError(
-                f"pan dims {self.pan.height}x{self.pan.width} != ratio "
-                f"{self.ratio} * lrms dims {self.lrms.height}x{self.lrms.width}"
-            )
+        _check_scale_pair(self.lrms, self.pan, self.ratio)
 
 
-def _matched_pan(pan: Raster, target: np.ndarray) -> np.ndarray:
-    """Histogram-match the pan band to a 2-D intensity surrogate."""
-    return histogram_match(pan, Raster(target[:, :, None])).data[:, :, 0]
-
-
-def _inject(ms_up: Raster, gain: np.ndarray | float, detail: np.ndarray) -> Raster:
+def _inject(ms_up: np.ndarray, gain: np.ndarray | float, detail: np.ndarray) -> Raster:
     """clip(ms_up + gain * detail, 0, 1), the step every method ends with.
 
-    ``gain`` is a scalar, per band, or per pixel and band; ``detail`` is H x W.
+    ``ms_up`` is the upsampled cube the method owns; the sum and the clip are
+    written into it, and it becomes the output. ``gain`` is a scalar, per
+    band, or per pixel and band; ``detail`` is H x W.
     """
-    return Raster(np.clip(ms_up.data + gain * detail[:, :, None], 0.0, 1.0))
+    ms_up += gain * detail[:, :, None]
+    return Raster._adopt(np.clip(ms_up, 0.0, 1.0, out=ms_up))
 
 
 def fuse_gihs(fin: FusionInput) -> Raster:
@@ -65,29 +52,23 @@ def fuse_gihs(fin: FusionInput) -> Raster:
     """
     if fin.lrms.bands < 3:
         raise UsageError(f"gihs requires at least 3 bands, got {fin.lrms.bands}")
-    ms_up = upsample(fin.lrms, fin.ratio)
-    intensity = ms_up.data.mean(axis=2)
-    return _inject(ms_up, 1.0, _matched_pan(fin.pan, intensity) - intensity)
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    intensity = ms_up.mean(axis=2)
+    return _inject(ms_up, 1.0, _match_moments(fin.pan.data[:, :, 0], intensity) - intensity)
 
 
 def fuse_brovey(fin: FusionInput) -> Raster:
     """Brovey transform: band-ratio-preserving multiplicative injection."""
-    ms_up = upsample(fin.lrms, fin.ratio)
-    intensity = ms_up.data.mean(axis=2)
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    intensity = ms_up.mean(axis=2)
     guarded = intensity + 1e-12  # g divides by it, so detail subtracts the same I
-    gain = ms_up.data / guarded[:, :, None]
-    return _inject(ms_up, gain, _matched_pan(fin.pan, intensity) - guarded)
+    gain = ms_up / guarded[:, :, None]
+    return _inject(ms_up, gain, _match_moments(fin.pan.data[:, :, 0], intensity) - guarded)
 
 
-def pca_basis(ms: Raster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band means plus eigendecomposition of the band covariance.
-
-    Returns (means, eigenvalues, eigenvectors) with eigenvalues descending
-    and eigenvectors as columns. The leading eigenvector's sign is fixed so
-    its loadings sum to a nonnegative value; otherwise the substitution
-    direction would be arbitrary.
-    """
-    flat = ms.data.reshape(-1, ms.bands)
+def _pca_basis(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pca_basis` of an H x W x B array."""
+    flat = cube.reshape(-1, cube.shape[2])
     means = flat.mean(axis=0)
     cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
     vals, vecs = np.linalg.eigh(cov)
@@ -101,6 +82,17 @@ def pca_basis(ms: Raster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return means, vals, vecs
 
 
+def pca_basis(ms: Raster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band means plus eigendecomposition of the band covariance.
+
+    Returns (means, eigenvalues, eigenvectors) with eigenvalues descending
+    and eigenvectors as columns. The leading eigenvector's sign is fixed so
+    its loadings sum to a nonnegative value; otherwise the substitution
+    direction would be arbitrary.
+    """
+    return _pca_basis(ms.data)
+
+
 def fuse_pca(fin: FusionInput) -> Raster:
     """Principal-component substitution fusion.
 
@@ -109,10 +101,10 @@ def fuse_pca(fin: FusionInput) -> Raster:
     projecting back equals injecting P_matched - PC1 along the first
     eigenvector, so I = PC1 score and g = first eigenvector.
     """
-    ms_up = upsample(fin.lrms, fin.ratio)
-    means, _, vecs = pca_basis(ms_up)
-    pc1 = (ms_up.data - means) @ vecs[:, 0]
-    return _inject(ms_up, vecs[:, 0], _matched_pan(fin.pan, pc1) - pc1)
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    means, _, vecs = _pca_basis(ms_up)
+    pc1 = (ms_up - means) @ vecs[:, 0]
+    return _inject(ms_up, vecs[:, 0], _match_moments(fin.pan.data[:, :, 0], pc1) - pc1)
 
 
 def mmse_band_weights(lrms: Raster, pan: Raster, ratio: int) -> np.ndarray:
@@ -121,11 +113,9 @@ def mmse_band_weights(lrms: Raster, pan: Raster, ratio: int) -> np.ndarray:
     Solves min_w ||downsample(pan) - sum_b w_b * lrms_b||^2 without a
     nonnegativity constraint.
     """
-    lrpan = downsample_antialias(pan, ratio)
-    if (lrpan.height, lrpan.width) != (lrms.height, lrms.width):
-        raise ShapeMismatchError("downsampled pan dims do not match lrms dims")
+    _check_scale_pair(lrms, pan, ratio)
     a = lrms.data.reshape(-1, lrms.bands)
-    y = lrpan.data.ravel()
+    y = _downsample(pan.data, ratio).ravel()
     weights, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < lrms.bands:
         raise DegenerateInputError("mmse weights: rank-deficient band system")
@@ -143,23 +133,23 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
     """
     if lr_pan_mode not in GS_LR_PAN_MODES:
         raise UsageError(f"unknown gs lr-pan mode {lr_pan_mode!r}")
-    ms_up = upsample(fin.lrms, fin.ratio)
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    pan2d = fin.pan.data[:, :, 0]
     if lr_pan_mode == "weighted-mean":
-        intensity = ms_up.data.mean(axis=2)
+        intensity = ms_up.mean(axis=2)
     elif lr_pan_mode == "blur-decimate":
-        lrpan = downsample_antialias(fin.pan, fin.ratio)
-        intensity = upsample(lrpan, fin.ratio).data[:, :, 0]
+        intensity = _upsample(_downsample(pan2d, fin.ratio), fin.ratio)
     else:
         weights = mmse_band_weights(fin.lrms, fin.pan, fin.ratio)
-        intensity = np.tensordot(ms_up.data, weights, axes=([2], [0]))
+        intensity = np.tensordot(ms_up, weights, axes=([2], [0]))
 
     dev_i = intensity - intensity.mean()
     var_i = np.mean(dev_i * dev_i)
     if np.sqrt(var_i) < _STD_EPS:
         raise DegenerateInputError("gs: intensity surrogate has zero variance")
-    dev_b = ms_up.data - ms_up.data.mean(axis=(0, 1))
+    dev_b = ms_up - ms_up.mean(axis=(0, 1))
     gains = np.mean(dev_b * dev_i[:, :, None], axis=(0, 1)) / var_i
-    return _inject(ms_up, gains, _matched_pan(fin.pan, intensity) - intensity)
+    return _inject(ms_up, gains, _match_moments(pan2d, intensity) - intensity)
 
 
 def fuse_hpf(fin: FusionInput) -> Raster:
@@ -169,7 +159,7 @@ def fuse_hpf(fin: FusionInput) -> Raster:
     with the resolution gap. The pan band is used as is, without histogram
     matching.
     """
-    ms_up = upsample(fin.lrms, fin.ratio)
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
     k = 2 * fin.ratio + 1
     kernel = np.full(k, 1.0 / k)
     pan2d = fin.pan.data[:, :, 0]

@@ -7,9 +7,9 @@ an analytic gradient with respect to the fused image plus a central
 finite-difference oracle for verification.
 
 Two of the published formulas are kept in both an as-printed and a
-corrected form behind mode flags: the spectral-angle loss (the printed
-global form is not scale invariant and is not zero at identity) and the
-discriminator loss (the printed form rewards rather than penalizes a
+corrected form behind a ``mode`` argument: the spectral-angle loss (the
+printed global form is not scale invariant and is not zero at identity) and
+the discriminator loss (the printed form rewards rather than penalizes a
 confident real score). The corrected variants are the defaults used by
 the rest of the toolkit only where stated.
 """
@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .features import Extractor, extract_features
-from .raster import Raster, _check_same_shape
-from .resample import downsample_antialias, downsample_antialias_adjoint
+from .raster import Raster, _check_same_shape, _check_scale_pair
+from .resample import _downsample, _downsample_adjoint
 
 _EPS = 1e-12
 
@@ -36,7 +36,7 @@ PIXEL_MODES = ("l1", "mse")
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Weights and mode flags for the combined objective.
+    """Weights of the combined objective.
 
     alpha/beta weight the adversarial and reconstruction terms of the
     generator loss; eta1/eta2 weight the base objective and the
@@ -47,8 +47,6 @@ class LossSpec:
     beta: float = 1.0
     eta1: float = 1.0
     eta2: float = 1.0
-    sam_mode: str = "cosine"
-    disc_mode: str = "as_printed"
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "eta1", "eta2"):
@@ -56,10 +54,6 @@ class LossSpec:
                 raise UsageError(f"loss weight {name} must be finite")
         if self.eta1 < 0 or self.eta2 < 0:
             raise UsageError("eta1 and eta2 must be nonnegative")
-        if self.sam_mode not in SAM_MODES:
-            raise UsageError(f"unknown sam mode {self.sam_mode!r}")
-        if self.disc_mode not in DISC_MODES:
-            raise UsageError(f"unknown discriminator mode {self.disc_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +135,21 @@ def discriminator_loss(
     return total / len(d_fake)
 
 
+def _sam_loss(f: np.ndarray, t: np.ndarray, mode: str) -> float:
+    """:func:`sam_loss` of two H x W x B arrays of one shape."""
+    if mode not in SAM_MODES:
+        raise UsageError(f"unknown sam mode {mode!r}")
+    if mode == "as_printed":
+        return float(
+            1.0 - np.sum(f * t) / (np.sum(f * f) * np.sum(t * t) + _EPS)
+        )
+    if f.shape[2] < 2:
+        raise ShapeMismatchError("sam loss requires at least 2 bands")
+    dots = np.sum(f * t, axis=2)
+    norms = np.sqrt(np.sum(f * f, axis=2)) * np.sqrt(np.sum(t * t, axis=2))
+    return max(float(np.mean(1.0 - dots / (norms + _EPS))), 0.0)
+
+
 def sam_loss(fused: Raster, target: Raster, mode: str = "cosine") -> float:
     """Spectral-angle regularizer.
 
@@ -150,18 +159,7 @@ def sam_loss(fused: Raster, target: Raster, mode: str = "cosine") -> float:
     exactly as published; it carries neither property.
     """
     _check_same_shape(fused, target)
-    if mode not in SAM_MODES:
-        raise UsageError(f"unknown sam mode {mode!r}")
-    f, t = fused.data, target.data
-    if mode == "as_printed":
-        return float(
-            1.0 - np.sum(f * t) / (np.sum(f * f) * np.sum(t * t) + _EPS)
-        )
-    if fused.bands < 2:
-        raise ShapeMismatchError("sam loss requires at least 2 bands")
-    dots = np.sum(f * t, axis=2)
-    norms = np.sqrt(np.sum(f * f, axis=2)) * np.sqrt(np.sum(t * t, axis=2))
-    return max(float(np.mean(1.0 - dots / (norms + _EPS))), 0.0)
+    return _sam_loss(fused.data, target.data, mode)
 
 
 def total_sam_loss(
@@ -172,14 +170,11 @@ def total_sam_loss(
     0.5 * sam(fused, reference) + 0.5 * sam(downsample(fused), lrms).
     """
     _check_same_shape(fused, reference)
-    if (fused.height, fused.width) != (ratio * lrms.height, ratio * lrms.width):
-        raise ShapeMismatchError(
-            f"lrms dims {lrms.height}x{lrms.width} must be fused dims / ratio {ratio}"
-        )
-    if lrms.bands != fused.bands:
-        raise ShapeMismatchError("lrms and fused band counts differ")
-    down = downsample_antialias(fused, ratio)
-    return 0.5 * sam_loss(fused, reference, mode) + 0.5 * sam_loss(down, lrms, mode)
+    _check_scale_pair(lrms, fused, ratio, pan=False)
+    down = _downsample(fused.data, ratio)
+    return 0.5 * _sam_loss(fused.data, reference.data, mode) + 0.5 * _sam_loss(
+        down, lrms.data, mode
+    )
 
 
 def gram_matrix(f: Raster) -> GramMatrix:
@@ -283,15 +278,10 @@ def _total_sam_gradient(
 ) -> np.ndarray:
     if lrms is None or ratio is None:
         raise UsageError("total_sam gradient needs lrms and ratio")
-    down = downsample_antialias(fused, ratio)
-    if down.data.shape != lrms.data.shape:
-        raise ShapeMismatchError("lrms dims must be fused dims / ratio")
+    _check_scale_pair(lrms, fused, ratio, pan=False)
     grad_full = _sam_cosine_gradient(fused.data, reference.data)
-    grad_low = _sam_cosine_gradient(down.data, lrms.data)
-    pulled = downsample_antialias_adjoint(
-        Raster._adopt(grad_low), ratio, fused.height, fused.width
-    )
-    return 0.5 * grad_full + 0.5 * pulled.data
+    grad_low = _sam_cosine_gradient(_downsample(fused.data, ratio), lrms.data)
+    return 0.5 * grad_full + 0.5 * _downsample_adjoint(grad_low, ratio)
 
 
 def _gram_gradient(

@@ -19,16 +19,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import Raster, _check_same_shape
-from .resample import downsample_antialias
+from .raster import Raster, _check_same_shape, _check_scale_pair
+from .resample import _downsample
 
 _EPS = 1e-12
 
-# Elements per strip array for SSIM and ERGAS: 32 Ki float64 values
-# (256 KiB), so a strip's few window-mean maps stay within one core's L2
-# cache at any image width (8 rows at 1024 x 4 bands, 32 at 256 x 4).
+# Elements per strip array for SSIM, SAM and ERGAS: 32 Ki float64 values
+# (256 KiB), so a strip's few temporaries stay within one core's L2 cache
+# at any image width (8 rows at 1024 x 4 bands, 32 at 256 x 4).
 _STRIP_ELEMENTS = 32 * 1024
-_SAM_STRIP_ROWS = 64
 
 METRIC_COLUMNS = ("ssim", "sam", "ergas", "q4", "qnr")
 
@@ -67,16 +66,17 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     angle is evaluated with the two-argument arctangent of the normalized
     sum/difference vectors, which is algebraically the arccos of the
     cosine similarity but avoids the catastrophic arccos cancellation
-    near zero angle. Angles are computed in row strips of
-    ``_SAM_STRIP_ROWS`` so the per-strip temporaries stay small.
+    near zero angle. Angles are computed in row strips of about
+    ``_STRIP_ELEMENTS`` values so the per-strip temporaries stay small.
     """
     _check_same_shape(fused, reference)
     if fused.bands < 2:
         raise ShapeMismatchError("sam requires at least 2 bands")
     angles = np.empty((fused.height, fused.width), dtype=np.float64)
-    for r in range(0, fused.height, _SAM_STRIP_ROWS):
-        f = fused.data[r : r + _SAM_STRIP_ROWS]
-        g = reference.data[r : r + _SAM_STRIP_ROWS]
+    step = _strip_rows(fused)
+    for r in range(0, fused.height, step):
+        f = fused.data[r : r + step]
+        g = reference.data[r : r + step]
         nf = np.sqrt(np.einsum("ijk,ijk->ij", f, f))
         ng = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
         mask = (nf >= _EPS) & (ng >= _EPS)
@@ -86,7 +86,7 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
         diff = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
         summ = np.sqrt(np.einsum("ijk,ijk->ij", s, s))
         # Masked pixels have u = v = 0, so their angle is atan2(0, 0) = 0.
-        angles[r : r + _SAM_STRIP_ROWS] = 2.0 * np.arctan2(diff, summ)
+        angles[r : r + step] = 2.0 * np.arctan2(diff, summ)
     return float(angles.mean())
 
 
@@ -295,19 +295,13 @@ def metric_qnr(
     side). Both distortions are clamped to [0, 1] and combined as
     QNR = (1 - D_lambda) * (1 - D_s).
     """
-    if pan.bands != 1:
-        raise ShapeMismatchError("pan must be single band")
-    if (fused.height, fused.width) != (pan.height, pan.width):
-        raise ShapeMismatchError("fused dims must match pan dims")
-    if (fused.height, fused.width) != (ratio * lrms.height, ratio * lrms.width):
-        raise ShapeMismatchError("fused dims must be ratio * lrms dims")
-    if fused.bands != lrms.bands:
-        raise ShapeMismatchError("fused and lrms band counts differ")
+    _check_scale_pair(lrms, pan, ratio)
+    _check_scale_pair(lrms, fused, ratio, pan=False)
     nbands = fused.bands
     if nbands < 2:
         raise ShapeMismatchError("qnr requires at least 2 bands")
     lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
-    pan_lr = downsample_antialias(pan, ratio).data
+    pan_lr = _downsample(pan.data, ratio)
 
     def q_gap(hr_x, hr_y, lr_x, lr_y) -> float:
         return abs(

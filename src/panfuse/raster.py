@@ -97,6 +97,22 @@ def _check_same_shape(a: Raster, b: Raster) -> None:
         )
 
 
+def _check_scale_pair(lr: Raster, hr: Raster, ratio: int, pan: bool = True) -> None:
+    """Raise unless ``hr`` is ``ratio`` times ``lr`` in height and width and is
+    a single pan band (``pan``) or has as many bands as ``lr`` (``not pan``)."""
+    if ratio < 1:
+        raise UsageError(f"ratio must be >= 1, got {ratio}")
+    if pan and hr.bands != 1:
+        raise ShapeMismatchError(f"pan must be single band, got {hr.bands} bands")
+    if not pan and hr.bands != lr.bands:
+        raise ShapeMismatchError(f"band counts differ: {hr.bands} vs {lr.bands}")
+    if (hr.height, hr.width) != (ratio * lr.height, ratio * lr.width):
+        raise ShapeMismatchError(
+            f"{'pan' if pan else 'high-resolution'} dims {hr.height}x{hr.width} != "
+            f"ratio {ratio} * {lr.height}x{lr.width}"
+        )
+
+
 class Patch(NamedTuple):
     lrms: Raster
     pan: Raster
@@ -112,18 +128,9 @@ class PatchSet:
 
     def __post_init__(self) -> None:
         for p in self.patches:
-            if p.pan.bands != 1:
-                raise ShapeMismatchError("patch pan must be single band")
-            if (p.pan.height, p.pan.width) != (
-                self.ratio * p.lrms.height,
-                self.ratio * p.lrms.width,
-            ):
-                raise ShapeMismatchError("patch pan dims must be ratio * lrms dims")
+            _check_scale_pair(p.lrms, p.pan, self.ratio)
             if p.reference is not None:
-                if (p.reference.height, p.reference.width) != (p.pan.height, p.pan.width):
-                    raise ShapeMismatchError("patch reference dims must match pan dims")
-                if p.reference.bands != p.lrms.bands:
-                    raise ShapeMismatchError("patch reference bands must match lrms bands")
+                _check_scale_pair(p.lrms, p.reference, self.ratio, pan=False)
 
 
 def _write_framed(
@@ -313,17 +320,9 @@ def patchify(ms: Raster, pan: Raster, patch: int, ratio: int) -> PatchSet:
     ``patch/ratio`` squared. References stay empty until a degradation
     step fills them. Pixel values are exact sub-windows of the inputs.
     """
-    if ratio < 1:
-        raise UsageError(f"ratio must be >= 1, got {ratio}")
+    _check_scale_pair(ms, pan, ratio)
     if patch % ratio != 0:
         raise UsageError(f"patch size {patch} not divisible by ratio {ratio}")
-    if pan.bands != 1:
-        raise ShapeMismatchError("pan must be single band")
-    if (pan.height, pan.width) != (ratio * ms.height, ratio * ms.width):
-        raise ShapeMismatchError(
-            f"pan dims {pan.height}x{pan.width} != ratio * ms dims "
-            f"{ratio * ms.height}x{ratio * ms.width}"
-        )
     mp = patch // ratio
     patches = []
     for py in range(pan.height // patch):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
-from .raster import Raster
+from .raster import Raster, _check_scale_pair
 
 _STD_EPS = 1e-12
 
@@ -85,6 +85,19 @@ def _gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _downsample(arr: np.ndarray, ratio: int) -> np.ndarray:
+    """:func:`downsample_antialias` of an H x W (x B) array, as a fresh array."""
+    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
+    return _correlate_axis(_correlate_axis(arr, kernel, 0, ratio), kernel, 1, ratio)
+
+
+def _downsample_adjoint(grad: np.ndarray, ratio: int) -> np.ndarray:
+    """:func:`downsample_antialias_adjoint` of an array, as a fresh array."""
+    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
+    z = _correlate_axis_adjoint(grad, kernel, 1, ratio)
+    return _correlate_axis_adjoint(z, kernel, 0, ratio)
+
+
 def downsample_antialias(x: Raster, ratio: int) -> Raster:
     """Gaussian low-pass (sigma = ratio/2, radius 2*ratio) then decimate.
 
@@ -98,9 +111,7 @@ def downsample_antialias(x: Raster, ratio: int) -> Raster:
         raise ShapeMismatchError(
             f"dims {x.height}x{x.width} not divisible by ratio {ratio}"
         )
-    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
-    arr = _correlate_axis(_correlate_axis(x.data, kernel, 0, ratio), kernel, 1, ratio)
-    return Raster(arr)
+    return Raster._adopt(_downsample(x.data, ratio))
 
 
 def downsample_antialias_adjoint(grad: Raster, ratio: int, height: int, width: int) -> Raster:
@@ -115,9 +126,7 @@ def downsample_antialias_adjoint(grad: Raster, ratio: int, height: int, width: i
             f"adjoint target {height}x{width} is not ratio {ratio} times "
             f"{grad.height}x{grad.width}"
         )
-    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
-    z = _correlate_axis_adjoint(grad.data, kernel, 1, ratio)
-    return Raster(_correlate_axis_adjoint(z, kernel, 0, ratio))
+    return Raster._adopt(_downsample_adjoint(grad.data, ratio))
 
 
 def _catmull_rom_weights(frac: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -145,6 +154,15 @@ def _cubic_axis(arr: np.ndarray, ratio: int, axis: int) -> np.ndarray:
     return out
 
 
+def _upsample(arr: np.ndarray, ratio: int) -> np.ndarray:
+    """:func:`upsample` of an H x W (x B) array into a fresh array the caller
+    owns; at ``ratio == 1`` an unclipped copy."""
+    if ratio == 1:
+        return arr.copy()
+    out = _cubic_axis(_cubic_axis(arr, ratio, 0), ratio, 1)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def upsample(x: Raster, ratio: int) -> Raster:
     """Bicubic (Catmull-Rom) upsampling by an integer factor.
 
@@ -155,8 +173,7 @@ def upsample(x: Raster, ratio: int) -> Raster:
         raise UsageError(f"ratio must be >= 1, got {ratio}")
     if ratio == 1:
         return x
-    arr = _cubic_axis(_cubic_axis(x.data, ratio, 0), ratio, 1)
-    return Raster(np.clip(arr, 0.0, 1.0))
+    return Raster._adopt(_upsample(x.data, ratio))
 
 
 def wald_degrade(hrms: Raster, pan: Raster, ratio: int) -> tuple[Raster, Raster, Raster]:
@@ -167,15 +184,19 @@ def wald_degrade(hrms: Raster, pan: Raster, ratio: int) -> tuple[Raster, Raster,
     """
     if ratio < 2:
         raise UsageError(f"degradation ratio must be >= 2, got {ratio}")
-    if pan.bands != 1:
-        raise ShapeMismatchError("pan must be single band")
-    if (pan.height, pan.width) != (hrms.height, hrms.width):
-        raise ShapeMismatchError(
-            f"pan dims {pan.height}x{pan.width} != hrms dims {hrms.height}x{hrms.width}"
-        )
+    _check_scale_pair(hrms, pan, 1)
     lrms = downsample_antialias(hrms, ratio)
     lrpan = downsample_antialias(pan, ratio)
     return lrms, lrpan, hrms
+
+
+def _match_moments(src: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """:func:`histogram_match` of two arrays, as a fresh array."""
+    mu_s, sd_s = src.mean(), src.std()
+    mu_t, sd_t = target.mean(), target.std()
+    if sd_s < _STD_EPS:
+        raise DegenerateInputError("histogram_match: source has zero variance")
+    return (src - mu_s) * (sd_t / sd_s) + mu_t
 
 
 def histogram_match(src: Raster, target: Raster) -> Raster:
@@ -188,9 +209,5 @@ def histogram_match(src: Raster, target: Raster) -> Raster:
     """
     if src.bands != 1 or target.bands != 1:
         raise ShapeMismatchError("histogram_match expects single-band rasters")
-    s = src.data
-    mu_s, sd_s = s.mean(), s.std()
-    mu_t, sd_t = target.data.mean(), target.data.std()
-    if sd_s < _STD_EPS:
-        raise DegenerateInputError("histogram_match: source has zero variance")
-    return Raster((s - mu_s) * (sd_t / sd_s) + mu_t)
+    return Raster._adopt(_match_moments(src.data, target.data))
+

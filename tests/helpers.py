@@ -101,3 +101,22 @@ def brute_force_downsample(arr, ratio):
     """Gaussian blur (sigma=ratio/2, radius 2*ratio) then stride-ratio decimation."""
     taps = gaussian_taps(2 * ratio, ratio / 2.0)
     return brute_force_blur(arr, taps)[::ratio, ::ratio, :]
+
+
+# Geometry faults of a (low-resolution, high-resolution) pair: a pan that is
+# not single band or not ratio times the lrms, and a high-resolution cube that
+# is not ratio times the lrms or has another band count.
+PAN_FAULTS = ("pan-2-bands", "pan-off-by-one")
+CUBE_FAULTS = ("cube-off-by-one", "cube-band-count")
+
+
+def scale_pair(fault=None, ratio=4):
+    """(lrms, pan, cube) around an 8 x 8 x 4 lrms, consistent at ``ratio``
+    except for one named ``fault`` from PAN_FAULTS or CUBE_FAULTS."""
+    hr = 8 * ratio
+    pan_shape = {"pan-2-bands": (hr, hr, 2), "pan-off-by-one": (hr + 1, hr, 1)}
+    cube_shape = {"cube-off-by-one": (hr, hr - 1, 4), "cube-band-count": (hr, hr, 3)}
+    lrms = random_raster(0, 8, 8, 4)
+    pan = random_raster(1, *pan_shape.get(fault, (hr, hr, 1)))
+    cube = random_raster(2, *cube_shape.get(fault, (hr, hr, 4)))
+    return lrms, pan, cube

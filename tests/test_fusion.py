@@ -21,7 +21,8 @@ from panfuse import (
     wald_degrade,
 )
 from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
-from helpers import random_raster
+from panfuse.fusion import GS_LR_PAN_MODES
+from helpers import PAN_FAULTS, random_raster, scale_pair
 
 FUSERS = {
     "gihs": fuse_gihs,
@@ -50,6 +51,36 @@ class TestFusionInput:
     def test_ratio_validated(self):
         with pytest.raises(UsageError):
             FusionInput(lrms=random_raster(0, 8, 8, 4), pan=random_raster(1, 8, 8, 1), ratio=0)
+
+    @pytest.mark.parametrize("fault", PAN_FAULTS)
+    def test_scale_pair_faults(self, fault):
+        lrms, pan, _ = scale_pair(fault)
+        with pytest.raises(ShapeMismatchError):
+            FusionInput(lrms=lrms, pan=pan, ratio=4)
+
+
+# Every method and every gs mode, each a FusionInput -> Raster callable.
+ALL_FUSIONS = {
+    **{name: fn for name, fn in FUSERS.items() if name != "gs"},
+    **{f"gs-{mode}": (lambda fin, mode=mode: fuse_gs(fin, mode)) for mode in GS_LR_PAN_MODES},
+}
+
+
+@pytest.mark.parametrize("ratio", [1, 4])
+@pytest.mark.parametrize("method", list(ALL_FUSIONS))
+def test_fusion_owns_its_output_and_leaves_inputs_alone(method, ratio):
+    """Injection writes into the upsampled cube the method allocated: never
+    into the inputs, not even at ratio 1 where upsampling is a copy."""
+    hrms, pan = synth_scene(32, 32, 4, 23, [1.0, 2.0, 1.0, 0.5])
+    lrms = hrms if ratio == 1 else wald_degrade(hrms, pan, ratio)[0]
+    fin = FusionInput(lrms=lrms, pan=pan, ratio=ratio)
+    lrms_bytes, pan_bytes = lrms.data.tobytes(), pan.data.tobytes()
+    out = ALL_FUSIONS[method](fin)
+    assert lrms.data.tobytes() == lrms_bytes
+    assert pan.data.tobytes() == pan_bytes
+    assert not np.shares_memory(out.data, fin.lrms.data)
+    assert not np.shares_memory(out.data, fin.pan.data)
+    assert not out.data.flags.writeable
 
 
 class TestGihs:
@@ -164,6 +195,12 @@ class TestPca:
 
 
 class TestGs:
+    @pytest.mark.parametrize("fault", PAN_FAULTS)
+    def test_mmse_weights_scale_pair_faults(self, fault):
+        lrms, pan, _ = scale_pair(fault)
+        with pytest.raises(ShapeMismatchError):
+            mmse_band_weights(lrms, pan, 4)
+
     def test_zero_detail_when_pan_equals_intensity(self):
         fin, hrms = scene_with_mean_pan(13)
         fused = fuse_gs(fin, "weighted-mean")

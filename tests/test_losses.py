@@ -17,13 +17,14 @@ from panfuse import (
     gm_perceptual_loss,
     gm_reconstruction_loss,
     gram_matrix,
+    loss_gradient,
     perceptual_loss,
     pixel_loss,
     sam_loss,
     total_sam_loss,
 )
 from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
-from helpers import random_raster
+from helpers import CUBE_FAULTS, random_raster, scale_pair
 
 
 class TestPixelLoss:
@@ -165,6 +166,14 @@ class TestTotalSamLoss:
                 random_raster(2, 5, 5, 4),
                 4,
             )
+
+    @pytest.mark.parametrize("fault", CUBE_FAULTS)
+    def test_scale_pair_faults(self, fault):
+        lrms, _, fused = scale_pair(fault)
+        with pytest.raises(ShapeMismatchError):
+            total_sam_loss(fused, fused, lrms, 4)
+        with pytest.raises(ShapeMismatchError):
+            loss_gradient("total_sam", fused, fused, lrms=lrms, ratio=4)
 
 
 class TestGramMatrix:

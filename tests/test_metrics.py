@@ -24,7 +24,7 @@ from panfuse import (
     synth_scene,
 )
 from panfuse.errors import DegenerateInputError, ShapeMismatchError
-from helpers import random_raster
+from helpers import CUBE_FAULTS, PAN_FAULTS, random_raster, scale_pair
 
 
 def uiqi_tile_oracle(x, y):
@@ -401,6 +401,12 @@ class TestQnr:
         hrms, lrms, pan = self._consistent_scene(size=64)
         with pytest.raises(ShapeMismatchError):
             metric_qnr(hrms, lrms, pan, 2, 32)
+
+    @pytest.mark.parametrize("fault", PAN_FAULTS + CUBE_FAULTS)
+    def test_scale_pair_faults(self, fault):
+        lrms, pan, fused = scale_pair(fault)
+        with pytest.raises(ShapeMismatchError):
+            metric_qnr(fused, lrms, pan, 4, 8)
 
 
 class TestReport:

@@ -30,7 +30,8 @@ from panfuse.errors import (
     ShapeMismatchError,
     UsageError,
 )
-from helpers import JSON_VALUES, framed, random_raster
+from panfuse.raster import _check_scale_pair
+from helpers import CUBE_FAULTS, JSON_VALUES, PAN_FAULTS, framed, random_raster, scale_pair
 
 
 class TestRasterType:
@@ -370,3 +371,26 @@ class TestPatchify:
         PatchSet(patches=(good,), ratio=2)
         with pytest.raises(ShapeMismatchError):
             PatchSet(patches=(bad,), ratio=2)
+
+    @pytest.mark.parametrize("fault", PAN_FAULTS + CUBE_FAULTS)
+    def test_patchset_scale_pair_faults(self, fault):
+        lrms, pan, cube = scale_pair(fault)
+        with pytest.raises(ShapeMismatchError):
+            PatchSet(patches=(Patch(lrms=lrms, pan=pan, reference=cube),), ratio=4)
+
+    @pytest.mark.parametrize("fault", PAN_FAULTS)
+    def test_patchify_scale_pair_faults(self, fault):
+        lrms, pan, _ = scale_pair(fault)
+        with pytest.raises(ShapeMismatchError):
+            patchify(lrms, pan, 16, 4)
+
+
+class TestScalePairCheck:
+    """The one geometry rule every (low, high resolution) boundary calls; its
+    faults are tested through each boundary."""
+
+    @pytest.mark.parametrize("ratio", [0, -4])
+    def test_nonpositive_ratio_is_a_usage_error(self, ratio):
+        lrms, pan, _ = scale_pair()
+        with pytest.raises(UsageError):
+            _check_scale_pair(lrms, pan, ratio)

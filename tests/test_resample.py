@@ -13,10 +13,12 @@ from panfuse import (
 )
 from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
 from helpers import (
+    PAN_FAULTS,
     brute_force_blur,
     brute_force_downsample,
     gaussian_taps,
     random_raster,
+    scale_pair,
 )
 
 
@@ -144,6 +146,12 @@ class TestWaldDegrade:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             wald_degrade(random_raster(0, 32, 32, 2), random_raster(1, 16, 16, 1), 4)
+
+    @pytest.mark.parametrize("fault", PAN_FAULTS)
+    def test_scale_pair_faults(self, fault):
+        _, pan, hrms = scale_pair(fault)
+        with pytest.raises(ShapeMismatchError):
+            wald_degrade(hrms, pan, 4)
 
     def test_ratio_below_two_rejected(self):
         with pytest.raises(UsageError):
