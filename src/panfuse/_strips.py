@@ -1,0 +1,119 @@
+"""Row strips: the strip size shared by every strip-wise pass, and one runner
+that computes independent strips on the calling thread and one helper thread.
+
+The runner returns the strips' results in strip order whichever thread ran
+them, so a caller that combines them in that order gets the same bits on any
+number of CPUs.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from collections import deque
+from typing import Callable, Sequence, TypeVar
+
+T = TypeVar("T")
+
+# Elements per strip array: 32 Ki float64 values (256 KiB), so a strip's few
+# temporaries stay within one core's L2 cache at any image width (8 rows at
+# 1024 x 4 bands, 32 at 256 x 4).
+_STRIP_ELEMENTS = 32 * 1024
+
+# Jobs for the helper thread, one semaphore count per job; deque appends
+# and pops are thread-safe.
+_jobs: deque[Callable[[], None]] = deque()
+_pending = threading.Semaphore(0)
+_start_lock = threading.Lock()
+_started = False
+_on_helper = threading.local()
+
+
+def _strip_rows(width: int, bands: int) -> int:
+    """Rows of a ``width`` x ``bands`` image that fill one strip."""
+    return max(1, _STRIP_ELEMENTS // (width * bands))
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _serve() -> None:
+    _on_helper.active = True
+    while True:
+        _pending.acquire()
+        _jobs.popleft()()
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread, only its parent's bookkeeping."""
+    global _pending, _start_lock, _started
+    _jobs.clear()
+    _pending, _start_lock, _started = threading.Semaphore(0), threading.Lock(), False
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_ready() -> bool:
+    """Start the persistent helper thread on first use. False when the
+    process may run on one CPU only, or on the helper itself."""
+    global _started
+    if _cpus() < 2 or getattr(_on_helper, "active", False):
+        return False
+    with _start_lock:
+        if not _started:
+            threading.Thread(target=_serve, name="panfuse-strips", daemon=True).start()
+            _started = True
+    return True
+
+
+def _map_strips(fn: Callable[[int], T], starts: Sequence[int]) -> list[T]:
+    """``[fn(s) for s in starts]``, with the strips shared between the calling
+    thread and the helper.
+
+    Both threads take the next strip from one counter, so neither idles while
+    strips remain. ``fn`` runs on either thread: it must set any ``np.errstate``
+    it needs itself (error state is per thread) and call only private
+    functions, never a traced public one. One strip, or one CPU, runs inline.
+    """
+    if len(starts) < 2 or not _helper_ready():
+        return [fn(s) for s in starts]
+    results: list = [None] * len(starts)
+    lock = threading.Lock()
+    taken = 0
+    helper_failure: list[BaseException] = []
+    helper_done = threading.Event()
+
+    def drain() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                i, taken = taken, taken + 1
+            if i >= len(starts):
+                return
+            results[i] = fn(starts[i])
+
+    def helper_job() -> None:
+        try:
+            drain()
+        except BaseException as exc:  # raised again on the calling thread
+            helper_failure.append(exc)
+        finally:
+            helper_done.set()
+
+    _jobs.append(helper_job)
+    _pending.release()
+    try:
+        drain()
+    finally:
+        with lock:
+            taken = len(starts)  # after a failure here, the helper starts no new strip
+        helper_done.wait()
+    if helper_failure:
+        raise helper_failure[0]
+    return results

@@ -18,16 +18,12 @@ from typing import Callable
 
 import numpy as np
 
+from ._strips import _map_strips, _strip_rows
 from .errors import DegenerateInputError, ShapeMismatchError
 from .raster import Raster, _check_same_shape, _check_scale_pair
 from .resample import _downsample
 
 _EPS = 1e-12
-
-# Elements per strip array for SSIM, SAM and ERGAS: 32 Ki float64 values
-# (256 KiB), so a strip's few temporaries stay within one core's L2 cache
-# at any image width (8 rows at 1024 x 4 bands, 32 at 256 x 4).
-_STRIP_ELEMENTS = 32 * 1024
 
 METRIC_COLUMNS = ("ssim", "sam", "ergas", "q4", "qnr")
 
@@ -54,11 +50,6 @@ class MetricReport:
         return row
 
 
-def _strip_rows(raster: Raster) -> int:
-    """Rows of ``raster`` that fill one strip of ``_STRIP_ELEMENTS`` values."""
-    return max(1, _STRIP_ELEMENTS // (raster.width * raster.bands))
-
-
 def metric_sam(fused: Raster, reference: Raster) -> float:
     """Mean spectral angle between per-pixel band vectors, in radians.
 
@@ -73,8 +64,9 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     if fused.bands < 2:
         raise ShapeMismatchError("sam requires at least 2 bands")
     angles = np.empty((fused.height, fused.width), dtype=np.float64)
-    step = _strip_rows(fused)
-    for r in range(0, fused.height, step):
+    step = _strip_rows(fused.width, fused.bands)
+
+    def strip(r: int) -> None:
         f = fused.data[r : r + step]
         g = reference.data[r : r + step]
         nf = np.sqrt(np.einsum("ijk,ijk->ij", f, f))
@@ -82,11 +74,14 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
         mask = (nf >= _EPS) & (ng >= _EPS)
         u = np.divide(f, nf[:, :, None], out=np.zeros_like(f), where=mask[:, :, None])
         v = np.divide(g, ng[:, :, None], out=np.zeros_like(g), where=mask[:, :, None])
-        d, s = u - v, u + v
+        d = u - v
+        s = np.add(u, v, out=u)
         diff = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
         summ = np.sqrt(np.einsum("ijk,ijk->ij", s, s))
         # Masked pixels have u = v = 0, so their angle is atan2(0, 0) = 0.
         angles[r : r + step] = 2.0 * np.arctan2(diff, summ)
+
+    _map_strips(strip, range(0, fused.height, step))
     return float(angles.mean())
 
 
@@ -99,16 +94,35 @@ def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
     row strips, so no full-size difference array is made.
     """
     _check_same_shape(fused, reference)
-    sq_err = np.zeros(fused.bands, dtype=np.float64)
-    step = _strip_rows(fused)
-    for r in range(0, fused.height, step):
+    step = _strip_rows(fused.width, fused.bands)
+
+    def strip(r: int) -> np.ndarray:
         d = fused.data[r : r + step] - reference.data[r : r + step]
-        sq_err += np.einsum("ijk,ijk->k", d, d)
+        return np.einsum("ijk,ijk->k", d, d)
+
+    sq_err = np.zeros(fused.bands, dtype=np.float64)
+    for part in _map_strips(strip, range(0, fused.height, step)):
+        sq_err += part
     rmse = np.sqrt(sq_err / (fused.height * fused.width))
     mu = reference.data.mean(axis=(0, 1))
     if np.any(np.abs(mu) < _EPS):
         raise DegenerateInputError("ergas: reference band mean is zero")
     return float(100.0 / ratio * np.sqrt(np.mean((rmse / mu) ** 2)))
+
+
+def _row_tiles(a: np.ndarray, r: int, block: int) -> np.ndarray:
+    """The whole block x block tiles of rows ``r`` to ``r + block`` of an
+    H x W x C array, as a (tiles, block * block, C) copy."""
+    cols, channels = a.shape[1] // block, a.shape[2]
+    row = a[r : r + block, : cols * block].reshape(block, cols, block, channels)
+    return row.transpose(1, 0, 2, 3).copy().reshape(cols, block * block, channels)
+
+
+def _check_block(height: int, width: int, block: int) -> None:
+    if block > min(height, width):
+        raise ShapeMismatchError(f"block {block} larger than image {height}x{width}")
+    if block < 2:
+        raise ShapeMismatchError("block must be >= 2 for tile statistics")
 
 
 def _tile_mean(
@@ -117,44 +131,46 @@ def _tile_mean(
     """Mean of a per-tile index over the distinct block x block tiles of two
     H x W x C arrays; partial edge tiles are left out.
 
-    Tiles are walked one row of tiles at a time. ``tile_q(mx, my, vx, vy,
-    cxy)`` gets the per-tile band means (t, C), band variances (t, C) and
-    cross-covariances ``cxy[t, i, j] = cov(x_i, y_j)`` (t, C, C), all with
-    (n-1) normalization, and returns (values, valid). Invalid tiles are
-    skipped; if no tile is valid the index is 1 for identical inputs and 0
-    otherwise.
+    Each row of tiles is one strip of :func:`_map_strips`, and the rows'
+    sums are added in row order. ``tile_q(mx, my, vx, vy, cxy)`` gets the
+    per-tile band means (t, C), band variances (t, C) and cross-covariances
+    ``cxy[t, i, j] = cov(x_i, y_j)`` (t, C, C), all with (n-1)
+    normalization, and returns (values, valid). Invalid tiles are skipped;
+    if no tile is valid the index is 1 for identical inputs and 0 otherwise.
     """
-    height, width, channels = x.shape
-    if block > min(height, width):
-        raise ShapeMismatchError(f"block {block} larger than image {height}x{width}")
-    if block < 2:
-        raise ShapeMismatchError("block must be >= 2 for tile statistics")
-    n, cols = block * block, width // block
+    height, width, _ = x.shape
+    _check_block(height, width, block)
+    n = block * block
 
-    def row_tiles(a: np.ndarray, r: int) -> np.ndarray:
-        row = a[r : r + block, : cols * block].reshape(block, cols, block, channels)
-        return row.transpose(1, 0, 2, 3).reshape(cols, n, channels)
-
-    total, count = 0.0, 0
-    # Skipped tiles may divide by zero; their values are dropped below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(0, height - block + 1, block):
-            tx, ty = row_tiles(x, r), row_tiles(y, r)
+    def tile_row(r: int) -> tuple[float, int]:
+        tx, ty = _row_tiles(x, r, block), _row_tiles(y, r, block)
+        # Skipped tiles may divide by zero; their values are dropped below.
+        with np.errstate(divide="ignore", invalid="ignore"):
             mx, my = tx.mean(axis=1), ty.mean(axis=1)
-            dx, dy = tx - mx[:, None, :], ty - my[:, None, :]
+            # The tile copies are this row's own, so deviations overwrite them.
+            dx = np.subtract(tx, mx[:, None, :], out=tx)
+            dy = np.subtract(ty, my[:, None, :], out=ty)
             vx = np.einsum("tnc,tnc->tc", dx, dx) / (n - 1)
             vy = np.einsum("tnc,tnc->tc", dy, dy) / (n - 1)
             cxy = np.matmul(dx.transpose(0, 2, 1), dy) / (n - 1)
             values, valid = tile_q(mx, my, vx, vy, cxy)
-            total += float(values[valid].sum())
-            count += int(np.count_nonzero(valid))
+        return float(values[valid].sum()), int(np.count_nonzero(valid))
+
+    total, count = 0.0, 0
+    for row_total, row_count in _map_strips(tile_row, range(0, height - block + 1, block)):
+        total += row_total
+        count += row_count
     if count == 0:
         return 1.0 if np.array_equal(x, y) else 0.0
     return total / count
 
 
 def _uiqi_tiles(mx, my, vx, vy, cxy) -> tuple[np.ndarray, np.ndarray]:
-    mx, my, vx, vy, cxy = mx[:, 0], my[:, 0], vx[:, 0], vy[:, 0], cxy[:, 0, 0]
+    return _uiqi(mx[:, 0], my[:, 0], vx[:, 0], vy[:, 0], cxy[:, 0, 0])
+
+
+def _uiqi(mx, my, vx, vy, cxy) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tile UIQI values and validity from same-shape moment arrays."""
     den_var = vx + vy
     den_mean = mx * mx + my * my
     valid = (den_var >= _EPS) & (den_mean >= _EPS)
@@ -229,17 +245,25 @@ def _valid_window_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     first two axes of an H x W x B array.
 
     Each pass adds the two inputs under a mirrored tap pair before scaling
-    them, ``k_j * (a[j] + a[k-1-j])``, and takes the centre tap alone.
+    them, ``k_j * (a[j] + a[k-1-j])``, and takes the centre tap alone. The
+    pair sum is formed in one reused buffer per pass.
     """
     k = kernel.size
     c = k // 2
     rows, cols = x.shape[0] - k + 1, x.shape[1] - k + 1
     out = kernel[c] * x[c : c + rows]
+    pair = np.empty_like(out)
     for j in range(c):
-        out += kernel[j] * (x[j : j + rows] + x[k - 1 - j : k - 1 - j + rows])
+        np.add(x[j : j + rows], x[k - 1 - j : k - 1 - j + rows], out=pair)
+        pair *= kernel[j]
+        out += pair
+    del pair
     final = kernel[c] * out[:, c : c + cols]
+    pair = np.empty_like(final)
     for j in range(c):
-        final += kernel[j] * (out[:, j : j + cols] + out[:, k - 1 - j : k - 1 - j + cols])
+        np.add(out[:, j : j + cols], out[:, k - 1 - j : k - 1 - j + cols], out=pair)
+        pair *= kernel[j]
+        final += pair
     return final
 
 
@@ -255,7 +279,8 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     mu_x*mu_y; every term is symmetric in x and y, so swapping the inputs
     gives the same bits. The map is evaluated in strips of output rows
     across all bands, sized so each strip array holds about
-    ``_STRIP_ELEMENTS`` values, and summed per band strip by strip.
+    ``_STRIP_ELEMENTS`` values, and the strips' band sums are added in strip
+    order.
     """
     _check_same_shape(fused, reference)
     if min(fused.height, fused.width) < 11:
@@ -266,22 +291,77 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     kernel = _ssim_window()
     halo = kernel.size - 1
     rows, cols = fused.height - halo, fused.width - halo
-    step = _strip_rows(fused)
-    band_sums = np.zeros(fused.bands, dtype=np.float64)
-    for r in range(0, rows, step):
+    step = _strip_rows(fused.width, fused.bands)
+
+    def strip(r: int) -> np.ndarray:
         x = fused.data[r : r + step + halo]
         y = reference.data[r : r + step + halo]
+        prod = x * x
+        prod += y * y
+        e_sq = _valid_window_mean(prod, kernel)
+        e_xy = _valid_window_mean(np.multiply(x, y, out=prod), kernel)
+        del prod
         mu_x = _valid_window_mean(x, kernel)
         mu_y = _valid_window_mean(y, kernel)
-        e_sq = _valid_window_mean(x * x + y * y, kernel)
-        e_xy = _valid_window_mean(x * y, kernel)
+        # ((2 mu_xy + C1)(2 (E[xy] - mu_xy) + C2)) / ((mu_sq + C1)(E[x^2 + y^2]
+        # - mu_sq + C2)) with mu_xy = mu_x mu_y and mu_sq = mu_x^2 + mu_y^2,
+        # each step in place in the window means it no longer needs.
         mu_xy = mu_x * mu_y
-        mu_sq = mu_x * mu_x + mu_y * mu_y
-        ssim_map = ((2 * mu_xy + c1) * (2 * (e_xy - mu_xy) + c2)) / (
-            (mu_sq + c1) * (e_sq - mu_sq + c2)
-        )
-        band_sums += ssim_map.sum(axis=(0, 1))
+        mu_sq = np.multiply(mu_x, mu_x, out=mu_x)
+        mu_sq += np.multiply(mu_y, mu_y, out=mu_y)
+        e_xy -= mu_xy
+        e_xy *= 2
+        e_xy += c2
+        mu_xy *= 2
+        mu_xy += c1
+        mu_xy *= e_xy
+        e_sq -= mu_sq
+        e_sq += c2
+        mu_sq += c1
+        mu_sq *= e_sq
+        mu_xy /= mu_sq
+        return mu_xy.sum(axis=(0, 1))
+
+    band_sums = np.zeros(fused.bands, dtype=np.float64)
+    for part in _map_strips(strip, range(0, rows, step)):
+        band_sums += part
     return float(np.mean(band_sums / (rows * cols)))
+
+
+def _pair_uiqi(
+    parts: tuple[np.ndarray, ...], block: int, pairs: list[tuple[int, int]]
+) -> list[float]:
+    """UIQI of each channel pair (i, j) of the channel stack of ``parts``
+    (H x W x C_k arrays), like :func:`_tile_mean` with :func:`_uiqi_tiles`
+    on the two channels, in one tile pass.
+
+    Each row of tiles of every part is copied into one (tiles, n, C) stack,
+    whose C x C covariance gives every pair's cross term at once.
+    """
+    height, width, _ = parts[0].shape
+    _check_block(height, width, block)
+    n = block * block
+    channels = [p[:, :, c] for p in parts for c in range(p.shape[2])]
+    i, j = np.array(pairs).T
+    total = np.zeros(len(pairs), dtype=np.float64)
+    count = np.zeros(len(pairs), dtype=np.int64)
+    # Skipped tiles may divide by zero; their values are dropped below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, height - block + 1, block):
+            stack = np.concatenate([_row_tiles(p, r, block) for p in parts], axis=2)
+            m = stack.mean(axis=1)
+            d = stack - m[:, None, :]
+            v = np.einsum("tnc,tnc->tc", d, d) / (n - 1)
+            cov = np.matmul(d.transpose(0, 2, 1), d) / (n - 1)
+            values, valid = _uiqi(m[:, i], m[:, j], v[:, i], v[:, j], cov[:, i, j])
+            total += np.where(valid, values, 0.0).sum(axis=0)
+            count += np.count_nonzero(valid, axis=0)
+    return [
+        float(total[k] / count[k])
+        if count[k]
+        else (1.0 if np.array_equal(channels[a], channels[b]) else 0.0)
+        for k, (a, b) in enumerate(pairs)
+    ]
 
 
 def metric_qnr(
@@ -302,21 +382,18 @@ def metric_qnr(
         raise ShapeMismatchError("qnr requires at least 2 bands")
     lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
     pan_lr = _downsample(pan.data, ratio)
-
-    def q_gap(hr_x, hr_y, lr_x, lr_y) -> float:
-        return abs(
-            _tile_mean(hr_x, hr_y, block, _uiqi_tiles)
-            - _tile_mean(lr_x, lr_y, lr_block, _uiqi_tiles)
-        )
-
-    fb = [fused.data[:, :, b : b + 1] for b in range(nbands)]
-    lb = [lrms.data[:, :, b : b + 1] for b in range(nbands)]
-    # Q is symmetric, so each unordered band pair is visited once.
+    # Channels 0..nbands-1 are the bands and channel nbands the pan. Q is
+    # symmetric, so each unordered band pair is visited once.
     pairs = list(itertools.combinations(range(nbands), 2))
-    d_lambda = sum(q_gap(fb[i], fb[j], lb[i], lb[j]) for i, j in pairs) / len(pairs)
+    pan_pairs = [(b, nbands) for b in range(nbands)]
+    hr = _pair_uiqi((fused.data, pan.data), block, pairs + pan_pairs)
+    lr = _pair_uiqi((lrms.data, pan_lr), lr_block, pairs + pan_pairs)
+    gaps = [abs(q_hr - q_lr) for q_hr, q_lr in zip(hr, lr)]
+
+    d_lambda = sum(gaps[: len(pairs)]) / len(pairs)
     d_lambda = min(max(d_lambda, 0.0), 1.0)
 
-    d_s = sum(q_gap(fb[b], pan.data, lb[b], pan_lr) for b in range(nbands)) / nbands
+    d_s = sum(gaps[len(pairs) :]) / nbands
     d_s = min(max(d_s, 0.0), 1.0)
 
     return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s

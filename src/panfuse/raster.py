@@ -26,6 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._strips import _strip_rows
 from .errors import (
     HeaderError,
     MagicError,
@@ -236,20 +237,26 @@ def read_raster(path: str | Path) -> Raster:
         raise NonFiniteDataError(f"{path}: payload contains non-finite values") from exc
 
 
+def _normalized_weights(pan_weights: Sequence[float], bands: int) -> np.ndarray:
+    """``pan_weights`` over their sum, or the usage error they break: one
+    finite, nonnegative weight per band with a finite positive sum."""
+    w = np.asarray(pan_weights, dtype=np.float64)
+    if w.shape != (bands,):
+        raise UsageError(f"pan_weights length {w.size} does not match band count {bands}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise UsageError("pan_weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise UsageError("pan_weights must have a finite positive sum")
+    return w / total
+
+
 def pan_from_weights(hrms: Raster, pan_weights: Sequence[float]) -> Raster:
     """Simulate a panchromatic band as the normalized weighted band sum."""
-    w = np.asarray(pan_weights, dtype=np.float64)
-    if w.shape != (hrms.bands,):
-        raise UsageError(
-            f"pan_weights length {w.size} does not match band count {hrms.bands}"
-        )
-    if np.any(w < 0):
-        raise UsageError("pan_weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise UsageError("pan_weights must have a positive sum")
-    pan = np.tensordot(hrms.data, w / total, axes=([2], [0]))
-    return Raster(pan[:, :, None])
+    w = _normalized_weights(pan_weights, hrms.bands)
+    pan = np.tensordot(hrms.data, w, axes=([2], [0]))
+    return Raster._adopt(pan[:, :, None])
 
 
 def synth_scene(
@@ -265,51 +272,65 @@ def synth_scene(
     clipped to [0, 1], so scenes carry both low-frequency content and
     edges. The pan band is the normalized ``pan_weights`` combination of
     the multispectral bands. Identical arguments give bit-identical
-    output.
+    output. Every random parameter is drawn first; each band is then
+    filled in row strips of about ``_STRIP_ELEMENTS`` values.
     """
     if width < 8 or height < 8:
         raise UsageError(f"scene dimensions must be >= 8, got {width}x{height}")
     if bands < 1:
         raise UsageError(f"band count must be >= 1, got {bands}")
-    w = np.asarray(pan_weights, dtype=np.float64)
-    if w.shape != (bands,):
-        raise UsageError(f"pan_weights length {w.size} does not match bands {bands}")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise UsageError("pan_weights must be nonnegative with a positive sum")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    _normalized_weights(pan_weights, bands)
 
     rng = np.random.default_rng(seed)
-    # A 1 x W row and an H x 1 column; each expression broadcasts them to
-    # H x W with the operands in the order a full meshgrid would use.
-    xx = np.linspace(0.0, 1.0, width)[None, :]
-    yy = np.linspace(0.0, 1.0, height)[:, None]
-    cube = np.empty((height, width, bands), dtype=np.float64)
-    for b in range(bands):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        base = rng.uniform(0.35, 0.55)
-        grad_amp = rng.uniform(0.1, 0.25)
-        img = base + grad_amp * (
-            (xx - 0.5) * np.cos(theta) + (yy - 0.5) * np.sin(theta)
+    # Per band: (theta, base, gradient amplitude), then six ellipses.
+    scene = []
+    for _ in range(bands):
+        gradient = (
+            rng.uniform(0.0, 2.0 * np.pi),
+            rng.uniform(0.35, 0.55),
+            rng.uniform(0.1, 0.25),
         )
-        for _ in range(6):
-            cx, cy = rng.uniform(0.1, 0.9, size=2)
-            rx, ry = rng.uniform(0.06, 0.25, size=2)
-            phi = rng.uniform(0.0, np.pi)
-            amp = rng.uniform(-0.3, 0.3)
-            soft = rng.uniform(0.01, 0.05)
-            dx, dy = xx - cx, yy - cy
-            u = (dx * np.cos(phi) + dy * np.sin(phi)) / rx
-            v = (-dx * np.sin(phi) + dy * np.cos(phi)) / ry
-            d = np.sqrt(u * u + v * v)
-            # The soft edge amp / (1 + exp(clip((d - 1) / soft, -60, 60))), in place.
-            d -= 1.0
-            d /= soft
-            np.clip(d, -60.0, 60.0, out=d)
-            np.exp(d, out=d)
-            d += 1.0
-            img += np.divide(amp, d, out=d)
-        cube[:, :, b] = np.clip(img, 0.0, 1.0)
+        ellipses = [
+            (
+                *rng.uniform(0.1, 0.9, size=2),
+                *rng.uniform(0.06, 0.25, size=2),
+                rng.uniform(0.0, np.pi),
+                rng.uniform(-0.3, 0.3),
+                rng.uniform(0.01, 0.05),
+            )
+            for _ in range(6)
+        ]
+        scene.append((gradient, ellipses))
 
-    hrms = Raster(cube)
+    # A 1 x W row and a strip's column of y coordinates; each expression
+    # broadcasts them with the operands in the order a full meshgrid would use.
+    xx = np.linspace(0.0, 1.0, width)[None, :]
+    y_all = np.linspace(0.0, 1.0, height)[:, None]
+    cube = np.empty((height, width, bands), dtype=np.float64)
+    step = _strip_rows(width, 1)  # the strip arrays are per band
+    for r in range(0, height, step):
+        yy = y_all[r : r + step]
+        for b, ((theta, base, grad_amp), ellipses) in enumerate(scene):
+            img = base + grad_amp * (
+                (xx - 0.5) * np.cos(theta) + (yy - 0.5) * np.sin(theta)
+            )
+            for cx, cy, rx, ry, phi, amp, soft in ellipses:
+                dx, dy = xx - cx, yy - cy
+                u = (dx * np.cos(phi) + dy * np.sin(phi)) / rx
+                v = (-dx * np.sin(phi) + dy * np.cos(phi)) / ry
+                d = np.sqrt(u * u + v * v)
+                # The soft edge amp / (1 + exp(clip((d - 1) / soft, -60, 60))), in place.
+                d -= 1.0
+                d /= soft
+                np.clip(d, -60.0, 60.0, out=d)
+                np.exp(d, out=d)
+                d += 1.0
+                img += np.divide(amp, d, out=d)
+            cube[r : r + step, :, b] = np.clip(img, 0.0, 1.0, out=img)
+
+    hrms = Raster._adopt(cube)
     return hrms, pan_from_weights(hrms, pan_weights)
 
 
@@ -321,6 +342,8 @@ def patchify(ms: Raster, pan: Raster, patch: int, ratio: int) -> PatchSet:
     step fills them. Pixel values are exact sub-windows of the inputs.
     """
     _check_scale_pair(ms, pan, ratio)
+    if patch < 1:
+        raise UsageError(f"patch size must be >= 1, got {patch}")
     if patch % ratio != 0:
         raise UsageError(f"patch size {patch} not divisible by ratio {ratio}")
     mp = patch // ratio

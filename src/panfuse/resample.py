@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._strips import _strip_rows
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .raster import Raster, _check_scale_pair
 
@@ -139,28 +140,40 @@ def _catmull_rom_weights(frac: np.ndarray) -> tuple[np.ndarray, ...]:
     return w_m1, w_0, w_1, w_2
 
 
-def _cubic_axis(arr: np.ndarray, ratio: int, axis: int) -> np.ndarray:
-    n = arr.shape[axis]
+def _cubic_taps(n: int, ratio: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(source index, weight) of each tap at offsets -1, 0, 1, 2 for the
+    ``n * ratio`` outputs of a bicubic axis of length ``n``."""
     pos = (np.arange(n * ratio) + 0.5) / ratio - 0.5
     base = np.floor(pos).astype(np.int64)
     weights = _catmull_rom_weights(pos - base)
-    shape = [1] * arr.ndim
-    shape[axis] = n * ratio
-    out_shape = list(arr.shape)
-    out_shape[axis] = n * ratio
-    out = np.zeros(out_shape, dtype=np.float64)
-    for offset, w in zip((-1, 0, 1, 2), weights):
-        out += w.reshape(shape) * np.take(arr, _reflect(base + offset, n), axis=axis)
-    return out
+    return [(_reflect(base + offset, n), w) for offset, w in zip((-1, 0, 1, 2), weights)]
 
 
 def _upsample(arr: np.ndarray, ratio: int) -> np.ndarray:
     """:func:`upsample` of an H x W (x B) array into a fresh array the caller
-    owns; at ``ratio == 1`` an unclipped copy."""
+    owns; at ``ratio == 1`` an unclipped copy.
+
+    Both bicubic passes run per strip of output rows, each strip about
+    ``_STRIP_ELEMENTS`` output values, straight into the preallocated output.
+    """
     if ratio == 1:
         return arr.copy()
-    out = _cubic_axis(_cubic_axis(arr, ratio, 0), ratio, 1)
-    return np.clip(out, 0.0, 1.0, out=out)
+    height, width = arr.shape[0] * ratio, arr.shape[1] * ratio
+    row_taps, col_taps = _cubic_taps(arr.shape[0], ratio), _cubic_taps(arr.shape[1], ratio)
+    trailing = (1,) * (arr.ndim - 2)
+    out = np.empty((height, width) + arr.shape[2:], dtype=np.float64)
+    step = _strip_rows(width, arr[0, 0].size)
+    for r in range(0, height, step):
+        rows = slice(r, r + step)
+        strip = np.zeros((min(step, height - r),) + arr.shape[1:], dtype=np.float64)
+        for idx, w in row_taps:
+            strip += w[rows].reshape((-1, 1) + trailing) * np.take(arr, idx[rows], axis=0)
+        dst = out[rows]
+        dst[...] = 0.0
+        for idx, w in col_taps:
+            dst += w.reshape((1, -1) + trailing) * np.take(strip, idx, axis=1)
+        np.clip(dst, 0.0, 1.0, out=dst)
+    return out
 
 
 def upsample(x: Raster, ratio: int) -> Raster:

@@ -94,6 +94,42 @@ class TestPatchify:
         assert (tmp_path / "patch_003_pan.msr").exists()
 
 
+class TestArgumentFaults:
+    """Bad argument values exit 2 through ``cli.main`` with a one-line error."""
+
+    def assert_usage_error(self, argv, capsys):
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("patch", [0, -4])
+    def test_non_positive_patch(self, scene_dir, tmp_path, capsys, patch):
+        self.assert_usage_error(
+            ["patchify", "--ms", scene_dir / "lrms.msr", "--pan", scene_dir / "pan.msr",
+             "--patch", patch, "--ratio", 4, "--out", tmp_path],
+            capsys,
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_seed(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["simulate", "--size", 16, "--seed", -1, "--out", tmp_path], capsys
+        )
+
+    @pytest.mark.parametrize(
+        "weights", ["nan,1,1,1", "inf,1,1,1", "1e308,1e308,1,1"],
+        ids=["nan", "inf", "sum-overflows"],
+    )
+    def test_non_finite_pan_weights(self, tmp_path, capsys, weights):
+        self.assert_usage_error(
+            ["simulate", "--size", 16, "--bands", 4, "--pan-weights", weights,
+             "--out", tmp_path],
+            capsys,
+        )
+        assert not (tmp_path / "pan.msr").exists()
+
+
 class TestFuse:
     @pytest.mark.parametrize("method", list(cli.FUSE_METHODS))
     def test_all_methods_write_output(self, scene_dir, tmp_path, method):

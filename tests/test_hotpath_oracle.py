@@ -5,13 +5,16 @@ downsampling evaluated the blur only at kept pixels, its adjoint stopped
 zero-upsampling, SSIM, SAM and ERGAS ran in row strips (SSIM from four window
 means with a folded kernel), ``synth_scene`` broadcast a row and a column
 instead of a meshgrid, MSR payloads were written without a ``tobytes``
-copy, the conv layer became one matmul per kernel tap, and ``loss_gradient``
-became one table. They are test-only oracles: the resampling, the scene, the
-written bytes and the gradients must match them bit for bit, SSIM, SAM and
-ERGAS within 1e-14, and the conv features within 1e-12 of their largest
+copy, the conv layer became one matmul per kernel tap, ``loss_gradient``
+became one table, upsampling ran both bicubic passes per row strip, and QNR
+took one stacked tile pass per scale instead of one per band pair. They are
+test-only oracles: the resampling, the scene, the written bytes and the
+gradients must match them bit for bit, SSIM, SAM and ERGAS within 1e-14,
+QNR within 1e-12, and the conv features within 1e-12 of their largest
 magnitude (the order of the sums changed).
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -31,6 +34,7 @@ from panfuse import (
     extract_features,
     loss_gradient,
     metric_ergas,
+    metric_qnr,
     metric_sam,
     metric_ssim,
     pan_from_weights,
@@ -46,7 +50,14 @@ from panfuse.losses import (
     _sam_cosine_gradient,
     gram_matrix,
 )
-from panfuse.resample import _gaussian_kernel, _reflect
+from panfuse.metrics import _tile_mean, _uiqi_tiles
+from panfuse.resample import (
+    _catmull_rom_weights,
+    _downsample,
+    _gaussian_kernel,
+    _reflect,
+    _upsample,
+)
 
 
 def old_correlate_axis(arr, kernel, axis):
@@ -174,6 +185,50 @@ def old_synth_scene(width, height, bands, seed, pan_weights):
         cube[:, :, b] = np.clip(img, 0.0, 1.0)
     hrms = Raster(cube)
     return hrms, pan_from_weights(hrms, pan_weights)
+
+
+def old_cubic_axis(arr, ratio, axis):
+    n = arr.shape[axis]
+    pos = (np.arange(n * ratio) + 0.5) / ratio - 0.5
+    base = np.floor(pos).astype(np.int64)
+    weights = _catmull_rom_weights(pos - base)
+    shape = [1] * arr.ndim
+    shape[axis] = n * ratio
+    out_shape = list(arr.shape)
+    out_shape[axis] = n * ratio
+    out = np.zeros(out_shape, dtype=np.float64)
+    for offset, w in zip((-1, 0, 1, 2), weights):
+        out += w.reshape(shape) * np.take(arr, _reflect(base + offset, n), axis=axis)
+    return out
+
+
+def old_upsample(arr, ratio):
+    if ratio == 1:
+        return arr.copy()
+    out = old_cubic_axis(old_cubic_axis(arr, ratio, 0), ratio, 1)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def old_qnr(fused, lrms, pan, ratio, block):
+    """Per-pair QNR: one tile-core pass per band pair and scale."""
+    nbands = fused.bands
+    lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
+    pan_lr = _downsample(pan.data, ratio)
+
+    def q_gap(hr_x, hr_y, lr_x, lr_y):
+        return abs(
+            _tile_mean(hr_x, hr_y, block, _uiqi_tiles)
+            - _tile_mean(lr_x, lr_y, lr_block, _uiqi_tiles)
+        )
+
+    fb = [fused.data[:, :, b : b + 1] for b in range(nbands)]
+    lb = [lrms.data[:, :, b : b + 1] for b in range(nbands)]
+    pairs = list(itertools.combinations(range(nbands), 2))
+    d_lambda = sum(q_gap(fb[i], fb[j], lb[i], lb[j]) for i, j in pairs) / len(pairs)
+    d_lambda = min(max(d_lambda, 0.0), 1.0)
+    d_s = sum(q_gap(fb[b], pan.data, lb[b], pan_lr) for b in range(nbands)) / nbands
+    d_s = min(max(d_s, 0.0), 1.0)
+    return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s
 
 
 def old_apply_layer(arr, layer):
@@ -375,6 +430,56 @@ def test_synth_scene_matches_old_body(width, height, bands, seed):
     old_hrms, old_pan = old_synth_scene(width, height, bands, seed, weights)
     assert np.array_equal(hrms.data, old_hrms.data)
     assert np.array_equal(pan.data, old_pan.data)
+
+
+# Odd and even sides, 2-D and 3-D; the wide and tall ones span several
+# strips and end in a partial one (at ratio 4, (5, 300, 4) has 6-row strips
+# over 20 output rows and (97, 131, 3) 20-row strips over 388).
+UPSAMPLE_SHAPES = [(1, 1), (7, 5), (8, 6), (1, 1, 1), (9, 13, 3), (16, 16, 4), (5, 300, 4),
+                   (97, 131, 3), (64, 64, 1)]
+
+
+@pytest.mark.parametrize("shape", UPSAMPLE_SHAPES)
+@pytest.mark.parametrize("ratio", [1, 2, 3, 4])
+def test_upsample_matches_whole_array_body(shape, ratio):
+    """Bit for bit, zero signs included; values outside [0, 1] exercise the clip."""
+    x = np.random.default_rng(sum(shape) * ratio).uniform(-0.2, 1.2, shape)
+    got, want = _upsample(x, ratio), old_upsample(x, ratio)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def qnr_case(height, width, bands, ratio, seed):
+    hrms, pan = synth_scene(width, height, bands, seed, list(np.linspace(1.0, 2.0, bands)))
+    lrms = downsample_antialias(hrms, ratio)
+    noise = np.random.default_rng(seed).normal(0.0, 0.03, hrms.data.shape)
+    return Raster(np.clip(hrms.data + noise, 0.0, 1.0)), lrms, pan
+
+
+@pytest.mark.parametrize("height, width", [(64, 64), (72, 88), (128, 96)])
+@pytest.mark.parametrize("bands", [2, 4, 5])
+@pytest.mark.parametrize("ratio, block", [(2, 32), (4, 32), (4, 16)])
+def test_qnr_matches_per_pair_body(height, width, bands, ratio, block):
+    fused, lrms, pan = qnr_case(height, width, bands, ratio, height + width + bands)
+    got = metric_qnr(fused, lrms, pan, ratio, block)
+    want = old_qnr(fused, lrms, pan, ratio, block)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [(0.5, 0.5, 0.5), (0.2, 0.2, 0.7), (0.3, 0.6, 0.9)],
+    ids=["all-equal", "two-equal", "all-different"],
+)
+def test_qnr_constant_bands_match_per_pair_body(levels):
+    """Constant bands skip every tile, so each pair falls back to 1 for equal
+    bands and 0 for different ones, and the pan pairs to 0 or 1 likewise."""
+    cube = np.stack([np.full((64, 64), v) for v in levels], axis=2)
+    hrms, pan = Raster(cube), Raster(np.full((64, 64, 1), 0.5))
+    lrms = downsample_antialias(hrms, 4)
+    got = metric_qnr(hrms, lrms, pan, 4, 32)
+    assert got == old_qnr(hrms, lrms, pan, 4, 32)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (16, 9, 4), (33, 17, 3)])

@@ -316,8 +316,36 @@ class TestSynthScene:
         with pytest.raises(UsageError):
             synth_scene(4, 16, 2, 0, [1, 1])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError):
+            synth_scene(16, 16, 2, -1, [1, 1])
+
+    # A non-finite weight, and finite weights whose sum overflows.
+    BAD_WEIGHTS = [
+        [float("nan"), 1, 1, 1],
+        [float("inf"), 1, 1, 1],
+        [1e308, 1e308, 1, 1],
+    ]
+
+    @pytest.mark.parametrize("weights", BAD_WEIGHTS, ids=["nan", "inf", "sum-overflows"])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(UsageError):
+            synth_scene(16, 16, 4, 0, weights)
+        with pytest.raises(UsageError):
+            pan_from_weights(random_raster(2, 8, 8, 4), weights)
+
+    def test_huge_finite_weights_normalize(self):
+        hrms = random_raster(3, 8, 8, 2)
+        pan = pan_from_weights(hrms, [1e307, 1e307])
+        assert np.allclose(pan.data[:, :, 0], hrms.data.mean(axis=2), atol=1e-12)
+
 
 class TestPatchify:
+    @pytest.mark.parametrize("patch", [0, -4])
+    def test_non_positive_patch_rejected(self, patch):
+        with pytest.raises(UsageError):
+            patchify(random_raster(0, 16, 16, 2), random_raster(1, 64, 64, 1), patch, 4)
+
     def test_four_patches_from_512(self):
         ms = random_raster(0, 128, 128, 4)
         pan = random_raster(1, 512, 512, 1)
