@@ -45,10 +45,6 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.size < 8:
-        raise UsageError(f"--size must be >= 8, got {args.size}")
-    if args.bands < 1:
-        raise UsageError(f"--bands must be >= 1, got {args.bands}")
     if args.pan_weights:
         weights = _parse_float_list(args.pan_weights, "--pan-weights")
     else:

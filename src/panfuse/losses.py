@@ -102,7 +102,7 @@ def generator_loss(
         raise UsageError("generator loss needs at least one sample")
     total = 0.0
     for d, f, r in zip(d_scores, fused, reference):
-        if d <= 0:
+        if not (math.isfinite(d) and d > 0):
             raise DegenerateInputError(f"discriminator score {d} outside log domain")
         total += -spec.alpha * math.log(d) + spec.beta * pixel_loss(f, r, "l1")
     return total / len(fused)
@@ -345,8 +345,8 @@ def finite_difference_gradient(
     O(N) loss evaluations; intended for small verification instances.
     Elements are perturbed in fixed C order so results are deterministic.
     """
-    if h <= 0:
-        raise UsageError(f"step size must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise UsageError(f"step size must be finite and positive, got {h}")
     base = fused.data.copy()
     grad = np.zeros_like(base)
     flat = base.ravel()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,71 +110,79 @@ def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
     return float(100.0 / ratio * np.sqrt(np.mean((rmse / mu) ** 2)))
 
 
-def _row_tiles(a: np.ndarray, r: int, block: int) -> np.ndarray:
-    """The whole block x block tiles of rows ``r`` to ``r + block`` of an
-    H x W x C array, as a (tiles, block * block, C) copy."""
-    cols, channels = a.shape[1] // block, a.shape[2]
-    row = a[r : r + block, : cols * block].reshape(block, cols, block, channels)
-    return row.transpose(1, 0, 2, 3).copy().reshape(cols, block * block, channels)
+def _tile_index(
+    parts: tuple[np.ndarray, ...],
+    block: int,
+    tile_q: Callable[..., tuple[np.ndarray, np.ndarray]],
+    groups: Sequence[tuple],
+) -> list[float]:
+    """Means of P per-tile indexes over the distinct block x block tiles of the
+    channel stack of ``parts`` (H x W x C_k arrays); partial edge tiles are
+    left out.
 
-
-def _check_block(height: int, width: int, block: int) -> None:
+    Each row of tiles is one strip of :func:`_map_strips`: it is copied once
+    into a (tiles, block * block, C) array and its deviations are taken in
+    place. ``tile_q(m, v, cov)`` gets the per-tile channel means (t, C),
+    variances (t, C) and covariances ``cov[t, i, j] = cov(c_i, c_j)``
+    (t, C, C), all with (n-1) normalization, and returns (values, valid),
+    each (t, P). The valid values of each output are summed in tile-row
+    order. ``groups[k]`` is output k's two channel groups, each a channel
+    index or a sequence of them: if no tile of output k is valid, its index
+    is 1 when the two groups are equal and 0 otherwise.
+    """
+    height, width, _ = parts[0].shape
     if block > min(height, width):
         raise ShapeMismatchError(f"block {block} larger than image {height}x{width}")
     if block < 2:
         raise ShapeMismatchError("block must be >= 2 for tile statistics")
+    cols, n = width // block, block * block
+    bounds = np.cumsum([0] + [p.shape[2] for p in parts])
 
-
-def _tile_mean(
-    x: np.ndarray, y: np.ndarray, block: int, tile_q: Callable[..., tuple[np.ndarray, np.ndarray]]
-) -> float:
-    """Mean of a per-tile index over the distinct block x block tiles of two
-    H x W x C arrays; partial edge tiles are left out.
-
-    Each row of tiles is one strip of :func:`_map_strips`, and the rows'
-    sums are added in row order. ``tile_q(mx, my, vx, vy, cxy)`` gets the
-    per-tile band means (t, C), band variances (t, C) and cross-covariances
-    ``cxy[t, i, j] = cov(x_i, y_j)`` (t, C, C), all with (n-1)
-    normalization, and returns (values, valid). Invalid tiles are skipped;
-    if no tile is valid the index is 1 for identical inputs and 0 otherwise.
-    """
-    height, width, _ = x.shape
-    _check_block(height, width, block)
-    n = block * block
-
-    def tile_row(r: int) -> tuple[float, int]:
-        tx, ty = _row_tiles(x, r, block), _row_tiles(y, r, block)
+    def tile_row(r: int) -> tuple[np.ndarray, np.ndarray]:
+        stack = np.empty((cols, n, bounds[-1]), dtype=np.float64)
+        tiles = stack.reshape(cols, block, block, bounds[-1])
+        for p, lo, hi in zip(parts, bounds, bounds[1:]):
+            row = p[r : r + block, : cols * block].reshape(block, cols, block, hi - lo)
+            tiles[..., lo:hi] = row.transpose(1, 0, 2, 3)
         # Skipped tiles may divide by zero; their values are dropped below.
         with np.errstate(divide="ignore", invalid="ignore"):
-            mx, my = tx.mean(axis=1), ty.mean(axis=1)
-            # The tile copies are this row's own, so deviations overwrite them.
-            dx = np.subtract(tx, mx[:, None, :], out=tx)
-            dy = np.subtract(ty, my[:, None, :], out=ty)
-            vx = np.einsum("tnc,tnc->tc", dx, dx) / (n - 1)
-            vy = np.einsum("tnc,tnc->tc", dy, dy) / (n - 1)
-            cxy = np.matmul(dx.transpose(0, 2, 1), dy) / (n - 1)
-            values, valid = tile_q(mx, my, vx, vy, cxy)
-        return float(values[valid].sum()), int(np.count_nonzero(valid))
+            m = stack.mean(axis=1)
+            d = np.subtract(stack, m[:, None, :], out=stack)
+            v = np.einsum("tnc,tnc->tc", d, d) / (n - 1)
+            cov = np.matmul(d.transpose(0, 2, 1), d) / (n - 1)
+            values, valid = tile_q(m, v, cov)
+        return np.where(valid, values, 0.0).sum(axis=0), np.count_nonzero(valid, axis=0)
 
-    total, count = 0.0, 0
+    total = np.zeros(len(groups), dtype=np.float64)
+    count = np.zeros(len(groups), dtype=np.int64)
     for row_total, row_count in _map_strips(tile_row, range(0, height - block + 1, block)):
         total += row_total
         count += row_count
-    if count == 0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    return total / count
+    channels = [p[:, :, c] for p in parts for c in range(p.shape[2])]
+
+    def fallback(a, b) -> float:
+        pairs = zip(np.atleast_1d(a), np.atleast_1d(b))
+        return 1.0 if all(np.array_equal(channels[i], channels[j]) for i, j in pairs) else 0.0
+
+    return [
+        float(total[k] / count[k]) if count[k] else fallback(a, b)
+        for k, (a, b) in enumerate(groups)
+    ]
 
 
-def _uiqi_tiles(mx, my, vx, vy, cxy) -> tuple[np.ndarray, np.ndarray]:
-    return _uiqi(mx[:, 0], my[:, 0], vx[:, 0], vy[:, 0], cxy[:, 0, 0])
+def _uiqi(pairs: Sequence[tuple[int, int]]) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """The per-tile UIQI of each channel pair (i, j), as a :func:`_tile_index`
+    callback."""
+    i, j = np.array(pairs).T
 
+    def tile_q(m, v, cov) -> tuple[np.ndarray, np.ndarray]:
+        mx, my = m[:, i], m[:, j]
+        den_var = v[:, i] + v[:, j]
+        den_mean = mx * mx + my * my
+        valid = (den_var >= _EPS) & (den_mean >= _EPS)
+        return 4.0 * cov[:, i, j] * mx * my / (den_var * den_mean), valid
 
-def _uiqi(mx, my, vx, vy, cxy) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tile UIQI values and validity from same-shape moment arrays."""
-    den_var = vx + vy
-    den_mean = mx * mx + my * my
-    valid = (den_var >= _EPS) & (den_mean >= _EPS)
-    return 4.0 * cxy * mx * my / (den_var * den_mean), valid
+    return tile_q
 
 
 def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
@@ -189,14 +197,17 @@ def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
     _check_same_shape(a, b)
     if a.bands != 1:
         raise ShapeMismatchError("uiqi expects single-band rasters")
-    return _tile_mean(a.data, b.data, block, _uiqi_tiles)
+    return _tile_index((a.data, b.data), block, _uiqi([(0, 1)]), [(0, 1)])[0]
 
 
-def _q4_tiles(mx, my, vx, vy, s) -> tuple[np.ndarray, np.ndarray]:
-    var1, var2 = vx.sum(axis=1), vy.sum(axis=1)
+def _q4_tiles(m, v, cov) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tile Q4 of channels 0-3 (z1) against channels 4-7 (z2)."""
+    mx, my = m[:, :4], m[:, 4:]
+    var1, var2 = v[:, :4].sum(axis=1), v[:, 4:].sum(axis=1)
     sigma1, sigma2 = np.sqrt(var1), np.sqrt(var2)
     # Quaternion covariance sum(d1 * conj(d2)) / (n-1), read off s[t, i, j] = cov(z1_i, z2_j).
-    cov = np.stack(
+    s = cov[:, :4, 4:]
+    q = np.stack(
         [
             s[:, 0, 0] + s[:, 1, 1] + s[:, 2, 2] + s[:, 3, 3],
             s[:, 1, 0] - s[:, 0, 1] + s[:, 3, 2] - s[:, 2, 3],
@@ -205,7 +216,7 @@ def _q4_tiles(mx, my, vx, vy, s) -> tuple[np.ndarray, np.ndarray]:
         ],
         axis=1,
     )
-    mod_cov = np.sqrt(np.sum(cov * cov, axis=1))
+    mod_cov = np.sqrt(np.sum(q * q, axis=1))
     mod_mu1 = np.sqrt(np.sum(mx * mx, axis=1))
     mod_mu2 = np.sqrt(np.sum(my * my, axis=1))
     den_corr = sigma1 * sigma2
@@ -217,7 +228,7 @@ def _q4_tiles(mx, my, vx, vy, s) -> tuple[np.ndarray, np.ndarray]:
         * (2.0 * sigma1 * sigma2 / den_var)
         * (2.0 * mod_mu1 * mod_mu2 / den_mean)
     )
-    return values, valid
+    return values[:, None], valid[:, None]
 
 
 def metric_q4(fused: Raster, reference: Raster, block: int) -> float:
@@ -231,7 +242,8 @@ def metric_q4(fused: Raster, reference: Raster, block: int) -> float:
     _check_same_shape(fused, reference)
     if fused.bands != 4:
         raise ShapeMismatchError(f"q4 requires exactly 4 bands, got {fused.bands}")
-    return _tile_mean(reference.data, fused.data, block, _q4_tiles)
+    groups = [(range(4), range(4, 8))]
+    return _tile_index((reference.data, fused.data), block, _q4_tiles, groups)[0]
 
 
 def _ssim_window() -> np.ndarray:
@@ -328,42 +340,6 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     return float(np.mean(band_sums / (rows * cols)))
 
 
-def _pair_uiqi(
-    parts: tuple[np.ndarray, ...], block: int, pairs: list[tuple[int, int]]
-) -> list[float]:
-    """UIQI of each channel pair (i, j) of the channel stack of ``parts``
-    (H x W x C_k arrays), like :func:`_tile_mean` with :func:`_uiqi_tiles`
-    on the two channels, in one tile pass.
-
-    Each row of tiles of every part is copied into one (tiles, n, C) stack,
-    whose C x C covariance gives every pair's cross term at once.
-    """
-    height, width, _ = parts[0].shape
-    _check_block(height, width, block)
-    n = block * block
-    channels = [p[:, :, c] for p in parts for c in range(p.shape[2])]
-    i, j = np.array(pairs).T
-    total = np.zeros(len(pairs), dtype=np.float64)
-    count = np.zeros(len(pairs), dtype=np.int64)
-    # Skipped tiles may divide by zero; their values are dropped below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(0, height - block + 1, block):
-            stack = np.concatenate([_row_tiles(p, r, block) for p in parts], axis=2)
-            m = stack.mean(axis=1)
-            d = stack - m[:, None, :]
-            v = np.einsum("tnc,tnc->tc", d, d) / (n - 1)
-            cov = np.matmul(d.transpose(0, 2, 1), d) / (n - 1)
-            values, valid = _uiqi(m[:, i], m[:, j], v[:, i], v[:, j], cov[:, i, j])
-            total += np.where(valid, values, 0.0).sum(axis=0)
-            count += np.count_nonzero(valid, axis=0)
-    return [
-        float(total[k] / count[k])
-        if count[k]
-        else (1.0 if np.array_equal(channels[a], channels[b]) else 0.0)
-        for k, (a, b) in enumerate(pairs)
-    ]
-
-
 def metric_qnr(
     fused: Raster, lrms: Raster, pan: Raster, ratio: int, block: int
 ) -> tuple[float, float, float]:
@@ -386,8 +362,9 @@ def metric_qnr(
     # symmetric, so each unordered band pair is visited once.
     pairs = list(itertools.combinations(range(nbands), 2))
     pan_pairs = [(b, nbands) for b in range(nbands)]
-    hr = _pair_uiqi((fused.data, pan.data), block, pairs + pan_pairs)
-    lr = _pair_uiqi((lrms.data, pan_lr), lr_block, pairs + pan_pairs)
+    tile_q = _uiqi(pairs + pan_pairs)
+    hr = _tile_index((fused.data, pan.data), block, tile_q, pairs + pan_pairs)
+    lr = _tile_index((lrms.data, pan_lr), lr_block, tile_q, pairs + pan_pairs)
     gaps = [abs(q_hr - q_lr) for q_hr, q_lr in zip(hr, lr)]
 
     d_lambda = sum(gaps[: len(pairs)]) / len(pairs)

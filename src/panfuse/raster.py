@@ -282,6 +282,10 @@ def synth_scene(
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     _normalized_weights(pan_weights, bands)
+    try:
+        cube = np.empty((height, width, bands), dtype=np.float64)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise UsageError(f"scene {width}x{height}x{bands} too large to allocate") from exc
 
     rng = np.random.default_rng(seed)
     # Per band: (theta, base, gradient amplitude), then six ellipses.
@@ -308,7 +312,6 @@ def synth_scene(
     # broadcasts them with the operands in the order a full meshgrid would use.
     xx = np.linspace(0.0, 1.0, width)[None, :]
     y_all = np.linspace(0.0, 1.0, height)[:, None]
-    cube = np.empty((height, width, bands), dtype=np.float64)
     step = _strip_rows(width, 1)  # the strip arrays are per band
     for r in range(0, height, step):
         yy = y_all[r : r + step]

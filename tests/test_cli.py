@@ -129,6 +129,27 @@ class TestArgumentFaults:
         )
         assert not (tmp_path / "pan.msr").exists()
 
+    def test_unallocatable_scene(self, tmp_path, capsys):
+        self.assert_usage_error(["simulate", "--size", 10**8, "--out", tmp_path], capsys)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_grad_check_step(self, scene_dir, capsys, h):
+        self.assert_usage_error(
+            ["loss", "--name", "l1", "--grad-check", "--h", h,
+             scene_dir / "hrms.msr", scene_dir / "reference.msr"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_non_finite_generator_score_exit_four(self, scene_dir, capsys, score):
+        argv = ["loss", "--name", "gen-adv", "--d-score", score,
+                scene_dir / "hrms.msr", scene_dir / "reference.msr"]
+        assert cli.main([str(a) for a in argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestFuse:
     @pytest.mark.parametrize("method", list(cli.FUSE_METHODS))

@@ -122,6 +122,12 @@ class TestFiniteDifferenceOracle:
         with pytest.raises(UsageError):
             finite_difference_gradient(lambda x: pixel_loss(x, g, "l1"), f, 0.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_step_rejected(self, h):
+        f, g = separated_pair(8)
+        with pytest.raises(UsageError, match="finite and positive"):
+            finite_difference_gradient(lambda x: pixel_loss(x, g, "l1"), f, h)
+
 
 class TestAnalyticVsFiniteDifference:
     @pytest.mark.parametrize("seed", range(10))

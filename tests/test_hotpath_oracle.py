@@ -7,11 +7,13 @@ means with a folded kernel), ``synth_scene`` broadcast a row and a column
 instead of a meshgrid, MSR payloads were written without a ``tobytes``
 copy, the conv layer became one matmul per kernel tap, ``loss_gradient``
 became one table, upsampling ran both bicubic passes per row strip, and QNR
-took one stacked tile pass per scale instead of one per band pair. They are
-test-only oracles: the resampling, the scene, the written bytes and the
-gradients must match them bit for bit, SSIM, SAM and ERGAS within 1e-14,
-QNR within 1e-12, and the conv features within 1e-12 of their largest
-magnitude (the order of the sums changed).
+took one stacked tile pass per scale instead of one per band pair. The
+two-array tile core ``_tile_mean`` below is the one UIQI and Q4 used before
+UIQI, Q4 and QNR shared one channel-stack core. They are test-only oracles:
+the resampling, the scene, the written bytes and the gradients must match
+them bit for bit, SSIM, SAM and ERGAS within 1e-14, QNR, Q4 and UIQI within
+1e-12, and the conv features within 1e-12 of their largest magnitude (the
+order of the sums changed).
 """
 
 import itertools
@@ -19,12 +21,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import panfuse
+from panfuse import metrics
 from panfuse import (
     ConvLayer,
     ConvStackSpec,
@@ -34,13 +38,16 @@ from panfuse import (
     extract_features,
     loss_gradient,
     metric_ergas,
+    metric_q4,
     metric_qnr,
     metric_sam,
     metric_ssim,
+    metric_uiqi,
     pan_from_weights,
     synth_scene,
     write_raster,
 )
+from panfuse._strips import _map_strips
 from panfuse.errors import ShapeMismatchError
 from panfuse.features import _apply_layer
 from panfuse.losses import (
@@ -50,7 +57,7 @@ from panfuse.losses import (
     _sam_cosine_gradient,
     gram_matrix,
 )
-from panfuse.metrics import _tile_mean, _uiqi_tiles
+from panfuse.metrics import _EPS
 from panfuse.resample import (
     _catmull_rom_weights,
     _downsample,
@@ -207,6 +214,103 @@ def old_upsample(arr, ratio):
         return arr.copy()
     out = old_cubic_axis(old_cubic_axis(arr, ratio, 0), ratio, 1)
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+# The two-array tile core that served UIQI and Q4 before one core took a
+# channel stack for UIQI, Q4 and QNR alike, with its per-tile callbacks.
+def _row_tiles(a: np.ndarray, r: int, block: int) -> np.ndarray:
+    """The whole block x block tiles of rows ``r`` to ``r + block`` of an
+    H x W x C array, as a (tiles, block * block, C) copy."""
+    cols, channels = a.shape[1] // block, a.shape[2]
+    row = a[r : r + block, : cols * block].reshape(block, cols, block, channels)
+    return row.transpose(1, 0, 2, 3).copy().reshape(cols, block * block, channels)
+
+
+def _check_block(height: int, width: int, block: int) -> None:
+    if block > min(height, width):
+        raise ShapeMismatchError(f"block {block} larger than image {height}x{width}")
+    if block < 2:
+        raise ShapeMismatchError("block must be >= 2 for tile statistics")
+
+
+def _tile_mean(
+    x: np.ndarray, y: np.ndarray, block: int, tile_q: Callable[..., tuple[np.ndarray, np.ndarray]]
+) -> float:
+    """Mean of a per-tile index over the distinct block x block tiles of two
+    H x W x C arrays; partial edge tiles are left out.
+
+    Each row of tiles is one strip of :func:`_map_strips`, and the rows'
+    sums are added in row order. ``tile_q(mx, my, vx, vy, cxy)`` gets the
+    per-tile band means (t, C), band variances (t, C) and cross-covariances
+    ``cxy[t, i, j] = cov(x_i, y_j)`` (t, C, C), all with (n-1)
+    normalization, and returns (values, valid). Invalid tiles are skipped;
+    if no tile is valid the index is 1 for identical inputs and 0 otherwise.
+    """
+    height, width, _ = x.shape
+    _check_block(height, width, block)
+    n = block * block
+
+    def tile_row(r: int) -> tuple[float, int]:
+        tx, ty = _row_tiles(x, r, block), _row_tiles(y, r, block)
+        # Skipped tiles may divide by zero; their values are dropped below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mx, my = tx.mean(axis=1), ty.mean(axis=1)
+            # The tile copies are this row's own, so deviations overwrite them.
+            dx = np.subtract(tx, mx[:, None, :], out=tx)
+            dy = np.subtract(ty, my[:, None, :], out=ty)
+            vx = np.einsum("tnc,tnc->tc", dx, dx) / (n - 1)
+            vy = np.einsum("tnc,tnc->tc", dy, dy) / (n - 1)
+            cxy = np.matmul(dx.transpose(0, 2, 1), dy) / (n - 1)
+            values, valid = tile_q(mx, my, vx, vy, cxy)
+        return float(values[valid].sum()), int(np.count_nonzero(valid))
+
+    total, count = 0.0, 0
+    for row_total, row_count in _map_strips(tile_row, range(0, height - block + 1, block)):
+        total += row_total
+        count += row_count
+    if count == 0:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    return total / count
+
+
+def _uiqi_tiles(mx, my, vx, vy, cxy) -> tuple[np.ndarray, np.ndarray]:
+    return _uiqi(mx[:, 0], my[:, 0], vx[:, 0], vy[:, 0], cxy[:, 0, 0])
+
+
+def _uiqi(mx, my, vx, vy, cxy) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tile UIQI values and validity from same-shape moment arrays."""
+    den_var = vx + vy
+    den_mean = mx * mx + my * my
+    valid = (den_var >= _EPS) & (den_mean >= _EPS)
+    return 4.0 * cxy * mx * my / (den_var * den_mean), valid
+
+
+def _q4_tiles(mx, my, vx, vy, s) -> tuple[np.ndarray, np.ndarray]:
+    var1, var2 = vx.sum(axis=1), vy.sum(axis=1)
+    sigma1, sigma2 = np.sqrt(var1), np.sqrt(var2)
+    # Quaternion covariance sum(d1 * conj(d2)) / (n-1), read off s[t, i, j] = cov(z1_i, z2_j).
+    cov = np.stack(
+        [
+            s[:, 0, 0] + s[:, 1, 1] + s[:, 2, 2] + s[:, 3, 3],
+            s[:, 1, 0] - s[:, 0, 1] + s[:, 3, 2] - s[:, 2, 3],
+            s[:, 2, 0] - s[:, 0, 2] + s[:, 1, 3] - s[:, 3, 1],
+            s[:, 3, 0] - s[:, 0, 3] + s[:, 2, 1] - s[:, 1, 2],
+        ],
+        axis=1,
+    )
+    mod_cov = np.sqrt(np.sum(cov * cov, axis=1))
+    mod_mu1 = np.sqrt(np.sum(mx * mx, axis=1))
+    mod_mu2 = np.sqrt(np.sum(my * my, axis=1))
+    den_corr = sigma1 * sigma2
+    den_var = var1 + var2
+    den_mean = mod_mu1 * mod_mu1 + mod_mu2 * mod_mu2
+    valid = (den_corr >= _EPS) & (den_var >= _EPS) & (den_mean >= _EPS)
+    values = (
+        (mod_cov / den_corr)
+        * (2.0 * sigma1 * sigma2 / den_var)
+        * (2.0 * mod_mu1 * mod_mu2 / den_mean)
+    )
+    return values, valid
 
 
 def old_qnr(fused, lrms, pan, ratio, block):
@@ -480,6 +584,77 @@ def test_qnr_constant_bands_match_per_pair_body(levels):
     lrms = downsample_antialias(hrms, 4)
     got = metric_qnr(hrms, lrms, pan, 4, 32)
     assert got == old_qnr(hrms, lrms, pan, 4, 32)
+
+
+def test_qnr_one_constant_band_matches_per_pair_body():
+    """Band 1 and the pan are one constant: their pair falls back to 1 at both
+    scales, while the pairs of the other bands keep their tile values."""
+    hrms, _ = synth_scene(96, 96, 4, 21, [1.0] * 4)
+    cube = hrms.data.copy()
+    cube[:, :, 1] = 0.4
+    noise = np.random.default_rng(21).normal(0.0, 0.03, cube.shape)
+    fused = np.clip(cube + noise, 0.0, 1.0)
+    fused[:, :, 1] = 0.4
+    lrms = downsample_antialias(Raster(cube), 4)
+    pan = Raster(np.full((96, 96, 1), 0.4))
+    got = metric_qnr(Raster(fused), lrms, pan, 4, 32)
+    want = old_qnr(Raster(fused), lrms, pan, 4, 32)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+    pairs = list(itertools.combinations(range(5), 2))
+    hr = metrics._tile_index((fused, pan.data), 32, metrics._uiqi(pairs), pairs)
+    assert hr[pairs.index((1, 4))] == 1.0
+    assert all(0.0 < abs(hr[pairs.index(p)]) < 1.0 for p in [(0, 2), (0, 3), (2, 3)])
+
+
+# Shapes with partial edge tiles on one or both sides, and one without.
+TILE_SHAPES = [(97, 130), (40, 33), (64, 64)]
+
+
+def noisy_pair(height, width, bands, seed):
+    rng = np.random.default_rng(seed)
+    ref = rng.uniform(0.1, 0.9, (height, width, bands))
+    return ref, np.clip(ref + rng.normal(0.0, 0.1, ref.shape), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("height, width", TILE_SHAPES)
+@pytest.mark.parametrize("block", [2, 8, 32])
+def test_q4_matches_two_array_tile_core(height, width, block):
+    ref, fused = noisy_pair(height, width, 4, height * width + block)
+    got = metric_q4(Raster(fused), Raster(ref), block)
+    assert abs(got - _tile_mean(ref, fused, block, _q4_tiles)) <= 1e-12
+
+
+@pytest.mark.parametrize("height, width", TILE_SHAPES)
+@pytest.mark.parametrize("block", [2, 8, 32])
+def test_uiqi_matches_two_array_tile_core(height, width, block):
+    a, b = noisy_pair(height, width, 1, height + width + block)
+    got = metric_uiqi(Raster(a), Raster(b), block)
+    assert abs(got - _tile_mean(a, b, block, _uiqi_tiles)) <= 1e-12
+
+
+@pytest.mark.parametrize("height, width", TILE_SHAPES)
+@pytest.mark.parametrize("block", [2, 8, 32])
+@pytest.mark.parametrize("channels", [(3, 1), (2, 1, 3)], ids=["two-part", "three-part"])
+def test_stacked_pairs_match_two_array_tile_core(height, width, block, channels):
+    """Every channel pair of a 2- or 3-part stack, against one two-array pass
+    per pair; channels 1 and 3 share one constant and channel 4 holds
+    another, so their three pairs fall back one by one."""
+    rng = np.random.default_rng(height * width * block + len(channels))
+    stack = rng.uniform(0.1, 0.9, (height, width, sum(channels)))
+    stack[:, :, [1, 3]] = 0.3
+    if stack.shape[2] > 4:
+        stack[:, :, 4] = 0.6
+    parts = tuple(np.split(stack, np.cumsum(channels)[:-1], axis=2))
+    pairs = list(itertools.combinations(range(stack.shape[2]), 2))
+    got = metrics._tile_index(parts, block, metrics._uiqi(pairs), pairs)
+    want = [
+        _tile_mean(stack[:, :, i : i + 1], stack[:, :, j : j + 1], block, _uiqi_tiles)
+        for i, j in pairs
+    ]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+    assert got[pairs.index((1, 3))] == 1.0
+    if stack.shape[2] > 4:
+        assert got[pairs.index((1, 4))] == got[pairs.index((3, 4))] == 0.0
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (16, 9, 4), (33, 17, 3)])

@@ -77,6 +77,12 @@ class TestGeneratorLoss:
         with pytest.raises(DegenerateInputError):
             generator_loss([0.0], [x], [x], LossSpec())
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_score_rejected(self, score):
+        x = random_raster(8, 4, 4, 2)
+        with pytest.raises(DegenerateInputError):
+            generator_loss([0.5, score], [x, x], [x, x], LossSpec())
+
     def test_length_mismatch_rejected(self):
         x = random_raster(9, 4, 4, 2)
         with pytest.raises(UsageError):

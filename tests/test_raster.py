@@ -316,6 +316,11 @@ class TestSynthScene:
         with pytest.raises(UsageError):
             synth_scene(4, 16, 2, 0, [1, 1])
 
+    def test_unallocatable_scene_rejected(self):
+        # 1e8 x 1e8 x 2 float64 values are 1.6e17 bytes: no allocator grants it.
+        with pytest.raises(UsageError, match="too large to allocate"):
+            synth_scene(10**8, 10**8, 2, 0, [1, 1])
+
     def test_negative_seed_rejected(self):
         with pytest.raises(UsageError):
             synth_scene(16, 16, 2, -1, [1, 1])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import panfuse
-from panfuse import Raster, _strips, metric_q4, metric_uiqi
+from panfuse import Raster, _strips, downsample_antialias, metric_q4, metric_qnr, metric_uiqi
 from panfuse._strips import _map_strips
 
 needs_two_cpus = pytest.mark.skipif(
@@ -117,6 +117,17 @@ def test_degenerate_tile_rows_on_either_thread(block):
     band = Raster(const.data[:, :, :1])
     assert metric_q4(const, const, block) == 1.0
     assert metric_uiqi(band, band, block) == 1.0
+
+
+@pytest.mark.parametrize("block", [16, 32])
+def test_constant_scene_qnr_on_either_thread(block):
+    """Every QNR pair of a constant scene falls back to 1 at both scales; the
+    tile rows (8 or 4 per scale) run on both threads, each under its own
+    error state."""
+    const = Raster(np.full((128, 128, 4), 0.5))
+    pan = Raster(np.full((128, 128, 1), 0.5))
+    lrms = downsample_antialias(const, 4)
+    assert metric_qnr(const, lrms, pan, 4, block) == (1.0, 0.0, 0.0)
 
 
 def test_strip_rows_fill_the_element_budget():
