@@ -4,7 +4,8 @@ One binary with subcommands. Numeric defaults (ratio 4, patch 256,
 Q-index block 32) reproduce the standard reduced-scale evaluation
 pipeline without extra flags.
 
-Exit codes: 0 ok, 2 usage, 3 shape mismatch, 4 numerical degeneracy, 5 IO.
+Exit codes: 0 ok, 1 gradient check failed (``loss --grad-check``), 2 usage,
+3 shape mismatch, 4 numerical degeneracy, 5 IO.
 """
 
 from __future__ import annotations
@@ -118,10 +119,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for path in args.fused:
         fused = raster.read_raster(path)
         reports.append(
-            metrics.build_report(
-                Path(path).stem, fused, reference, lrms, pan, args.ratio
-            )
+            metrics.build_report(Path(path).stem, fused, reference, lrms, pan, args.ratio)
         )
+        del fused  # freed before the next read, so one fused cube is held at a time
     if args.format == "csv":
         text = metrics.reports_to_csv(reports)
         name = "report.csv"

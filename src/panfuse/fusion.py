@@ -11,9 +11,11 @@ the pan band histogram-matched to I. HPF injects P - lowpass(P) with g = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from ._strips import _strip_rows
 from .errors import DegenerateInputError, UsageError
 from .raster import Raster, _check_scale_pair
 from .resample import _STD_EPS, _correlate_axis, _downsample, _match_moments, _upsample
@@ -33,15 +35,45 @@ class FusionInput:
         _check_scale_pair(self.lrms, self.pan, self.ratio)
 
 
-def _inject(ms_up: np.ndarray, gain: np.ndarray | float, detail: np.ndarray) -> Raster:
+def _row_strips(cube: np.ndarray) -> list[slice]:
+    """Row slices of an H x W x B cube, each about ``_STRIP_ELEMENTS`` values."""
+    step = _strip_rows(cube.shape[1], cube.shape[2])
+    return [slice(r, r + step) for r in range(0, cube.shape[0], step)]
+
+
+def _plane(cube: np.ndarray, fill: Callable[[np.ndarray, np.ndarray], object]) -> np.ndarray:
+    """An H x W plane of an H x W x B cube, written strip by strip:
+    ``fill(strip, out)`` writes the strip's rows of the plane into ``out``."""
+    plane = np.empty(cube.shape[:2], dtype=np.float64)
+    for rows in _row_strips(cube):
+        fill(cube[rows], plane[rows])
+    return plane
+
+
+def _band_mean(cube: np.ndarray) -> np.ndarray:
+    """The per-pixel band mean of an H x W x B cube."""
+    return _plane(cube, lambda s, out: np.mean(s, axis=2, out=out))
+
+
+def _inject(
+    ms_up: np.ndarray,
+    gain: float | np.ndarray | Callable[[np.ndarray, slice], np.ndarray],
+    detail: np.ndarray,
+) -> Raster:
     """clip(ms_up + gain * detail, 0, 1), the step every method ends with.
 
     ``ms_up`` is the upsampled cube the method owns; the sum and the clip are
-    written into it, and it becomes the output. ``gain`` is a scalar, per
-    band, or per pixel and band; ``detail`` is H x W.
+    written into it one strip of rows at a time, and it becomes the output.
+    ``gain`` is a scalar or per band, or a function of a strip and its rows
+    that returns the strip's per-pixel, per-band gain before the sum is
+    added; ``detail`` is H x W.
     """
-    ms_up += gain * detail[:, :, None]
-    return Raster._adopt(np.clip(ms_up, 0.0, 1.0, out=ms_up))
+    for rows in _row_strips(ms_up):
+        s = ms_up[rows]
+        g = gain(s, rows) if callable(gain) else gain
+        s += g * detail[rows, :, None]
+        np.clip(s, 0.0, 1.0, out=s)
+    return Raster._adopt(ms_up)
 
 
 def fuse_gihs(fin: FusionInput) -> Raster:
@@ -53,24 +85,35 @@ def fuse_gihs(fin: FusionInput) -> Raster:
     if fin.lrms.bands < 3:
         raise UsageError(f"gihs requires at least 3 bands, got {fin.lrms.bands}")
     ms_up = _upsample(fin.lrms.data, fin.ratio)
-    intensity = ms_up.mean(axis=2)
+    intensity = _band_mean(ms_up)
     return _inject(ms_up, 1.0, _match_moments(fin.pan.data[:, :, 0], intensity) - intensity)
 
 
 def fuse_brovey(fin: FusionInput) -> Raster:
     """Brovey transform: band-ratio-preserving multiplicative injection."""
     ms_up = _upsample(fin.lrms.data, fin.ratio)
-    intensity = ms_up.mean(axis=2)
+    intensity = _band_mean(ms_up)
     guarded = intensity + 1e-12  # g divides by it, so detail subtracts the same I
-    gain = ms_up / guarded[:, :, None]
-    return _inject(ms_up, gain, _match_moments(fin.pan.data[:, :, 0], intensity) - guarded)
+    detail = _match_moments(fin.pan.data[:, :, 0], intensity) - guarded
+    return _inject(ms_up, lambda s, rows: s / guarded[rows, :, None], detail)
 
 
 def _pca_basis(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`pca_basis` of an H x W x B array."""
-    flat = cube.reshape(-1, cube.shape[2])
-    means = flat.mean(axis=0)
-    cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
+    """:func:`pca_basis` of an H x W x B array.
+
+    The band sums and the centered cross products are summed strip by strip,
+    so no centered copy of the cube is made.
+    """
+    strips = _row_strips(cube)
+    n = cube.shape[0] * cube.shape[1]
+    if n < 2:
+        raise DegenerateInputError("pca: band covariance needs at least 2 pixels")
+    means = sum(np.einsum("ijk->k", cube[rows]) for rows in strips) / n
+    cov = np.zeros((cube.shape[2], cube.shape[2]), dtype=np.float64)
+    for rows in strips:
+        d = (cube[rows] - means).reshape(-1, cube.shape[2])
+        cov += d.T @ d
+    cov /= n - 1
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
@@ -103,7 +146,7 @@ def fuse_pca(fin: FusionInput) -> Raster:
     """
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     means, _, vecs = _pca_basis(ms_up)
-    pc1 = (ms_up - means) @ vecs[:, 0]
+    pc1 = _plane(ms_up, lambda s, out: np.matmul(s - means, vecs[:, 0], out=out))
     return _inject(ms_up, vecs[:, 0], _match_moments(fin.pan.data[:, :, 0], pc1) - pc1)
 
 
@@ -136,19 +179,21 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     pan2d = fin.pan.data[:, :, 0]
     if lr_pan_mode == "weighted-mean":
-        intensity = ms_up.mean(axis=2)
+        intensity = _band_mean(ms_up)
     elif lr_pan_mode == "blur-decimate":
         intensity = _upsample(_downsample(pan2d, fin.ratio), fin.ratio)
     else:
         weights = mmse_band_weights(fin.lrms, fin.pan, fin.ratio)
-        intensity = np.tensordot(ms_up, weights, axes=([2], [0]))
+        intensity = _plane(ms_up, lambda s, out: np.matmul(s, weights, out=out))
 
     dev_i = intensity - intensity.mean()
     var_i = np.mean(dev_i * dev_i)
     if np.sqrt(var_i) < _STD_EPS:
         raise DegenerateInputError("gs: intensity surrogate has zero variance")
-    dev_b = ms_up - ms_up.mean(axis=(0, 1))
-    gains = np.mean(dev_b * dev_i[:, :, None], axis=(0, 1)) / var_i
+    # cov(band, I) = sum(b * dev_i) / n: dev_i sums to zero, so the band means drop out.
+    bands = ms_up.shape[2]
+    cross = sum(dev_i[rows].ravel() @ ms_up[rows].reshape(-1, bands) for rows in _row_strips(ms_up))
+    gains = cross / dev_i.size / var_i
     return _inject(ms_up, gains, _match_moments(pan2d, intensity) - intensity)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._strips import _map_strips, _strip_rows
 from .errors import DegenerateInputError, ShapeMismatchError
@@ -90,21 +91,26 @@ def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
 
     100 * (1/ratio) * sqrt(mean_b(RMSE_b^2 / mu_b^2)) with mu_b the
     reference band means. Zero band means make the relative error
-    undefined and are rejected. The squared errors are summed per band in
-    row strips, so no full-size difference array is made.
+    undefined and are rejected. The squared errors and the reference band
+    sums are summed per band in row strips, so no full-size difference array
+    is made and the reference is read once.
     """
     _check_same_shape(fused, reference)
     step = _strip_rows(fused.width, fused.bands)
 
-    def strip(r: int) -> np.ndarray:
-        d = fused.data[r : r + step] - reference.data[r : r + step]
-        return np.einsum("ijk,ijk->k", d, d)
+    def strip(r: int) -> tuple[np.ndarray, np.ndarray]:
+        g = reference.data[r : r + step]
+        d = fused.data[r : r + step] - g
+        return np.einsum("ijk,ijk->k", d, d), np.einsum("ijk->k", g)
 
     sq_err = np.zeros(fused.bands, dtype=np.float64)
-    for part in _map_strips(strip, range(0, fused.height, step)):
-        sq_err += part
-    rmse = np.sqrt(sq_err / (fused.height * fused.width))
-    mu = reference.data.mean(axis=(0, 1))
+    ref_sum = np.zeros(fused.bands, dtype=np.float64)
+    for part_sq, part_sum in _map_strips(strip, range(0, fused.height, step)):
+        sq_err += part_sq
+        ref_sum += part_sum
+    pixels = fused.height * fused.width
+    rmse = np.sqrt(sq_err / pixels)
+    mu = ref_sum / pixels
     if np.any(np.abs(mu) < _EPS):
         raise DegenerateInputError("ergas: reference band mean is zero")
     return float(100.0 / ratio * np.sqrt(np.mean((rmse / mu) ** 2)))
@@ -253,30 +259,21 @@ def _ssim_window() -> np.ndarray:
 
 
 def _valid_window_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable valid-mode correlation with a symmetric 1-D kernel over the
-    first two axes of an H x W x B array.
+    """Separable valid-mode correlation with a 1-D kernel over the first two
+    axes of an H x W x B array.
 
-    Each pass adds the two inputs under a mirrored tap pair before scaling
-    them, ``k_j * (a[j] + a[k-1-j])``, and takes the centre tap alone. The
-    pair sum is formed in one reused buffer per pass.
+    Each pass is one ``einsum`` over a window view of the taps. The
+    horizontal pass reads the (rows, W * B) array in windows of
+    ``(k - 1) * B + 1`` values and keeps every B-th one, the same band of the
+    k neighbouring columns. einsum runs without ``optimize``, so no BLAS call.
     """
     k = kernel.size
-    c = k // 2
-    rows, cols = x.shape[0] - k + 1, x.shape[1] - k + 1
-    out = kernel[c] * x[c : c + rows]
-    pair = np.empty_like(out)
-    for j in range(c):
-        np.add(x[j : j + rows], x[k - 1 - j : k - 1 - j + rows], out=pair)
-        pair *= kernel[j]
-        out += pair
-    del pair
-    final = kernel[c] * out[:, c : c + cols]
-    pair = np.empty_like(final)
-    for j in range(c):
-        np.add(out[:, j : j + cols], out[:, k - 1 - j : k - 1 - j + cols], out=pair)
-        pair *= kernel[j]
-        final += pair
-    return final
+    vertical = np.einsum("rwbk,k->rwb", sliding_window_view(x, k, axis=0), kernel)
+    rows, width, bands = vertical.shape
+    cols = width - k + 1
+    flat = vertical.reshape(rows, width * bands)
+    taps = sliding_window_view(flat, (k - 1) * bands + 1, axis=1)[:, : cols * bands, ::bands]
+    return np.einsum("rik,k->ri", taps, kernel).reshape(rows, cols, bands)
 
 
 def metric_ssim(fused: Raster, reference: Raster) -> float:
@@ -291,8 +288,9 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     mu_x*mu_y; every term is symmetric in x and y, so swapping the inputs
     gives the same bits. The map is evaluated in strips of output rows
     across all bands, sized so each strip array holds about
-    ``_STRIP_ELEMENTS`` values, and the strips' band sums are added in strip
-    order.
+    ``_STRIP_ELEMENTS`` values but at least twice the 10-row window halo
+    (a strip then reads at most 1.5 times its output rows), and the strips'
+    band sums are added in strip order.
     """
     _check_same_shape(fused, reference)
     if min(fused.height, fused.width) < 11:
@@ -303,7 +301,7 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     kernel = _ssim_window()
     halo = kernel.size - 1
     rows, cols = fused.height - halo, fused.width - halo
-    step = _strip_rows(fused.width, fused.bands)
+    step = max(_strip_rows(fused.width, fused.bands), 2 * halo)
 
     def strip(r: int) -> np.ndarray:
         x = fused.data[r : r + step + halo]

@@ -161,6 +161,14 @@ class TestFuse:
         fused = read_raster(tmp_path / f"{method}.msr")
         assert fused.data.shape == (64, 64, 4)
 
+    def test_one_pixel_pca_exit_four(self, tmp_path, capsys):
+        write_raster(Raster(np.full((1, 1, 3), 0.5)), tmp_path / "ms.msr")
+        write_raster(Raster(np.full((1, 1, 1), 0.3)), tmp_path / "pan.msr")
+        argv = ["fuse", "--method", "pca", "--lrms", tmp_path / "ms.msr",
+                "--pan", tmp_path / "pan.msr", "--ratio", 1, "--out", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_method_exit_two(self, scene_dir, tmp_path):
         r = run_cli("fuse", "--method", "wavelet", "--lrms", scene_dir / "lrms.msr",
                     "--pan", scene_dir / "pan.msr", "--out", tmp_path)
@@ -315,6 +323,19 @@ class TestLoss:
                     fused, scene_dir / "reference.msr")
         assert r.returncode == 0, r.stderr + r.stdout
         assert "PASS" in r.stdout
+
+    def test_failing_grad_check_exits_one(self, tmp_path, capsys):
+        # At this step the two perturbed l1 losses round to the same value, so
+        # every central difference is 0 against an analytic gradient of +-1/n.
+        fused, reference = separated_pair(5, height=16, width=16, bands=4)
+        write_raster(fused, tmp_path / "f.msr")
+        write_raster(reference, tmp_path / "r.msr")
+        argv = ["loss", "--name", "l1", "--grad-check", "--h", "1e300",
+                tmp_path / "f.msr", tmp_path / "r.msr"]
+        assert cli.main([str(a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert captured.err == ""
 
     def test_grad_check_unsupported_loss(self, scene_dir):
         r = run_cli("loss", "--name", "sam-printed", "--grad-check",

@@ -1,6 +1,7 @@
 """Classical fusion baselines: formula oracles and exact-recovery cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,26 @@ def test_fusion_owns_its_output_and_leaves_inputs_alone(method, ratio):
     assert not np.shares_memory(out.data, fin.lrms.data)
     assert not np.shares_memory(out.data, fin.pan.data)
     assert not out.data.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def input_512():
+    hrms, pan = synth_scene(512, 512, 4, 29, [1.0, 2.0, 2.0, 1.0])
+    return FusionInput(lrms=wald_degrade(hrms, pan, 4)[0], pan=pan, ratio=4)
+
+
+@pytest.mark.parametrize("method", list(ALL_FUSIONS))
+def test_fusion_peak_memory_within_output_bound(input_512, method):
+    """Intensities, gains and injection work strip by strip, so besides the
+    output cube a fusion holds only H x W planes and strip temporaries: its
+    traced peak stays within 2.25 times the output cube's bytes."""
+    tracemalloc.start()
+    try:
+        out = ALL_FUSIONS[method](input_512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * out.data.nbytes
 
 
 class TestGihs:
@@ -192,6 +213,10 @@ class TestPca:
         fin = FusionInput(lrms=const, pan=random_raster(1, 8, 8, 1), ratio=1)
         with pytest.raises(DegenerateInputError):
             fuse_pca(fin)
+
+    def test_one_pixel_rejected(self):
+        with pytest.raises(DegenerateInputError, match="at least 2 pixels"):
+            pca_basis(Raster(np.full((1, 1, 3), 0.5)))
 
 
 class TestGs:

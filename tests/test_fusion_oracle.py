@@ -3,6 +3,11 @@
 Each ``old_*`` function below is the method as it was written before the five
 fusions shared one ``ms_up + g * detail`` step. They are test-only oracles:
 the library output must stay within 1e-12 of them on seeded scenes.
+``whole_cube_*`` are gihs, brovey and hpf as they were before intensities,
+gains and injection ran one row strip at a time, with the whole-cube
+``whole_cube_inject``; those three methods must match them bit for bit.
+``whole_cube_pca_basis`` is the band means and ``np.cov`` covariance before
+they were summed strip by strip.
 """
 
 import numpy as np
@@ -25,7 +30,7 @@ from panfuse import (
     wald_degrade,
 )
 from panfuse.fusion import GS_LR_PAN_MODES
-from panfuse.resample import _correlate_axis
+from panfuse.resample import _correlate_axis, _match_moments, _upsample
 
 
 def _matched_pan(pan, target):
@@ -119,3 +124,92 @@ def test_injection_core_matches_old_body(method, ratio, bands):
     for seed in (101, 202):
         fin = seeded_input(seed + 10 * ratio + bands, ratio, bands)
         assert np.abs(new(fin).data - old(fin)).max() <= 1e-12
+
+
+def seeded_scene(seed, ratio, bands, height, width):
+    """A synthetic ``height`` x ``width`` scene degraded by ``ratio``."""
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, bands)
+    hrms, pan = synth_scene(width, height, bands, seed, weights)
+    return FusionInput(lrms=wald_degrade(hrms, pan, ratio)[0], pan=pan, ratio=ratio)
+
+
+# At 136 columns a strip is 80 rows over 3 bands, 60 over 4 and 30 over 8, so
+# 200 rows span several strips and end in a partial one.
+@pytest.mark.parametrize("bands", [3, 4, 8])
+@pytest.mark.parametrize("ratio", [2, 4])
+@pytest.mark.parametrize("method", list(CASES))
+def test_strip_fusion_matches_old_body(method, ratio, bands):
+    new, old = CASES[method]
+    fin = seeded_scene(300 + 10 * ratio + bands, ratio, bands, 200, 136)
+    assert np.abs(new(fin).data - old(fin)).max() <= 1e-12
+
+
+def whole_cube_inject(ms_up, gain, detail):
+    ms_up += gain * detail[:, :, None]
+    return np.clip(ms_up, 0.0, 1.0, out=ms_up)
+
+
+def whole_cube_gihs(fin):
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    intensity = ms_up.mean(axis=2)
+    return whole_cube_inject(
+        ms_up, 1.0, _match_moments(fin.pan.data[:, :, 0], intensity) - intensity
+    )
+
+
+def whole_cube_brovey(fin):
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    intensity = ms_up.mean(axis=2)
+    guarded = intensity + 1e-12
+    gain = ms_up / guarded[:, :, None]
+    return whole_cube_inject(
+        ms_up, gain, _match_moments(fin.pan.data[:, :, 0], intensity) - guarded
+    )
+
+
+def whole_cube_hpf(fin):
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    k = 2 * fin.ratio + 1
+    kernel = np.full(k, 1.0 / k)
+    pan2d = fin.pan.data[:, :, 0]
+    lowpass = _correlate_axis(_correlate_axis(pan2d, kernel, 0), kernel, 1)
+    return whole_cube_inject(ms_up, 1.0, pan2d - lowpass)
+
+
+WHOLE_CUBE = {
+    "gihs": (fuse_gihs, whole_cube_gihs),
+    "brovey": (fuse_brovey, whole_cube_brovey),
+    "hpf": (fuse_hpf, whole_cube_hpf),
+}
+
+
+@pytest.mark.parametrize("bands", [3, 4, 8])
+@pytest.mark.parametrize("ratio", [2, 4])
+@pytest.mark.parametrize("method", list(WHOLE_CUBE))
+def test_strip_injection_same_bits_as_whole_cube(method, ratio, bands):
+    new, old = WHOLE_CUBE[method]
+    fin = seeded_scene(500 + 10 * ratio + bands, ratio, bands, 200, 136)
+    got, want = new(fin).data, old(fin)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def whole_cube_pca_basis(cube):
+    flat = cube.reshape(-1, cube.shape[2])
+    vals, vecs = np.linalg.eigh(np.atleast_2d(np.cov(flat, rowvar=False, ddof=1)))
+    order = np.argsort(vals)[::-1]
+    vecs = vecs[:, order]
+    if vecs[:, 0].sum() < 0:
+        vecs[:, 0] = -vecs[:, 0]
+    return flat.mean(axis=0), vals[order], vecs
+
+
+@pytest.mark.parametrize("bands", [3, 4, 8])
+def test_strip_pca_basis_matches_whole_cube(bands):
+    cube = upsample(seeded_scene(700 + bands, 4, bands, 200, 136).lrms, 4)
+    got, want = pca_basis(cube), whole_cube_pca_basis(cube.data)
+    assert np.abs(got[0] - want[0]).max() <= 1e-12
+    assert np.abs(got[1] - want[1]).max() <= 1e-12 * want[1][0]
+    # Columns past the first may flip sign; the first is fixed by convention.
+    assert np.abs(np.abs(got[2]) - np.abs(want[2])).max() <= 1e-12
+    assert np.abs(got[2][:, 0] - want[2][:, 0]).max() <= 1e-12

@@ -9,9 +9,11 @@ copy, the conv layer became one matmul per kernel tap, ``loss_gradient``
 became one table, upsampling ran both bicubic passes per row strip, and QNR
 took one stacked tile pass per scale instead of one per band pair. The
 two-array tile core ``_tile_mean`` below is the one UIQI and Q4 used before
-UIQI, Q4 and QNR shared one channel-stack core. They are test-only oracles:
+UIQI, Q4 and QNR shared one channel-stack core, and the folded-pair
+``old_valid_window_mean`` is the SSIM window mean before each pass became one
+einsum over a window view of the taps. They are test-only oracles:
 the resampling, the scene, the written bytes and the gradients must match
-them bit for bit, SSIM, SAM and ERGAS within 1e-14, QNR, Q4 and UIQI within
+them bit for bit, SSIM (and its window mean), SAM and ERGAS within 1e-14, QNR, Q4 and UIQI within
 1e-12, and the conv features within 1e-12 of their largest magnitude (the
 order of the sums changed).
 """
@@ -142,6 +144,28 @@ def old_ssim(f, g):
         )
         band_means.append(ssim_map.mean())
     return float(np.mean(band_means))
+
+
+def old_valid_window_mean(x, kernel):
+    """The folded-pair SSIM window mean: each pass adds the two inputs under a
+    mirrored tap pair before scaling them, and takes the centre tap alone."""
+    k = kernel.size
+    c = k // 2
+    rows, cols = x.shape[0] - k + 1, x.shape[1] - k + 1
+    out = kernel[c] * x[c : c + rows]
+    pair = np.empty_like(out)
+    for j in range(c):
+        np.add(x[j : j + rows], x[k - 1 - j : k - 1 - j + rows], out=pair)
+        pair *= kernel[j]
+        out += pair
+    del pair
+    final = kernel[c] * out[:, c : c + cols]
+    pair = np.empty_like(final)
+    for j in range(c):
+        np.add(out[:, j : j + cols], out[:, k - 1 - j : k - 1 - j + cols], out=pair)
+        pair *= kernel[j]
+        final += pair
+    return final
 
 
 def old_sam(f, g):
@@ -452,8 +476,9 @@ def test_sam_matches_old_body(height, width, bands):
 
 
 # Wide shapes: the strip height comes from an element budget, so at 1030
-# columns x 4 bands a strip is 7 rows and (60, 1030) ends in a partial strip,
-# as does (40, 300) x 4 bands (27-row strips over 30 output rows).
+# columns x 4 bands a strip is 7 rows (20 for SSIM, at least twice its halo)
+# and (60, 1030) ends in a partial strip, as does (40, 300) x 4 bands
+# (27-row strips over 30 output rows).
 WIDE_SHAPES = [(12, 1030), (40, 300), (60, 1030)]
 
 
@@ -491,6 +516,30 @@ def test_ssim_symmetric_bounded_and_one_on_itself(pair):
     assert value == metric_ssim(b, a)
     assert -1.0 <= value <= 1.0
     assert abs(metric_ssim(a, a) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("height", [11, 12, 18, 40])
+@pytest.mark.parametrize("width", [11, 12, 1025])
+@pytest.mark.parametrize("bands", [1, 3, 4, 8])
+def test_window_mean_matches_folded_pair_body(height, width, bands):
+    x = np.random.default_rng(height * width + bands).random((height, width, bands))
+    kernel = metrics._ssim_window()
+    got, want = metrics._valid_window_mean(x, kernel), old_valid_window_mean(x, kernel)
+    assert got.shape == want.shape == (height - 10, width - 10, bands)
+    assert np.abs(got - want).max() <= 1e-14
+
+
+# At 1025 columns an SSIM strip is 31 rows over 1 band and 20 (twice the
+# halo) over 3, 4 and 8, so the 43 output rows of (53, 1025) end in a partial
+# strip at every band count; (45, 12) is one strip and (11, 1025) one output
+# row.
+@pytest.mark.parametrize("height, width", [(53, 1025), (45, 12), (11, 1025)])
+@pytest.mark.parametrize("bands", [1, 3, 4, 8])
+def test_ssim_matches_folded_pair_window_mean(monkeypatch, height, width, bands):
+    f, g = metric_pair(height, width, bands, seed=height + width * bands)
+    got = metric_ssim(Raster(f), Raster(g))
+    monkeypatch.setattr(metrics, "_valid_window_mean", old_valid_window_mean)
+    assert abs(got - metric_ssim(Raster(f), Raster(g))) <= 1e-14
 
 
 def test_ssim_same_bits_at_one_and_two_blas_threads():
