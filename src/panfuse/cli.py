@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from . import features, fusion, losses, metrics, raster, resample
 from .errors import PanfuseError, UsageError
@@ -134,81 +133,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _loss_rasters(args: argparse.Namespace) -> tuple[Raster, Raster]:
+# loss name -> losses.Loss; "gen-adv" and "disc" read scores and are cmd_loss branches.
+LOSSES = losses.LOSSES
+
+
+def _loss_inputs(args: argparse.Namespace) -> tuple[Raster, Raster, losses.LossContext]:
+    """The (fused, reference) pair and the context of every raster-pair loss."""
     if len(args.rasters) != 2:
         raise UsageError(f"loss {args.name!r} needs two raster file arguments")
-    return raster.read_raster(args.rasters[0]), raster.read_raster(args.rasters[1])
-
-
-def _extractor(args: argparse.Namespace) -> features.Extractor:
-    if args.extractor == features.IDENTITY:
-        return features.IDENTITY
-    return features.load_conv_stack(args.extractor)
-
-
-class _LossInputs(NamedTuple):
-    """What a loss reads besides the (fused, reference) pair."""
-
-    args: argparse.Namespace
-    lrms: Raster | None
-    ratio: int
-
-
-def _total_sam(a: Raster, b: Raster, inputs: _LossInputs) -> float:
-    if inputs.lrms is None or not inputs.ratio:
-        raise UsageError("loss total-sam needs --lrms and --ratio")
-    return losses.total_sam_loss(a, b, inputs.lrms, inputs.ratio, "cosine")
-
-
-def _gen_adv(a: Raster, b: Raster, inputs: _LossInputs) -> float:
-    if not inputs.args.d_score:
-        raise UsageError("loss gen-adv needs --d-score")
-    scores = _parse_float_list(inputs.args.d_score, "--d-score")
-    spec = losses.LossSpec(alpha=inputs.args.alpha, beta=inputs.args.beta)
-    return losses.generator_loss(scores, [a] * len(scores), [b] * len(scores), spec)
-
-
-def _disc(a: Raster | None, b: Raster | None, inputs: _LossInputs) -> float:
-    args = inputs.args
-    if not args.d_fake or not args.d_real:
-        raise UsageError("loss disc needs --d-fake and --d-real")
-    fake = _parse_float_list(args.d_fake, "--d-fake")
-    real = _parse_float_list(args.d_real, "--d-real")
-    return losses.discriminator_loss(fake, real, args.disc_mode)
-
-
-# loss name -> (value of (fused, reference, inputs), analytic gradient id or None).
-# The "*_identity" gradients hold for the identity extractor only.
-LOSSES = {
-    "l1": (lambda a, b, inputs: losses.pixel_loss(a, b, "l1"), "l1"),
-    "mse": (lambda a, b, inputs: losses.pixel_loss(a, b, "mse"), "mse"),
-    "sam": (lambda a, b, inputs: losses.sam_loss(a, b, "cosine"), "sam_cosine"),
-    "sam-printed": (lambda a, b, inputs: losses.sam_loss(a, b, "as_printed"), None),
-    "total-sam": (_total_sam, "total_sam"),
-    "perceptual": (
-        lambda a, b, inputs: losses.perceptual_loss(a, b, _extractor(inputs.args)),
-        "perceptual_identity",
-    ),
-    "gm-perceptual": (
-        lambda a, b, inputs: losses.gm_perceptual_loss(a, b, _extractor(inputs.args)),
-        "gm_perceptual_identity",
-    ),
-    "gm-reconstruction": (
-        lambda a, b, inputs: losses.gm_reconstruction_loss(a, b),
-        "gm_reconstruction",
-    ),
-    "gen-adv": (_gen_adv, None),
-    "disc": (_disc, None),  # reads scores, not rasters
-}
-
-
-def _evaluate_loss(args: argparse.Namespace) -> float:
-    value, _ = LOSSES[args.name]
-    if args.name == "disc":
-        return value(None, None, _LossInputs(args, None, args.ratio))
-    a, b = _loss_rasters(args)
+    fused, reference = (raster.read_raster(path) for path in args.rasters)
     lrms = raster.read_raster(args.lrms) if args.lrms else None
-    return value(a, b, _LossInputs(args, lrms, args.ratio))
+    extractor = args.extractor
+    if extractor != features.IDENTITY:
+        extractor = features.load_conv_stack(extractor)
+    return fused, reference, losses.LossContext(lrms, args.ratio, extractor)
+
+
+def _scores(args: argparse.Namespace, flag: str) -> list[float]:
+    text = getattr(args, flag[2:].replace("-", "_"))
+    if not text:
+        raise UsageError(f"loss {args.name} needs {flag}")
+    return _parse_float_list(text, flag)
 
 
 def _center_crop(r: Raster, size: int) -> Raster:
@@ -217,37 +162,44 @@ def _center_crop(r: Raster, size: int) -> Raster:
     return Raster(r.data[h0 : h0 + size, w0 : w0 + size, :])
 
 
-def _grad_check(args: argparse.Namespace) -> int:
-    name = args.name
-    value, grad_id = LOSSES[name]
-    if grad_id is None:
-        raise UsageError(f"loss {name!r} has no analytic gradient to check")
-    if grad_id.endswith("_identity") and args.extractor != features.IDENTITY:
-        raise UsageError(f"loss {name!r} supports --grad-check only with the identity extractor")
-    a, b = _loss_rasters(args)
-    ratio = args.ratio if args.ratio else 4
-    crop = min(16, a.height, a.width)
-    lr_c = None
-    if grad_id == "total_sam":
-        if not args.lrms:
-            raise UsageError("loss total-sam needs --lrms")
-        crop -= crop % ratio
-        if crop < ratio:
+def _grad_check(
+    args: argparse.Namespace, fused: Raster, reference: Raster, ctx: losses.LossContext
+) -> int:
+    """Analytic against finite-difference gradient on a center crop of at most
+    16 x 16 of a checked pair, and of a set lrms at a multiple of the ratio."""
+    value, grad_id = LOSSES[args.name]
+    crop = min(16, fused.height, fused.width)
+    if ctx.lrms is not None and ctx.ratio is not None and ctx.ratio >= 1:
+        if crop < ctx.ratio:
             raise UsageError("raster too small for a ratio-aligned gradient check")
-        lr_c = _center_crop(raster.read_raster(args.lrms), crop // ratio)
-    a_c, b_c = _center_crop(a, crop), _center_crop(b, crop)
-    analytic = losses.loss_gradient(grad_id, a_c, b_c, lrms=lr_c, ratio=ratio)
-    inputs = _LossInputs(args, lr_c, ratio)
-    max_rel = losses.gradient_check(lambda x: value(x, b_c, inputs), analytic, a_c, args.h)
+        crop -= crop % ctx.ratio
+        ctx = ctx._replace(lrms=_center_crop(ctx.lrms, crop // ctx.ratio))
+    fused, reference = _center_crop(fused, crop), _center_crop(reference, crop)
+    analytic = Raster(losses.GRADIENTS[grad_id](fused, reference, ctx))
+    max_rel = losses.gradient_check(lambda x: value(x, reference, ctx), analytic, fused, args.h)
     ok = max_rel < 1e-4
-    print(f"grad-check {name}: max_rel_err={max_rel:.3e} < 1e-4: {'PASS' if ok else 'FAIL'}")
+    print(f"grad-check {args.name}: max_rel_err={max_rel:.3e} < 1e-4: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def cmd_loss(args: argparse.Namespace) -> int:
-    if args.grad_check:
-        return _grad_check(args)
-    print(f"{_evaluate_loss(args):.6f}")
+    if args.grad_check and (args.name not in LOSSES or LOSSES[args.name].gradient is None):
+        raise UsageError(f"loss {args.name!r} has no analytic gradient to check")
+    if args.name == "disc":
+        fake, real = _scores(args, "--d-fake"), _scores(args, "--d-real")
+        value = losses.discriminator_loss(fake, real, args.disc_mode)
+    elif args.name == "gen-adv":
+        fused, reference, _ = _loss_inputs(args)
+        scores = _scores(args, "--d-score")
+        spec = losses.LossSpec(alpha=args.alpha, beta=args.beta)
+        n = len(scores)
+        value = losses.generator_loss(scores, [fused] * n, [reference] * n, spec)
+    else:
+        fused, reference, ctx = _loss_inputs(args)
+        value = LOSSES[args.name].value(fused, reference, ctx)
+        if args.grad_check:
+            return _grad_check(args, fused, reference, ctx)
+    print(f"{value:.6f}")
     return 0
 
 
@@ -304,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_loss = sub.add_parser("loss", help="evaluate a loss value or check its gradient")
-    p_loss.add_argument("--name", required=True, choices=LOSSES)
+    p_loss.add_argument("--name", required=True, choices=(*LOSSES, "gen-adv", "disc"))
     p_loss.add_argument("rasters", nargs="*", help="fused and reference .msr files")
     p_loss.add_argument("--lrms", default="", help="low-resolution ms for total-sam")
-    p_loss.add_argument("--ratio", type=int, default=0)
+    p_loss.add_argument("--ratio", type=int)
     p_loss.add_argument("--extractor", default=features.IDENTITY, help="'identity' or CSW path")
     p_loss.add_argument("--alpha", type=float, default=1.0)
     p_loss.add_argument("--beta", type=float, default=1.0)

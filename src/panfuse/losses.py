@@ -2,9 +2,9 @@
 
 Pixel losses, the adversarial generator/discriminator objectives, the
 spectral-angle regularizer at one and two resolutions, Gram-matrix and
-perceptual losses, and the weighted combination. Every supported loss has
-an analytic gradient with respect to the fused image plus a central
-finite-difference oracle for verification.
+perceptual losses, and the weighted combination. ``LOSSES`` holds the
+raster-pair losses; six have an analytic gradient with respect to the fused
+image in ``GRADIENTS``, verified by a central finite-difference oracle.
 
 Two of the published formulas are kept in both an as-printed and a
 corrected form behind a ``mode`` argument: the spectral-angle loss (the
@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
-from .features import Extractor, extract_features
+from .features import IDENTITY, Extractor, extract_features
 from .raster import Raster, _check_same_shape, _check_scale_pair
 from .resample import _downsample, _downsample_adjoint
 
@@ -54,6 +54,22 @@ class LossSpec:
                 raise UsageError(f"loss weight {name} must be finite")
         if self.eta1 < 0 or self.eta2 < 0:
             raise UsageError("eta1 and eta2 must be nonnegative")
+
+
+class LossContext(NamedTuple):
+    """What a loss reads besides the (fused, reference) pair: the lrms and
+    ratio of total SAM, and the extractor of the perceptual terms."""
+
+    lrms: Raster | None = None
+    ratio: int | None = None
+    extractor: Extractor = IDENTITY
+
+
+def _lrms_and_ratio(ctx: LossContext) -> tuple[Raster, int]:
+    """The context of total SAM, which needs both its lrms and its ratio."""
+    if ctx.lrms is None or ctx.ratio is None:
+        raise UsageError("total-sam needs lrms and ratio")
+    return ctx.lrms, ctx.ratio
 
 
 @dataclass(frozen=True)
@@ -255,46 +271,33 @@ def _gram_delta_gradient(
     return grad.reshape(h, w, c)
 
 
-def _l1_gradient(
-    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
-) -> np.ndarray:
+def _l1_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
     return np.sign(fused.data - reference.data) / fused.data.size
 
 
-def _mse_gradient(
-    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
-) -> np.ndarray:
+def _mse_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
     return 2.0 * (fused.data - reference.data) / fused.data.size
 
 
-def _sam_gradient(
-    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
-) -> np.ndarray:
+def _sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
     return _sam_cosine_gradient(fused.data, reference.data)
 
 
-def _total_sam_gradient(
-    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
-) -> np.ndarray:
-    if lrms is None or ratio is None:
-        raise UsageError("total_sam gradient needs lrms and ratio")
+def _total_sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
+    lrms, ratio = _lrms_and_ratio(ctx)
     _check_scale_pair(lrms, fused, ratio, pan=False)
     grad_full = _sam_cosine_gradient(fused.data, reference.data)
     grad_low = _sam_cosine_gradient(_downsample(fused.data, ratio), lrms.data)
     return 0.5 * grad_full + 0.5 * _downsample_adjoint(grad_low, ratio)
 
 
-def _gram_gradient(
-    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
-) -> np.ndarray:
+def _gram_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
     delta = gram_matrix(fused).matrix - gram_matrix(reference).matrix
     fro = float(np.sqrt(np.sum(delta * delta)))
     return _gram_delta_gradient(fused.data, delta, fro)
 
 
-def _perceptual_gradient(
-    fused: Raster, reference: Raster, lrms: Raster | None, ratio: int | None
-) -> np.ndarray:
+def _perceptual_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
     diff = fused.data - reference.data
     norm = float(np.sqrt(np.sum(diff * diff)))
     if norm == 0.0:
@@ -302,19 +305,60 @@ def _perceptual_gradient(
     return diff / norm
 
 
-# gradient id -> d loss / d fused of (fused, reference, lrms, ratio), as a
-# fresh array. The "*_identity" entries hold for the identity extractor only.
-GRADIENTS: dict[str, Callable[[Raster, Raster, Raster | None, int | None], np.ndarray]] = {
+_Gradient = Callable[[Raster, Raster, LossContext], np.ndarray]
+
+
+def _identity_only(gradient: _Gradient) -> _Gradient:
+    """``gradient``, which holds only where the features are the pixels."""
+
+    def checked(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
+        if ctx.extractor != IDENTITY:
+            raise UsageError("the perceptual gradients hold for the identity extractor only")
+        return gradient(fused, reference, ctx)
+
+    return checked
+
+
+# gradient id -> d loss / d fused of (fused, reference, ctx), as a fresh array.
+GRADIENTS: dict[str, _Gradient] = {
     "l1": _l1_gradient,
     "mse": _mse_gradient,
     "sam_cosine": _sam_gradient,
     "total_sam": _total_sam_gradient,
     "gm_reconstruction": _gram_gradient,
-    "perceptual_identity": _perceptual_gradient,
-    "gm_perceptual_identity": _gram_gradient,
+    "perceptual_identity": _identity_only(_perceptual_gradient),
+    "gm_perceptual_identity": _identity_only(_gram_gradient),
 }
 
 GRADIENT_LOSSES = tuple(GRADIENTS)
+
+
+class Loss(NamedTuple):
+    """A raster-pair loss: its value of (fused, reference, ctx), and the id of
+    its analytic gradient in :data:`GRADIENTS`, or None."""
+
+    value: Callable[[Raster, Raster, LossContext], float]
+    gradient: str | None
+
+
+# loss name -> Loss. The values look the public loss functions up when they
+# run, not here, so rebinding a function in this module reaches the table.
+LOSSES = {
+    "l1": Loss(lambda f, r, ctx: pixel_loss(f, r, "l1"), "l1"),
+    "mse": Loss(lambda f, r, ctx: pixel_loss(f, r, "mse"), "mse"),
+    "sam": Loss(lambda f, r, ctx: sam_loss(f, r, "cosine"), "sam_cosine"),
+    "sam-printed": Loss(lambda f, r, ctx: sam_loss(f, r, "as_printed"), None),
+    "total-sam": Loss(
+        lambda f, r, ctx: total_sam_loss(f, r, *_lrms_and_ratio(ctx), "cosine"), "total_sam"
+    ),
+    "perceptual": Loss(
+        lambda f, r, ctx: perceptual_loss(f, r, ctx.extractor), "perceptual_identity"
+    ),
+    "gm-perceptual": Loss(
+        lambda f, r, ctx: gm_perceptual_loss(f, r, ctx.extractor), "gm_perceptual_identity"
+    ),
+    "gm-reconstruction": Loss(lambda f, r, ctx: gm_reconstruction_loss(f, r), "gm_reconstruction"),
+}
 
 
 def loss_gradient(
@@ -334,7 +378,7 @@ def loss_gradient(
     if loss_id not in GRADIENTS:
         raise UsageError(f"no analytic gradient for loss {loss_id!r}")
     _check_same_shape(fused, reference)
-    return Raster._adopt(GRADIENTS[loss_id](fused, reference, lrms, ratio))
+    return Raster._adopt(GRADIENTS[loss_id](fused, reference, LossContext(lrms, ratio)))
 
 
 def finite_difference_gradient(

@@ -134,7 +134,8 @@ def _tile_index(
     each (t, P). The valid values of each output are summed in tile-row
     order. ``groups[k]`` is output k's two channel groups, each a channel
     index or a sequence of them: if no tile of output k is valid, its index
-    is 1 when the two groups are equal and 0 otherwise.
+    is 1 when the two groups are equal within a relative 1e-9 (``np.allclose``,
+    no absolute term): a constant that resampling moved by an ulp stays equal.
     """
     height, width, _ = parts[0].shape
     if block > min(height, width):
@@ -168,7 +169,8 @@ def _tile_index(
 
     def fallback(a, b) -> float:
         pairs = zip(np.atleast_1d(a), np.atleast_1d(b))
-        return 1.0 if all(np.array_equal(channels[i], channels[j]) for i, j in pairs) else 0.0
+        same = (np.allclose(channels[i], channels[j], rtol=1e-9, atol=0.0) for i, j in pairs)
+        return 1.0 if all(same) else 0.0
 
     return [
         float(total[k] / count[k]) if count[k] else fallback(a, b)
@@ -197,8 +199,8 @@ def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
     Per tile: Q = 4*cov*mean_a*mean_b / ((var_a + var_b) * (mean_a^2 +
     mean_b^2)), the product of correlation, luminance, and contrast
     terms. Tiles with a vanishing denominator factor are skipped; if
-    every tile is degenerate the index is 1 for identical inputs and 0
-    otherwise.
+    every tile is degenerate the index is 1 for inputs equal within a
+    relative 1e-9 and 0 otherwise.
     """
     _check_same_shape(a, b)
     if a.bands != 1:

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: artifacts, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panfuse import (
     ConvLayer,
@@ -17,6 +20,28 @@ from panfuse import (
 )
 from panfuse import cli
 from helpers import random_raster, run_cli, separated_pair
+
+
+# The losses that have an analytic gradient.
+GRADIENT_NAMES = [name for name, (_, grad_id) in cli.LOSSES.items() if grad_id is not None]
+
+# A one-layer 4-band conv stack, a valid --extractor file.
+SWEEP_STACK = ConvStackSpec(
+    bands=4, layers=(ConvLayer(np.full((4, 4, 1, 1), 0.1), np.zeros(4), 1, 0.2),)
+)
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    """An 8 x 8 pair, an 8 x 12 raster, a ratio-4 lrms and a conv stack."""
+    out = tmp_path_factory.mktemp("sweep")
+    fused, reference = separated_pair(21, height=8, width=8, bands=4)
+    write_raster(fused, out / "f.msr")
+    write_raster(reference, out / "r.msr")
+    write_raster(random_raster(22, 8, 12, 4, lo=0.1, hi=0.9), out / "wide.msr")
+    write_raster(random_raster(23, 2, 2, 4, lo=0.1, hi=0.9), out / "lrms.msr")
+    save_conv_stack(SWEEP_STACK, out / "stack.csw")
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +381,80 @@ class TestLoss:
                     tmp_path / "f.msr", tmp_path / "r.msr")
         assert r.returncode == 0, r.stderr + r.stdout
         assert "PASS" in r.stdout
+
+    @staticmethod
+    def loss_exit(*argv):
+        """``cli.main(["loss", *argv])`` with its output swallowed."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(["loss", *map(str, argv)])
+
+    @pytest.mark.parametrize("flags", [(), ("--grad-check",)], ids=["value", "grad-check"])
+    def test_unequal_pair_exit_three(self, scene_dir, flags):
+        assert self.loss_exit("--name", "l1", *flags,
+                              scene_dir / "hrms.msr", scene_dir / "lrms.msr") == 3
+
+    @pytest.mark.parametrize("lrms, ratio", [("hrms.msr", 4), ("lrms.msr", 3)],
+                             ids=["lrms-at-full-scale", "ratio-3-for-ratio-4-lrms"])
+    @pytest.mark.parametrize("flags", [(), ("--grad-check",)], ids=["value", "grad-check"])
+    def test_total_sam_wrong_scale_lrms_exit_three(self, scene_dir, flags, lrms, ratio):
+        assert self.loss_exit("--name", "total-sam", *flags, "--lrms", scene_dir / lrms,
+                              "--ratio", ratio, scene_dir / "hrms.msr",
+                              scene_dir / "reference.msr") == 3
+
+    @pytest.mark.parametrize("flags", [(), ("--grad-check",)], ids=["value", "grad-check"])
+    def test_total_sam_negative_ratio_exit_two(self, scene_dir, flags):
+        assert self.loss_exit("--name", "total-sam", *flags, "--lrms", scene_dir / "lrms.msr",
+                              "--ratio", -4, scene_dir / "hrms.msr",
+                              scene_dir / "reference.msr") == 2
+
+    @pytest.mark.parametrize("flags", [(), ("--grad-check",)], ids=["value", "grad-check"])
+    def test_total_sam_needs_ratio(self, scene_dir, flags):
+        assert self.loss_exit("--name", "total-sam", *flags, "--lrms", scene_dir / "lrms.msr",
+                              scene_dir / "hrms.msr", scene_dir / "reference.msr") == 2
+
+    @pytest.mark.parametrize("name", [*cli.LOSSES, "gen-adv"])
+    def test_extractor_read_for_every_loss(self, scene_dir, tmp_path, name):
+        assert self.loss_exit("--name", name, "--extractor", tmp_path / "missing.csw",
+                              "--d-score", "0.5", scene_dir / "hrms.msr",
+                              scene_dir / "reference.msr") == 5
+
+    @pytest.mark.parametrize("name, code", [("perceptual", 2), ("gm-perceptual", 2),
+                                            ("gm-reconstruction", 0)])
+    def test_grad_check_with_conv_stack(self, tmp_path, name, code):
+        fused, reference = separated_pair(5, height=8, width=8, bands=4)
+        write_raster(fused, tmp_path / "f.msr")
+        write_raster(reference, tmp_path / "r.msr")
+        save_conv_stack(SWEEP_STACK, tmp_path / "stack.csw")
+        assert self.loss_exit("--name", name, "--grad-check", "--extractor",
+                              tmp_path / "stack.csw", tmp_path / "f.msr",
+                              tmp_path / "r.msr") == code
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        name=st.sampled_from([*cli.LOSSES, "gen-adv", "disc"]),
+        ratio=st.sampled_from([None, -4, 0, 1, 3, 4, 64]),
+        lrms=st.sampled_from(["lrms.msr", "f.msr", None]),
+        reference=st.sampled_from(["r.msr", "wide.msr"]),
+        extractor=st.sampled_from(["identity", "stack.csw", "missing.csw"]),
+    )
+    def test_grad_check_exits_as_the_value(self, sweep_dir, name, ratio, lrms, reference,
+                                           extractor):
+        """Each draw runs without and with --grad-check: both end in a
+        documented exit code, and a value that fails with 2-5 makes the
+        gradient check fail with the same code."""
+        argv = ["--name", name, "--d-score", "0.5", "--d-fake", "0.3", "--d-real", "0.6",
+                "--extractor", extractor if extractor == "identity" else sweep_dir / extractor,
+                sweep_dir / "f.msr", sweep_dir / reference]
+        if ratio is not None:
+            argv += ["--ratio", ratio]
+        if lrms is not None:
+            argv += ["--lrms", sweep_dir / lrms]
+        value_code = self.loss_exit(*argv)
+        grad_code = self.loss_exit(*argv, "--grad-check")
+        assert value_code in (0, 2, 3, 4, 5)
+        assert grad_code in (0, 1, 2, 3, 4, 5)
+        if name in GRADIENT_NAMES and value_code != 0:
+            assert grad_code == value_code
 
 
 class TestMalformedInputs:

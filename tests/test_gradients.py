@@ -5,6 +5,8 @@ import pytest
 
 from panfuse import (
     IDENTITY,
+    ConvLayer,
+    ConvStackSpec,
     LossSpec,
     Raster,
     combined_loss,
@@ -18,7 +20,9 @@ from panfuse import (
     sam_loss,
     total_sam_loss,
 )
+from panfuse import cli
 from panfuse.errors import UsageError
+from panfuse.losses import GRADIENTS, LOSSES, Loss, LossContext
 from helpers import random_raster, separated_pair
 
 
@@ -137,3 +141,59 @@ class TestAnalyticVsFiniteDifference:
         for name, (fn, analytic) in loss_cases(fused, reference, lrms).items():
             max_rel = gradient_check(fn, analytic, fused, 1e-5)
             assert max_rel < 1e-4, f"{name} seed={seed}: max_rel={max_rel:.3e}"
+
+
+class TestLossTable:
+    """One registry of raster-pair losses over one context."""
+
+    @staticmethod
+    def conv_stack():
+        layer = ConvLayer(np.full((4, 4, 1, 1), 0.1), np.zeros(4), 1, 0.2)
+        return ConvStackSpec(bands=4, layers=(layer,))
+
+    def test_registry_is_the_cli_table(self):
+        assert cli.LOSSES is LOSSES
+        assert Loss._fields == ("value", "gradient")
+        assert tuple(LOSSES) == (
+            "l1", "mse", "sam", "sam-printed", "total-sam",
+            "perceptual", "gm-perceptual", "gm-reconstruction",
+        )
+
+    def test_every_gradient_id_has_one_loss(self):
+        ids = [loss.gradient for loss in LOSSES.values() if loss.gradient is not None]
+        assert sorted(ids) == sorted(GRADIENTS)
+
+    def test_context_defaults(self):
+        assert LossContext() == (None, None, IDENTITY)
+
+    @pytest.mark.parametrize("loss_id", list(GRADIENTS))
+    def test_loss_gradient_is_the_table_entry(self, loss_id):
+        fused, reference = separated_pair(7, height=8, width=8, bands=4)
+        lrms = random_raster(8, 2, 2, 4, lo=0.1, hi=0.9)
+        got = loss_gradient(loss_id, fused, reference, lrms=lrms, ratio=4)
+        want = GRADIENTS[loss_id](fused, reference, LossContext(lrms, 4))
+        assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize(
+        "ctx", [LossContext(), LossContext(ratio=4), LossContext(lrms=random_raster(9, 2, 2, 4))],
+        ids=["neither", "no-lrms", "no-ratio"],
+    )
+    def test_total_sam_needs_lrms_and_ratio(self, ctx):
+        fused, reference = separated_pair(10, height=8, width=8, bands=4)
+        with pytest.raises(UsageError, match="lrms and ratio"):
+            LOSSES["total-sam"].value(fused, reference, ctx)
+        with pytest.raises(UsageError, match="lrms and ratio"):
+            GRADIENTS["total_sam"](fused, reference, ctx)
+
+    @pytest.mark.parametrize("loss_id", ["perceptual_identity", "gm_perceptual_identity"])
+    def test_perceptual_gradients_refuse_a_conv_stack(self, loss_id):
+        fused, reference = separated_pair(11, height=8, width=8, bands=4)
+        with pytest.raises(UsageError, match="identity extractor"):
+            GRADIENTS[loss_id](fused, reference, LossContext(extractor=self.conv_stack()))
+
+    def test_gm_reconstruction_gradient_ignores_the_extractor(self):
+        fused, reference = separated_pair(12, height=8, width=8, bands=4)
+        got = GRADIENTS["gm_reconstruction"](
+            fused, reference, LossContext(extractor=self.conv_stack())
+        )
+        assert np.array_equal(got, loss_gradient("gm_reconstruction", fused, reference).data)

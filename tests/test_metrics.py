@@ -397,6 +397,15 @@ class TestQnr:
         assert got == qnr_oracle(hrms, lrms, pan, 4, 32)
         assert got[0] == 1.0
 
+    @pytest.mark.parametrize("c", [0.5, 0.3, 0.25, 0.7])
+    def test_constant_scene_falls_back_within_ulps(self, c):
+        # The pan downsamples to c - 1 ulp for c = 0.5, 0.3 and 0.25, which a
+        # bitwise fallback scored as a pan unequal to the bands.
+        fused = Raster(np.full((64, 64, 4), c))
+        lrms = Raster(np.full((16, 16, 4), c))
+        pan = Raster(np.full((64, 64, 1), c))
+        assert metric_qnr(fused, lrms, pan, 4, 32) == (1.0, 0.0, 0.0)
+
     def test_dimension_mismatch(self):
         hrms, lrms, pan = self._consistent_scene(size=64)
         with pytest.raises(ShapeMismatchError):
