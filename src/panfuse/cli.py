@@ -59,8 +59,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_degrade(args: argparse.Namespace) -> int:
-    if args.ratio < 2:
-        raise UsageError("--ratio must be >= 2 for reduced-scale evaluation")
     hrms = raster.read_raster(args.hrms)
     pan = raster.read_raster(args.pan)
     lrms, lrpan, reference = resample.wald_degrade(hrms, pan, args.ratio)
@@ -166,14 +164,15 @@ def _grad_check(
     args: argparse.Namespace, fused: Raster, reference: Raster, ctx: losses.LossContext
 ) -> int:
     """Analytic against finite-difference gradient on a center crop of at most
-    16 x 16 of a checked pair, and of a set lrms at a multiple of the ratio."""
+    16 x 16 of a checked pair. With an lrms at the ratio's scale, the crop is
+    a multiple of the ratio, one ratio wide above 16, and the lrms is cropped
+    to match."""
     value, grad_id = LOSSES[args.name]
     crop = min(16, fused.height, fused.width)
-    if ctx.lrms is not None and ctx.ratio is not None and ctx.ratio >= 1:
-        if crop < ctx.ratio:
-            raise UsageError("raster too small for a ratio-aligned gradient check")
-        crop -= crop % ctx.ratio
-        ctx = ctx._replace(lrms=_center_crop(ctx.lrms, crop // ctx.ratio))
+    lrms, ratio = ctx.lrms, ctx.ratio or 0
+    if lrms is not None and (lrms.height * ratio, lrms.width * ratio) == fused.data.shape[:2]:
+        crop = max(crop - crop % ratio, ratio)
+        ctx = ctx._replace(lrms=_center_crop(lrms, crop // ratio))
     fused, reference = _center_crop(fused, crop), _center_crop(reference, crop)
     analytic = Raster(losses.GRADIENTS[grad_id](fused, reference, ctx))
     max_rel = losses.gradient_check(lambda x: value(x, reference, ctx), analytic, fused, args.h)

@@ -18,6 +18,10 @@ class UsageError(PanfuseError):
     exit_code = 2
 
 
+class IntegerParameterError(UsageError, ValueError):
+    """Integer parameter (ratio, size, stride, ...) not an int at or above its minimum."""
+
+
 class ShapeMismatchError(PanfuseError):
     """Raster dimensions incompatible with each other or an operation."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -30,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
     UsageError,
 )
-from .raster import Raster, _check_positive_ints, _read_framed, _write_framed
+from .raster import Raster, _check_positive_ints, _positive_int, _read_framed, _write_framed
 
 CSW_MAGIC = b"CSW1"
 
@@ -79,20 +78,6 @@ class ConvLayer:
     @property
     def kernel_size(self) -> int:
         return self.weights.shape[2]
-
-
-def _positive_int(name: str, value: object) -> int:
-    """``value`` as a plain ``int`` >= 1; a bool, float or other non-integer
-    raises ``ValueError``."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if number < 1:
-        raise ValueError(f"{name} must be >= 1, got {number}")
-    return number
 
 
 @dataclass(frozen=True, eq=False)

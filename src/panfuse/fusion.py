@@ -32,7 +32,7 @@ class FusionInput:
     ratio: int
 
     def __post_init__(self) -> None:
-        _check_scale_pair(self.lrms, self.pan, self.ratio)
+        object.__setattr__(self, "ratio", _check_scale_pair(self.lrms, self.pan, self.ratio))
 
 
 def _row_strips(cube: np.ndarray) -> list[slice]:
@@ -156,7 +156,7 @@ def mmse_band_weights(lrms: Raster, pan: Raster, ratio: int) -> np.ndarray:
     Solves min_w ||downsample(pan) - sum_b w_b * lrms_b||^2 without a
     nonnegativity constraint.
     """
-    _check_scale_pair(lrms, pan, ratio)
+    ratio = _check_scale_pair(lrms, pan, ratio)
     a = lrms.data.reshape(-1, lrms.bands)
     y = _downsample(pan.data, ratio).ravel()
     weights, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)

@@ -186,7 +186,7 @@ def total_sam_loss(
     0.5 * sam(fused, reference) + 0.5 * sam(downsample(fused), lrms).
     """
     _check_same_shape(fused, reference)
-    _check_scale_pair(lrms, fused, ratio, pan=False)
+    ratio = _check_scale_pair(lrms, fused, ratio, pan=False)
     down = _downsample(fused.data, ratio)
     return 0.5 * _sam_loss(fused.data, reference.data, mode) + 0.5 * _sam_loss(
         down, lrms.data, mode
@@ -285,7 +285,7 @@ def _sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndar
 
 def _total_sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
     lrms, ratio = _lrms_and_ratio(ctx)
-    _check_scale_pair(lrms, fused, ratio, pan=False)
+    ratio = _check_scale_pair(lrms, fused, ratio, pan=False)
     grad_full = _sam_cosine_gradient(fused.data, reference.data)
     grad_low = _sam_cosine_gradient(_downsample(fused.data, ratio), lrms.data)
     return 0.5 * grad_full + 0.5 * _downsample_adjoint(grad_low, ratio)

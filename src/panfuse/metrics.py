@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._strips import _map_strips, _strip_rows
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import Raster, _check_same_shape, _check_scale_pair
+from .raster import Raster, _check_same_shape, _check_scale_pair, _positive_int
 from .resample import _downsample
 
 _EPS = 1e-12
@@ -95,6 +95,7 @@ def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
     sums are summed per band in row strips, so no full-size difference array
     is made and the reference is read once.
     """
+    ratio = _positive_int("ratio", ratio)
     _check_same_shape(fused, reference)
     step = _strip_rows(fused.width, fused.bands)
 
@@ -138,6 +139,7 @@ def _tile_index(
     no absolute term): a constant that resampling moved by an ulp stays equal.
     """
     height, width, _ = parts[0].shape
+    block = _positive_int("block", block)
     if block > min(height, width):
         raise ShapeMismatchError(f"block {block} larger than image {height}x{width}")
     if block < 2:
@@ -351,11 +353,12 @@ def metric_qnr(
     side). Both distortions are clamped to [0, 1] and combined as
     QNR = (1 - D_lambda) * (1 - D_s).
     """
-    _check_scale_pair(lrms, pan, ratio)
+    ratio = _check_scale_pair(lrms, pan, ratio)
     _check_scale_pair(lrms, fused, ratio, pan=False)
     nbands = fused.bands
     if nbands < 2:
         raise ShapeMismatchError("qnr requires at least 2 bands")
+    block = _positive_int("block", block)
     lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
     pan_lr = _downsample(pan.data, ratio)
     # Channels 0..nbands-1 are the bands and channel nbands the pan. Q is

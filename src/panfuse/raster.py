@@ -18,6 +18,7 @@ format of :mod:`panfuse.features`.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ import numpy as np
 from ._strips import _strip_rows
 from .errors import (
     HeaderError,
+    IntegerParameterError,
     MagicError,
     MissingFileError,
     NonFiniteDataError,
@@ -72,10 +74,6 @@ class Raster:
     def bands(self) -> int:
         return self.data.shape[2]
 
-    def band(self, b: int) -> np.ndarray:
-        """Read-only 2-D view of band ``b``."""
-        return self.data[:, :, b]
-
 
 def _checked(arr: np.ndarray) -> np.ndarray:
     """``arr`` as a read-only H x W x B cube, or the error it breaks."""
@@ -91,6 +89,21 @@ def _checked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _positive_int(name: str, value: object, minimum: int = 1) -> int:
+    """``value`` as a plain ``int`` >= ``minimum``: the one rule for every
+    integer parameter. A bool, float or other non-integer breaks it too, with
+    an error that is both a usage error and a ``ValueError``."""
+    if isinstance(value, bool):
+        raise IntegerParameterError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise IntegerParameterError(f"{name} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise IntegerParameterError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
 def _check_same_shape(a: Raster, b: Raster) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeMismatchError(
@@ -98,11 +111,11 @@ def _check_same_shape(a: Raster, b: Raster) -> None:
         )
 
 
-def _check_scale_pair(lr: Raster, hr: Raster, ratio: int, pan: bool = True) -> None:
-    """Raise unless ``hr`` is ``ratio`` times ``lr`` in height and width and is
-    a single pan band (``pan``) or has as many bands as ``lr`` (``not pan``)."""
-    if ratio < 1:
-        raise UsageError(f"ratio must be >= 1, got {ratio}")
+def _check_scale_pair(lr: Raster, hr: Raster, ratio: int, pan: bool = True) -> int:
+    """``ratio`` as a plain int; raise unless ``hr`` is ``ratio`` times ``lr`` in
+    height and width and is a single pan band (``pan``) or has as many bands as
+    ``lr`` (``not pan``)."""
+    ratio = _positive_int("ratio", ratio)
     if pan and hr.bands != 1:
         raise ShapeMismatchError(f"pan must be single band, got {hr.bands} bands")
     if not pan and hr.bands != lr.bands:
@@ -112,6 +125,7 @@ def _check_scale_pair(lr: Raster, hr: Raster, ratio: int, pan: bool = True) -> N
             f"{'pan' if pan else 'high-resolution'} dims {hr.height}x{hr.width} != "
             f"ratio {ratio} * {lr.height}x{lr.width}"
         )
+    return ratio
 
 
 class Patch(NamedTuple):
@@ -128,6 +142,7 @@ class PatchSet:
     ratio: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ratio", _positive_int("ratio", self.ratio))
         for p in self.patches:
             _check_scale_pair(p.lrms, p.pan, self.ratio)
             if p.reference is not None:
@@ -195,15 +210,12 @@ def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, np.nd
 
 
 def _check_positive_ints(where: object, fields: object, keys: Sequence[str]) -> None:
-    """``fields`` must be a JSON object whose ``keys`` are integers >= 1.
-
-    The test is ``type(v) is int``: JSON ``true`` parses to a bool, which
-    ``isinstance(v, int)`` would accept.
-    """
+    """``fields`` must be a JSON object whose ``keys`` are integers >= 1."""
     for key in keys:
-        value = fields.get(key) if isinstance(fields, dict) else None
-        if type(value) is not int or value < 1:
-            raise HeaderError(f"{where}: header field {key!r} missing or invalid")
+        try:
+            _positive_int(key, fields.get(key) if isinstance(fields, dict) else None)
+        except IntegerParameterError:
+            raise HeaderError(f"{where}: header field {key!r} missing or invalid") from None
 
 
 def write_raster(raster: Raster, path: str | Path) -> None:
@@ -275,12 +287,8 @@ def synth_scene(
     output. Every random parameter is drawn first; each band is then
     filled in row strips of about ``_STRIP_ELEMENTS`` values.
     """
-    if width < 8 or height < 8:
-        raise UsageError(f"scene dimensions must be >= 8, got {width}x{height}")
-    if bands < 1:
-        raise UsageError(f"band count must be >= 1, got {bands}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    width, height = _positive_int("width", width, 8), _positive_int("height", height, 8)
+    bands, seed = _positive_int("bands", bands), _positive_int("seed", seed, 0)
     _normalized_weights(pan_weights, bands)
     try:
         cube = np.empty((height, width, bands), dtype=np.float64)
@@ -344,9 +352,7 @@ def patchify(ms: Raster, pan: Raster, patch: int, ratio: int) -> PatchSet:
     ``patch/ratio`` squared. References stay empty until a degradation
     step fills them. Pixel values are exact sub-windows of the inputs.
     """
-    _check_scale_pair(ms, pan, ratio)
-    if patch < 1:
-        raise UsageError(f"patch size must be >= 1, got {patch}")
+    ratio, patch = _check_scale_pair(ms, pan, ratio), _positive_int("patch size", patch)
     if patch % ratio != 0:
         raise UsageError(f"patch size {patch} not divisible by ratio {ratio}")
     mp = patch // ratio

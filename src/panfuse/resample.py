@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._strips import _strip_rows
-from .errors import DegenerateInputError, ShapeMismatchError, UsageError
-from .raster import Raster, _check_scale_pair
+from .errors import DegenerateInputError, ShapeMismatchError
+from .raster import Raster, _check_scale_pair, _positive_int
 
 _STD_EPS = 1e-12
 
@@ -106,8 +106,7 @@ def downsample_antialias(x: Raster, ratio: int) -> Raster:
     so constants are preserved exactly up to rounding. ``ratio == 1``
     applies the blur without decimation.
     """
-    if ratio < 1:
-        raise UsageError(f"ratio must be >= 1, got {ratio}")
+    ratio = _positive_int("ratio", ratio)
     if x.height % ratio or x.width % ratio:
         raise ShapeMismatchError(
             f"dims {x.height}x{x.width} not divisible by ratio {ratio}"
@@ -120,8 +119,8 @@ def downsample_antialias_adjoint(grad: Raster, ratio: int, height: int, width: i
     blur, axis 1 then axis 0. Needed to backpropagate losses evaluated at
     reduced scale.
     """
-    if ratio < 1:
-        raise UsageError(f"ratio must be >= 1, got {ratio}")
+    ratio = _positive_int("ratio", ratio)
+    height, width = _positive_int("height", height), _positive_int("width", width)
     if (grad.height * ratio, grad.width * ratio) != (height, width):
         raise ShapeMismatchError(
             f"adjoint target {height}x{width} is not ratio {ratio} times "
@@ -182,8 +181,7 @@ def upsample(x: Raster, ratio: int) -> Raster:
     Symmetric borders, output clipped to [0, 1]. ``ratio == 1`` is the
     identity.
     """
-    if ratio < 1:
-        raise UsageError(f"ratio must be >= 1, got {ratio}")
+    ratio = _positive_int("ratio", ratio)
     if ratio == 1:
         return x
     return Raster._adopt(_upsample(x.data, ratio))
@@ -195,8 +193,7 @@ def wald_degrade(hrms: Raster, pan: Raster, ratio: int) -> tuple[Raster, Raster,
     Returns (lrms, lrpan, reference) where reference is the untouched
     ``hrms``, so a fusion of (lrms, lrpan) is directly comparable to it.
     """
-    if ratio < 2:
-        raise UsageError(f"degradation ratio must be >= 2, got {ratio}")
+    ratio = _positive_int("degradation ratio", ratio, 2)
     _check_scale_pair(hrms, pan, 1)
     lrms = downsample_antialias(hrms, ratio)
     lrpan = downsample_antialias(pan, ratio)

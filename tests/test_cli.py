@@ -108,6 +108,12 @@ class TestDegrade:
                     "--pan", tmp_path / "nope2.msr", "--out", tmp_path)
         assert r.returncode == 5
 
+    def test_ratio_one_with_missing_file_exit_five(self, tmp_path):
+        # The inputs are read before the ratio is checked, as in fuse and eval.
+        r = run_cli("degrade", "--hrms", tmp_path / "nope.msr",
+                    "--pan", tmp_path / "nope2.msr", "--ratio", 1, "--out", tmp_path)
+        assert r.returncode == 5
+
 
 class TestPatchify:
     def test_patch_count(self, scene_dir, tmp_path):
@@ -292,6 +298,15 @@ class TestEval:
         for i, name in enumerate(("ssim", "sam", "ergas", "q4", "qnr")):
             assert float(csv_cells[i + 1]) == json_row[name]
 
+    def test_one_pixel_wide_exit_three(self, tmp_path):
+        # The Q-index block is clamped to the image width: one pixel has no tile statistics.
+        for name, bands in (("f", 4), ("ref", 4), ("lrms", 4), ("pan", 1)):
+            write_raster(random_raster(10, 8, 1, bands, lo=0.1, hi=0.9), tmp_path / f"{name}.msr")
+        r = run_cli("eval", "--fused", tmp_path / "f.msr", "--reference", tmp_path / "ref.msr",
+                    "--lrms", tmp_path / "lrms.msr", "--pan", tmp_path / "pan.msr",
+                    "--ratio", 1, "--out", tmp_path)
+        assert r.returncode == 3, r.stderr
+
     def test_shape_mismatch_exit_three(self, scene_dir, tmp_path):
         r = run_cli("eval", "--fused", scene_dir / "lrms.msr",
                     "--reference", scene_dir / "reference.msr",
@@ -387,6 +402,24 @@ class TestLoss:
         """``cli.main(["loss", *argv])`` with its output swallowed."""
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             return cli.main(["loss", *map(str, argv)])
+
+    @pytest.mark.parametrize(
+        "name, size, lrms_size, ratio",
+        [("l1", 16, 16, 64), ("total-sam", 32, 1, 32)],
+        ids=["lrms-off-scale-ratio-64", "ratio-32-above-the-crop"],
+    )
+    def test_grad_check_runs_where_the_value_does(self, tmp_path, capsys, name, size,
+                                                  lrms_size, ratio):
+        fused, reference = separated_pair(8, height=size, width=size, bands=2)
+        write_raster(fused, tmp_path / "f.msr")
+        write_raster(reference, tmp_path / "r.msr")
+        write_raster(random_raster(9, lrms_size, lrms_size, 2, lo=0.1, hi=0.9),
+                     tmp_path / "lrms.msr")
+        argv = ["loss", "--name", name, "--lrms", tmp_path / "lrms.msr", "--ratio", ratio,
+                tmp_path / "f.msr", tmp_path / "r.msr"]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert cli.main([str(a) for a in argv + ["--grad-check"]]) in (0, 1)
+        assert f"grad-check {name}: max_rel_err=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [(), ("--grad-check",)], ids=["value", "grad-check"])
     def test_unequal_pair_exit_three(self, scene_dir, flags):
