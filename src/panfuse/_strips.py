@@ -1,5 +1,5 @@
-"""Row strips: the strip size shared by every strip-wise pass, and one runner
-that computes independent strips on the calling thread and one helper thread.
+"""Row strips: the one plan that splits the rows of every strip-wise pass, and
+one runner that computes independent strips on this thread and one helper.
 
 The runner returns the strips' results in strip order whichever thread ran
 them, so a caller that combines them in that order gets the same bits on any
@@ -13,6 +13,7 @@ import threading
 from collections import deque
 from typing import Callable, Sequence, TypeVar
 
+S = TypeVar("S")
 T = TypeVar("T")
 
 # Elements per strip array: 32 Ki float64 values (256 KiB), so a strip's few
@@ -32,6 +33,13 @@ _on_helper = threading.local()
 def _strip_rows(width: int, bands: int) -> int:
     """Rows of a ``width`` x ``bands`` image that fill one strip."""
     return max(1, _STRIP_ELEMENTS // (width * bands))
+
+
+def _row_strips(height: int, width: int, bands: int, min_rows: int = 1) -> list[slice]:
+    """Row slices of a ``height`` x ``width`` x ``bands`` image: strips of
+    :func:`_strip_rows` rows, at least ``min_rows``, the last cut at ``height``."""
+    step = max(_strip_rows(width, bands), min_rows)
+    return [slice(r, min(r + step, height)) for r in range(0, height, step)]
 
 
 def _cpus() -> int:
@@ -72,8 +80,8 @@ def _helper_ready() -> bool:
     return True
 
 
-def _map_strips(fn: Callable[[int], T], starts: Sequence[int]) -> list[T]:
-    """``[fn(s) for s in starts]``, with the strips shared between the calling
+def _map_strips(fn: Callable[[S], T], strips: Sequence[S]) -> list[T]:
+    """``[fn(s) for s in strips]``, with the strips shared between the calling
     thread and the helper.
 
     Both threads take the next strip from one counter, so neither idles while
@@ -81,9 +89,9 @@ def _map_strips(fn: Callable[[int], T], starts: Sequence[int]) -> list[T]:
     it needs itself (error state is per thread) and call only private
     functions, never a traced public one. One strip, or one CPU, runs inline.
     """
-    if len(starts) < 2 or not _helper_ready():
-        return [fn(s) for s in starts]
-    results: list = [None] * len(starts)
+    if len(strips) < 2 or not _helper_ready():
+        return [fn(s) for s in strips]
+    results: list = [None] * len(strips)
     lock = threading.Lock()
     taken = 0
     helper_failure: list[BaseException] = []
@@ -94,9 +102,9 @@ def _map_strips(fn: Callable[[int], T], starts: Sequence[int]) -> list[T]:
         while True:
             with lock:
                 i, taken = taken, taken + 1
-            if i >= len(starts):
+            if i >= len(strips):
                 return
-            results[i] = fn(starts[i])
+            results[i] = fn(strips[i])
 
     def helper_job() -> None:
         try:
@@ -112,7 +120,7 @@ def _map_strips(fn: Callable[[int], T], starts: Sequence[int]) -> list[T]:
         drain()
     finally:
         with lock:
-            taken = len(starts)  # after a failure here, the helper starts no new strip
+            taken = len(strips)  # after a failure here, the helper starts no new strip
         helper_done.wait()
     if helper_failure:
         raise helper_failure[0]

@@ -154,26 +154,32 @@ def _scores(args: argparse.Namespace, flag: str) -> list[float]:
     return _parse_float_list(text, flag)
 
 
-def _center_crop(r: Raster, size: int) -> Raster:
-    h0 = (r.height - size) // 2
-    w0 = (r.width - size) // 2
-    return Raster(r.data[h0 : h0 + size, w0 : w0 + size, :])
+def _grad_check_window(height: int, width: int, ratio: int) -> tuple[int, int, int]:
+    """(top, left, size) of the gradient check's square window: at most 16
+    wide but at least one ``ratio`` x ``ratio`` cell, and centered on the cell
+    grid, so scaled down by ``ratio`` it is the centered window of the lrms."""
+    cells = max(min(16, height, width) // ratio, 1)
+    top = (height // ratio - cells) // 2 * ratio
+    left = (width // ratio - cells) // 2 * ratio
+    return top, left, cells * ratio
 
 
 def _grad_check(
     args: argparse.Namespace, fused: Raster, reference: Raster, ctx: losses.LossContext
 ) -> int:
-    """Analytic against finite-difference gradient on a center crop of at most
-    16 x 16 of a checked pair. With an lrms at the ratio's scale, the crop is
-    a multiple of the ratio, one ratio wide above 16, and the lrms is cropped
-    to match."""
+    """Analytic against finite-difference gradient on the
+    :func:`_grad_check_window` of a checked pair, on the grid of an lrms at
+    the ratio's scale, which is cut to the window's cells."""
     value, grad_id = LOSSES[args.name]
-    crop = min(16, fused.height, fused.width)
     lrms, ratio = ctx.lrms, ctx.ratio or 0
-    if lrms is not None and (lrms.height * ratio, lrms.width * ratio) == fused.data.shape[:2]:
-        crop = max(crop - crop % ratio, ratio)
-        ctx = ctx._replace(lrms=_center_crop(lrms, crop // ratio))
-    fused, reference = _center_crop(fused, crop), _center_crop(reference, crop)
+    if lrms is None or (lrms.height * ratio, lrms.width * ratio) != fused.data.shape[:2]:
+        lrms, ratio = None, 1  # an lrms at another scale is left whole
+    top, left, size = _grad_check_window(fused.height, fused.width, ratio)
+    if lrms is not None:
+        y0, x0, n = top // ratio, left // ratio, size // ratio
+        ctx = ctx._replace(lrms=Raster(lrms.data[y0 : y0 + n, x0 : x0 + n]))
+    window = slice(top, top + size), slice(left, left + size)
+    fused, reference = Raster(fused.data[window]), Raster(reference.data[window])
     analytic = Raster(losses.GRADIENTS[grad_id](fused, reference, ctx))
     max_rel = losses.gradient_check(lambda x: value(x, reference, ctx), analytic, fused, args.h)
     ok = max_rel < 1e-4

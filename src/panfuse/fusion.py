@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._strips import _strip_rows
+from ._strips import _row_strips
 from .errors import DegenerateInputError, UsageError
 from .raster import Raster, _check_scale_pair
 from .resample import _STD_EPS, _correlate_axis, _downsample, _match_moments, _upsample
@@ -35,17 +35,11 @@ class FusionInput:
         object.__setattr__(self, "ratio", _check_scale_pair(self.lrms, self.pan, self.ratio))
 
 
-def _row_strips(cube: np.ndarray) -> list[slice]:
-    """Row slices of an H x W x B cube, each about ``_STRIP_ELEMENTS`` values."""
-    step = _strip_rows(cube.shape[1], cube.shape[2])
-    return [slice(r, r + step) for r in range(0, cube.shape[0], step)]
-
-
 def _plane(cube: np.ndarray, fill: Callable[[np.ndarray, np.ndarray], object]) -> np.ndarray:
     """An H x W plane of an H x W x B cube, written strip by strip:
     ``fill(strip, out)`` writes the strip's rows of the plane into ``out``."""
     plane = np.empty(cube.shape[:2], dtype=np.float64)
-    for rows in _row_strips(cube):
+    for rows in _row_strips(*cube.shape):
         fill(cube[rows], plane[rows])
     return plane
 
@@ -68,7 +62,7 @@ def _inject(
     that returns the strip's per-pixel, per-band gain before the sum is
     added; ``detail`` is H x W.
     """
-    for rows in _row_strips(ms_up):
+    for rows in _row_strips(*ms_up.shape):
         s = ms_up[rows]
         g = gain(s, rows) if callable(gain) else gain
         s += g * detail[rows, :, None]
@@ -104,7 +98,7 @@ def _pca_basis(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The band sums and the centered cross products are summed strip by strip,
     so no centered copy of the cube is made.
     """
-    strips = _row_strips(cube)
+    strips = _row_strips(*cube.shape)
     n = cube.shape[0] * cube.shape[1]
     if n < 2:
         raise DegenerateInputError("pca: band covariance needs at least 2 pixels")
@@ -191,8 +185,8 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
     if np.sqrt(var_i) < _STD_EPS:
         raise DegenerateInputError("gs: intensity surrogate has zero variance")
     # cov(band, I) = sum(b * dev_i) / n: dev_i sums to zero, so the band means drop out.
-    bands = ms_up.shape[2]
-    cross = sum(dev_i[rows].ravel() @ ms_up[rows].reshape(-1, bands) for rows in _row_strips(ms_up))
+    strips = _row_strips(*ms_up.shape)
+    cross = sum(dev_i[s].ravel() @ ms_up[s].reshape(-1, ms_up.shape[2]) for s in strips)
     gains = cross / dev_i.size / var_i
     return _inject(ms_up, gains, _match_moments(pan2d, intensity) - intensity)
 

@@ -412,8 +412,14 @@ def gradient_check(
     fused: Raster,
     h: float = 1e-5,
 ) -> float:
-    """Max elementwise relative error between analytic and FD gradients."""
+    """Max elementwise relative error ``|a - f| / (|a| + |f| + floor)`` of the
+    analytic against the FD gradient. ``floor = eps**(2/3) * max(|L|, 1) / h``,
+    with ``L`` the loss at ``fused`` and ``eps`` the float64 epsilon, is the
+    gradient that the central difference's rounding, about ``eps * max(|L|, 1)
+    / h``, leaves a relative ``eps**(1/3)`` (6e-6) in error; smaller elements
+    are compared on that absolute scale."""
     fd = finite_difference_gradient(loss, fused, h)
+    floor = np.finfo(np.float64).eps ** (2 / 3) * max(abs(loss(fused)), 1.0) / h
     ga, gf = analytic.data, fd.data
-    rel = np.abs(ga - gf) / (np.abs(ga) + np.abs(gf) + 1e-8)
+    rel = np.abs(ga - gf) / (np.abs(ga) + np.abs(gf) + floor)
     return float(rel.max())

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._strips import _map_strips, _strip_rows
+from ._strips import _map_strips, _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError
 from .raster import Raster, _check_same_shape, _check_scale_pair, _positive_int
 from .resample import _downsample
@@ -58,18 +58,17 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     angle is evaluated with the two-argument arctangent of the normalized
     sum/difference vectors, which is algebraically the arccos of the
     cosine similarity but avoids the catastrophic arccos cancellation
-    near zero angle. Angles are computed in row strips of about
-    ``_STRIP_ELEMENTS`` values so the per-strip temporaries stay small.
+    near zero angle. Angles are computed in the row strips of
+    :func:`_row_strips`, so the per-strip temporaries stay small.
     """
     _check_same_shape(fused, reference)
     if fused.bands < 2:
         raise ShapeMismatchError("sam requires at least 2 bands")
     angles = np.empty((fused.height, fused.width), dtype=np.float64)
-    step = _strip_rows(fused.width, fused.bands)
 
-    def strip(r: int) -> None:
-        f = fused.data[r : r + step]
-        g = reference.data[r : r + step]
+    def strip(rows: slice) -> None:
+        f = fused.data[rows]
+        g = reference.data[rows]
         nf = np.sqrt(np.einsum("ijk,ijk->ij", f, f))
         ng = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
         mask = (nf >= _EPS) & (ng >= _EPS)
@@ -80,9 +79,9 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
         diff = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
         summ = np.sqrt(np.einsum("ijk,ijk->ij", s, s))
         # Masked pixels have u = v = 0, so their angle is atan2(0, 0) = 0.
-        angles[r : r + step] = 2.0 * np.arctan2(diff, summ)
+        angles[rows] = 2.0 * np.arctan2(diff, summ)
 
-    _map_strips(strip, range(0, fused.height, step))
+    _map_strips(strip, _row_strips(*fused.data.shape))
     return float(angles.mean())
 
 
@@ -97,18 +96,13 @@ def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
     """
     ratio = _positive_int("ratio", ratio)
     _check_same_shape(fused, reference)
-    step = _strip_rows(fused.width, fused.bands)
 
-    def strip(r: int) -> tuple[np.ndarray, np.ndarray]:
-        g = reference.data[r : r + step]
-        d = fused.data[r : r + step] - g
+    def strip(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        g = reference.data[rows]
+        d = fused.data[rows] - g
         return np.einsum("ijk,ijk->k", d, d), np.einsum("ijk->k", g)
 
-    sq_err = np.zeros(fused.bands, dtype=np.float64)
-    ref_sum = np.zeros(fused.bands, dtype=np.float64)
-    for part_sq, part_sum in _map_strips(strip, range(0, fused.height, step)):
-        sq_err += part_sq
-        ref_sum += part_sum
+    sq_err, ref_sum = map(sum, zip(*_map_strips(strip, _row_strips(*fused.data.shape))))
     pixels = fused.height * fused.width
     rmse = np.sqrt(sq_err / pixels)
     mu = ref_sum / pixels
@@ -162,11 +156,7 @@ def _tile_index(
             values, valid = tile_q(m, v, cov)
         return np.where(valid, values, 0.0).sum(axis=0), np.count_nonzero(valid, axis=0)
 
-    total = np.zeros(len(groups), dtype=np.float64)
-    count = np.zeros(len(groups), dtype=np.int64)
-    for row_total, row_count in _map_strips(tile_row, range(0, height - block + 1, block)):
-        total += row_total
-        count += row_count
+    total, count = map(sum, zip(*_map_strips(tile_row, range(0, height - block + 1, block))))
     channels = [p[:, :, c] for p in parts for c in range(p.shape[2])]
 
     def fallback(a, b) -> float:
@@ -290,11 +280,10 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     Four window means give the map: mu_x, mu_y, E[x^2 + y^2] and E[xy], with
     var_x + var_y = E[x^2 + y^2] - (mu_x^2 + mu_y^2) and cov = E[xy] -
     mu_x*mu_y; every term is symmetric in x and y, so swapping the inputs
-    gives the same bits. The map is evaluated in strips of output rows
-    across all bands, sized so each strip array holds about
-    ``_STRIP_ELEMENTS`` values but at least twice the 10-row window halo
-    (a strip then reads at most 1.5 times its output rows), and the strips'
-    band sums are added in strip order.
+    gives the same bits. The map is evaluated in the :func:`_row_strips`
+    strips of output rows across all bands, each at least twice the 10-row
+    window halo (a strip then reads at most 1.5 times its output rows), and
+    the strips' band sums are added in strip order.
     """
     _check_same_shape(fused, reference)
     if min(fused.height, fused.width) < 11:
@@ -305,11 +294,10 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     kernel = _ssim_window()
     halo = kernel.size - 1
     rows, cols = fused.height - halo, fused.width - halo
-    step = max(_strip_rows(fused.width, fused.bands), 2 * halo)
 
-    def strip(r: int) -> np.ndarray:
-        x = fused.data[r : r + step + halo]
-        y = reference.data[r : r + step + halo]
+    def strip(out_rows: slice) -> np.ndarray:
+        x = fused.data[out_rows.start : out_rows.stop + halo]
+        y = reference.data[out_rows.start : out_rows.stop + halo]
         prod = x * x
         prod += y * y
         e_sq = _valid_window_mean(prod, kernel)
@@ -336,9 +324,7 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
         mu_xy /= mu_sq
         return mu_xy.sum(axis=(0, 1))
 
-    band_sums = np.zeros(fused.bands, dtype=np.float64)
-    for part in _map_strips(strip, range(0, rows, step)):
-        band_sums += part
+    band_sums = sum(_map_strips(strip, _row_strips(rows, fused.width, fused.bands, 2 * halo)))
     return float(np.mean(band_sums / (rows * cols)))
 
 

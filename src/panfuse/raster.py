@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._strips import _strip_rows
+from ._strips import _row_strips
 from .errors import (
     HeaderError,
     IntegerParameterError,
@@ -285,7 +285,7 @@ def synth_scene(
     edges. The pan band is the normalized ``pan_weights`` combination of
     the multispectral bands. Identical arguments give bit-identical
     output. Every random parameter is drawn first; each band is then
-    filled in row strips of about ``_STRIP_ELEMENTS`` values.
+    filled in the row strips of :func:`_row_strips`.
     """
     width, height = _positive_int("width", width, 8), _positive_int("height", height, 8)
     bands, seed = _positive_int("bands", bands), _positive_int("seed", seed, 0)
@@ -320,9 +320,8 @@ def synth_scene(
     # broadcasts them with the operands in the order a full meshgrid would use.
     xx = np.linspace(0.0, 1.0, width)[None, :]
     y_all = np.linspace(0.0, 1.0, height)[:, None]
-    step = _strip_rows(width, 1)  # the strip arrays are per band
-    for r in range(0, height, step):
-        yy = y_all[r : r + step]
+    for rows in _row_strips(height, width, 1):  # the strip arrays are per band
+        yy = y_all[rows]
         for b, ((theta, base, grad_amp), ellipses) in enumerate(scene):
             img = base + grad_amp * (
                 (xx - 0.5) * np.cos(theta) + (yy - 0.5) * np.sin(theta)
@@ -339,7 +338,7 @@ def synth_scene(
                 np.exp(d, out=d)
                 d += 1.0
                 img += np.divide(amp, d, out=d)
-            cube[r : r + step, :, b] = np.clip(img, 0.0, 1.0, out=img)
+            cube[rows, :, b] = np.clip(img, 0.0, 1.0, out=img)
 
     hrms = Raster._adopt(cube)
     return hrms, pan_from_weights(hrms, pan_weights)

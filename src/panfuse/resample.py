@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._strips import _strip_rows
+from ._strips import _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError
 from .raster import Raster, _check_scale_pair, _positive_int
 
@@ -152,8 +152,8 @@ def _upsample(arr: np.ndarray, ratio: int) -> np.ndarray:
     """:func:`upsample` of an H x W (x B) array into a fresh array the caller
     owns; at ``ratio == 1`` an unclipped copy.
 
-    Both bicubic passes run per strip of output rows, each strip about
-    ``_STRIP_ELEMENTS`` output values, straight into the preallocated output.
+    Both bicubic passes run per :func:`_row_strips` strip of output rows,
+    straight into the preallocated output.
     """
     if ratio == 1:
         return arr.copy()
@@ -161,10 +161,8 @@ def _upsample(arr: np.ndarray, ratio: int) -> np.ndarray:
     row_taps, col_taps = _cubic_taps(arr.shape[0], ratio), _cubic_taps(arr.shape[1], ratio)
     trailing = (1,) * (arr.ndim - 2)
     out = np.empty((height, width) + arr.shape[2:], dtype=np.float64)
-    step = _strip_rows(width, arr[0, 0].size)
-    for r in range(0, height, step):
-        rows = slice(r, r + step)
-        strip = np.zeros((min(step, height - r),) + arr.shape[1:], dtype=np.float64)
+    for rows in _row_strips(height, width, arr[0, 0].size):
+        strip = np.zeros((rows.stop - rows.start,) + arr.shape[1:], dtype=np.float64)
         for idx, w in row_taps:
             strip += w[rows].reshape((-1, 1) + trailing) * np.take(arr, idx[rows], axis=0)
         dst = out[rows]

@@ -364,6 +364,18 @@ class TestLoss:
         assert r.returncode == 0, r.stderr + r.stdout
         assert "PASS" in r.stdout
 
+    def test_grad_check_total_sam_ratio_32_passes(self, tmp_path, capsys):
+        """A random 32 x 32 x 4 pair over a one-pixel lrms: the window's few
+        near-zero gradient elements sit at the central differences' rounding
+        level, which the floor forgives."""
+        write_raster(random_raster(7, 32, 32, 4), tmp_path / "f.msr")
+        write_raster(random_raster(107, 32, 32, 4), tmp_path / "r.msr")
+        write_raster(random_raster(207, 1, 1, 4), tmp_path / "lrms.msr")
+        argv = ["loss", "--name", "total-sam", "--lrms", tmp_path / "lrms.msr", "--ratio", 32,
+                "--grad-check", tmp_path / "f.msr", tmp_path / "r.msr"]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_failing_grad_check_exits_one(self, tmp_path, capsys):
         # At this step the two perturbed l1 losses round to the same value, so
         # every central difference is 0 against an analytic gradient of +-1/n.
@@ -396,6 +408,27 @@ class TestLoss:
                     tmp_path / "f.msr", tmp_path / "r.msr")
         assert r.returncode == 0, r.stderr + r.stdout
         assert "PASS" in r.stdout
+
+    def test_grad_check_window_on_the_lrms_grid(self):
+        # a 36 x 36 pair over a 9 x 9 lrms at ratio 4: the centered 4 x 4 lrms
+        # window starts at lrms pixel 2, so the pair window starts at 8, not 10
+        assert cli._grad_check_window(36, 36, 4) == (8, 8, 16)
+        assert cli._grad_check_window(36, 36, 1) == (10, 10, 16)
+        assert cli._grad_check_window(32, 32, 32) == (0, 0, 32)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(cells_h=st.integers(1, 40), cells_w=st.integers(1, 40), ratio=st.integers(1, 40))
+    def test_grad_check_window_is_the_centered_lrms_window(self, cells_h, cells_w, ratio):
+        """Scaled down by the ratio, the window is the centered square of the
+        lrms; at ratio 1 it is the centered square of the pair."""
+        height, width = cells_h * ratio, cells_w * ratio
+        top, left, size = cli._grad_check_window(height, width, ratio)
+        cells = max(min(16, height, width) // ratio, 1)
+        assert size == cells * ratio
+        assert (top % ratio, left % ratio) == (0, 0)
+        assert top // ratio == (cells_h - cells) // 2
+        assert left // ratio == (cells_w - cells) // 2
+        assert top + size <= height and left + size <= width
 
     @staticmethod
     def loss_exit(*argv):

@@ -20,7 +20,7 @@ from panfuse import (
     sam_loss,
     total_sam_loss,
 )
-from panfuse import cli
+from panfuse import cli, losses
 from panfuse.errors import UsageError
 from panfuse.losses import GRADIENTS, LOSSES, Loss, LossContext
 from helpers import random_raster, separated_pair
@@ -141,6 +141,43 @@ class TestAnalyticVsFiniteDifference:
         for name, (fn, analytic) in loss_cases(fused, reference, lrms).items():
             max_rel = gradient_check(fn, analytic, fused, 1e-5)
             assert max_rel < 1e-4, f"{name} seed={seed}: max_rel={max_rel:.3e}"
+
+
+class TestGradientCheckFloor:
+    """The floor forgives the central differences' rounding, not wrong
+    gradients: a random 32 x 32 x 4 pair over a one-pixel lrms at ratio 32,
+    whose few near-zero gradient elements sit at the rounding level."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        fused, reference = random_raster(7, 32, 32, 4), random_raster(107, 32, 32, 4)
+        lrms = random_raster(207, 1, 1, 4)
+
+        def fn(x):
+            return total_sam_loss(x, reference, lrms, 32, "cosine")
+
+        analytic = loss_gradient("total_sam", fused, reference, lrms=lrms, ratio=32)
+        return fn, analytic.data, fused, finite_difference_gradient(fn, fused, 1e-5)
+
+    @staticmethod
+    def check(monkeypatch, case, grad):
+        """gradient_check of ``grad``, with the case's differences computed once."""
+        fn, _, fused, fd = case
+        monkeypatch.setattr(losses, "finite_difference_gradient", lambda *args: fd)
+        return gradient_check(fn, Raster(grad), fused, 1e-5)
+
+    def test_correct_gradient_passes(self, monkeypatch, case):
+        assert self.check(monkeypatch, case, case[1]) < 1e-4
+
+    def test_scaled_gradient_fails(self, monkeypatch, case):
+        assert self.check(monkeypatch, case, case[1] * (1 + 1e-3)) >= 1e-4
+
+    def test_median_element_sign_flip_fails(self, monkeypatch, case):
+        flipped = case[1].copy()
+        flat = flipped.reshape(-1)
+        median = np.argsort(np.abs(flat))[flat.size // 2]
+        flat[median] = -flat[median]
+        assert self.check(monkeypatch, case, flipped) >= 1e-4
 
 
 class TestLossTable:

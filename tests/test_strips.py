@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import panfuse
 from panfuse import Raster, _strips, downsample_antialias, metric_q4, metric_qnr, metric_uiqi
@@ -134,6 +135,26 @@ def test_strip_rows_fill_the_element_budget():
     assert _strips._strip_rows(1024, 4) == 8
     assert _strips._strip_rows(256, 4) == 32
     assert _strips._strip_rows(10**6, 4) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    height=st.integers(1, 3000),
+    width=st.integers(1, 5000),
+    bands=st.integers(1, 8),
+    min_rows=st.integers(1, 64),
+)
+def test_row_strips_tile_the_rows_once(height, width, bands, min_rows):
+    """Contiguous slices that cover [0, height) exactly once, each but the
+    last max(_strip_rows, min_rows) rows long."""
+    strips = _strips._row_strips(height, width, bands, min_rows)
+    step = max(_strips._strip_rows(width, bands), min_rows)
+    assert strips[0].start == 0
+    assert strips[-1].stop == height
+    assert all(a.stop == b.start for a, b in zip(strips, strips[1:]))
+    assert all(s.step is None for s in strips)
+    assert all(s.stop - s.start == step for s in strips[:-1])
+    assert 0 < strips[-1].stop - strips[-1].start <= step
 
 
 # Hashes every output the strip runner or a strip loop produces, at sizes with
