@@ -51,6 +51,7 @@ from .metrics import (
     MetricReport,
     build_report,
     metric_ergas,
+    metric_q2n,
     metric_q4,
     metric_qnr,
     metric_sam,

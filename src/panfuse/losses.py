@@ -207,18 +207,13 @@ def gram_matrix(f: Raster) -> GramMatrix:
 
 
 def gm_reconstruction_loss(fused: Raster, reference: Raster) -> float:
-    """Frobenius distance between the band Gram matrices of two rasters."""
-    _check_same_shape(fused, reference)
-    delta = gram_matrix(fused).matrix - gram_matrix(reference).matrix
-    return float(np.sqrt(np.sum(delta * delta)))
+    """Frobenius distance between the band Gram matrices of two rasters:
+    :func:`gm_perceptual_loss` with the identity extractor."""
+    return gm_perceptual_loss(fused, reference, IDENTITY)
 
 
 def gm_perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> float:
-    """Frobenius distance between Gram matrices in feature space.
-
-    With the identity extractor this reduces exactly to
-    :func:`gm_reconstruction_loss`.
-    """
+    """Frobenius distance between Gram matrices in feature space."""
     _check_same_shape(fused, reference)
     gf = gram_matrix(extract_features(fused, extractor)).matrix
     gr = gram_matrix(extract_features(reference, extractor)).matrix

@@ -1,8 +1,8 @@
 """Full-reference and no-reference quality metrics for fused imagery.
 
-SAM, ERGAS, the Wang-Bovik universal image quality index, its quaternion
-extension Q4, Gaussian-window SSIM, and the QNR spectral/spatial
-distortion pair, plus report assembly and CSV/JSON serialization.
+SAM, ERGAS, the Wang-Bovik universal image quality index, its hypercomplex
+extension Q2^n for any band count (Q4 on 4), Gaussian-window SSIM, and the
+QNR distortion pair, plus report assembly and CSV/JSON serialization.
 
 All statistics over Q-index tiles use the unbiased (n-1) normalization,
 and tiles are distinct (non-overlapping) blocks evaluated in fixed index
@@ -11,6 +11,9 @@ order so results are bit-deterministic.
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 import itertools
 import json
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._strips import _map_strips, _row_strips
-from .errors import DegenerateInputError, ShapeMismatchError
+from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .raster import Raster, _check_same_shape, _check_scale_pair, _positive_int
 from .resample import _downsample
 
@@ -29,12 +32,17 @@ _EPS = 1e-12
 METRIC_COLUMNS = ("ssim", "sam", "ergas", "q4", "qnr")
 
 
+def _columns(q_order: int) -> tuple[str, ...]:
+    return tuple(f"q{q_order}" if name == "q4" else name for name in METRIC_COLUMNS)
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """One evaluated method: the five Table-style metric values.
 
     Value ranges: ssim in [-1, 1], sam in [0, pi] (radians), ergas >= 0,
-    q4 in [-1, 1], qnr in [0, 1].
+    q4 in [-1, 1], qnr in [0, 1]. ``q4`` is the Q2^n of order ``q_order``,
+    which names its column: q2, q4, q8, q16 for 2, 3-4, 5-8, 9-16 bands.
     """
 
     method: str
@@ -43,12 +51,11 @@ class MetricReport:
     ergas: float
     q4: float
     qnr: float
+    q_order: int = 4
 
     def as_dict(self) -> dict[str, float | str]:
-        row: dict[str, float | str] = {"method": self.method}
-        for name in METRIC_COLUMNS:
-            row[name] = round(getattr(self, name), 6)
-        return row
+        values = (round(getattr(self, name), 6) for name in METRIC_COLUMNS)
+        return {"method": self.method, **dict(zip(_columns(self.q_order), values))}
 
 
 def metric_sam(fused: Raster, reference: Raster) -> float:
@@ -200,50 +207,67 @@ def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
     return _tile_index((a.data, b.data), block, _uiqi([(0, 1)]), [(0, 1)])[0]
 
 
-def _q4_tiles(m, v, cov) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tile Q4 of channels 0-3 (z1) against channels 4-7 (z2)."""
-    mx, my = m[:, :4], m[:, 4:]
-    var1, var2 = v[:, :4].sum(axis=1), v[:, 4:].sum(axis=1)
-    sigma1, sigma2 = np.sqrt(var1), np.sqrt(var2)
-    # Quaternion covariance sum(d1 * conj(d2)) / (n-1), read off s[t, i, j] = cov(z1_i, z2_j).
-    s = cov[:, :4, 4:]
-    q = np.stack(
-        [
-            s[:, 0, 0] + s[:, 1, 1] + s[:, 2, 2] + s[:, 3, 3],
-            s[:, 1, 0] - s[:, 0, 1] + s[:, 3, 2] - s[:, 2, 3],
-            s[:, 2, 0] - s[:, 0, 2] + s[:, 1, 3] - s[:, 3, 1],
-            s[:, 3, 0] - s[:, 0, 3] + s[:, 2, 1] - s[:, 1, 2],
-        ],
-        axis=1,
-    )
-    mod_cov = np.sqrt(np.sum(q * q, axis=1))
-    mod_mu1 = np.sqrt(np.sum(mx * mx, axis=1))
-    mod_mu2 = np.sqrt(np.sum(my * my, axis=1))
-    den_corr = sigma1 * sigma2
-    den_var = var1 + var2
-    den_mean = mod_mu1 * mod_mu1 + mod_mu2 * mod_mu2
-    valid = (den_corr >= _EPS) & (den_var >= _EPS) & (den_mean >= _EPS)
-    values = (
-        (mod_cov / den_corr)
-        * (2.0 * sigma1 * sigma2 / den_var)
-        * (2.0 * mod_mu1 * mod_mu2 / den_mean)
-    )
-    return values[:, None], valid[:, None]
+@functools.cache
+def _conj_signs(bands: int) -> np.ndarray:
+    """S with e_i * conj(e_j) = S[i, j] * e_(i xor j) in the Cayley-Dickson
+    algebra of the least dimension n = 2^k >= ``bands``: M_1 = [[1]] and M_2m
+    = [[M, M^T], [M c, -M^T c]] give e_i * e_j = M[i, j] * e_(i xor j), where
+    ``M c`` multiplies column q by c[q] (1 for q = 0, else -1), and S = M c."""
+    m = np.ones((1, 1))
+    while True:
+        c = np.where(np.arange(len(m)) == 0, 1.0, -1.0)
+        if len(m) >= bands:
+            m *= c
+            m.flags.writeable = False  # cached: every caller shares this array
+            return m
+        m = np.block([[m, m.T], [m * c, -m.T * c]])
+
+
+def _q2n(bands: int) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """Per-tile Q2^n of channels 0..B-1 (z1) against B..2B-1 (z2), for :func:`_tile_index`:
+    component k of the covariance sums S[i, j] * cov(z1_i, z2_j) over i xor j = k;
+    the zero-padded channels add nothing, so only the B x B corner of S is used."""
+    sign = _conj_signs(bands)
+    i, j = np.indices((bands, bands))
+    table = np.zeros((len(sign), bands, bands))
+    table[i ^ j, i, j] = sign[i, j]
+
+    def tile_q(m, v, cov) -> tuple[np.ndarray, np.ndarray]:
+        mx, my = m[:, :bands], m[:, bands:]
+        var1, var2 = v[:, :bands].sum(axis=1), v[:, bands:].sum(axis=1)
+        q = np.einsum("tij,kij->tk", cov[:, :bands, bands:], table)
+        mod_cov = np.sqrt(np.sum(q * q, axis=1))
+        mod_mu1 = np.sqrt(np.sum(mx * mx, axis=1))
+        mod_mu2 = np.sqrt(np.sum(my * my, axis=1))
+        den_corr = np.sqrt(var1) * np.sqrt(var2)
+        den_var = var1 + var2
+        den_mean = mod_mu1 * mod_mu1 + mod_mu2 * mod_mu2
+        valid = (den_corr >= _EPS) & (den_var >= _EPS) & (den_mean >= _EPS)
+        corr, contrast = mod_cov / den_corr, 2.0 * den_corr / den_var
+        values = corr * contrast * (2.0 * mod_mu1 * mod_mu2 / den_mean)
+        return values[:, None], valid[:, None]
+
+    return tile_q
+
+
+def metric_q2n(fused: Raster, reference: Raster, block: int) -> float:
+    """Hypercomplex quality index Q2^n (Alparone et al. 2004; Garzelli and Nencini
+    2009): a pixel's B >= 2 bands are one Cayley-Dickson number of order 2^ceil(log2 B)
+    (complex for 2 bands, octonion for 5-8); tiles are scored, skipped and averaged as
+    in :func:`metric_uiqi`, with hypercomplex moments. |Q| <= 1 up to 8 bands only."""
+    _check_same_shape(fused, reference)
+    bands = fused.bands
+    if bands < 2:
+        raise ShapeMismatchError(f"q2n requires at least 2 bands, got {bands}")
+    groups = [(range(bands), range(bands, 2 * bands))]
+    return _tile_index((reference.data, fused.data), block, _q2n(bands), groups)[0]
 
 
 def metric_q4(fused: Raster, reference: Raster, block: int) -> float:
-    """Quaternion quality index for exactly 4-band imagery.
-
-    Each pixel's bands form a quaternion z = b0 + b1*i + b2*j + b3*k.
-    Per tile the index is the product of the quaternion correlation
-    modulus, a contrast term, and a mean-bias term; tiles are averaged.
-    Degenerate tiles are skipped as in :func:`metric_uiqi`.
-    """
-    _check_same_shape(fused, reference)
+    """Quaternion quality index: :func:`metric_q2n` of exactly 4-band imagery."""
     if fused.bands != 4:
         raise ShapeMismatchError(f"q4 requires exactly 4 bands, got {fused.bands}")
-    groups = [(range(4), range(4, 8))]
-    return _tile_index((reference.data, fused.data), block, _q4_tiles, groups)[0]
+    return metric_q2n(fused, reference, block)
 
 
 def _ssim_window() -> np.ndarray:
@@ -384,18 +408,23 @@ def build_report(
         ssim=metric_ssim(fused, reference),
         sam=metric_sam(fused, reference),
         ergas=metric_ergas(fused, reference, ratio),
-        q4=metric_q4(fused, reference, block),
+        q4=metric_q2n(fused, reference, block),
         qnr=qnr,
+        q_order=len(_conj_signs(fused.bands)),
     )
 
 
 def reports_to_csv(reports: list[MetricReport]) -> str:
-    """Six-decimal CSV with header ``method,ssim,sam,ergas,q4,qnr``."""
-    lines = ["method," + ",".join(METRIC_COLUMNS)]
-    for rep in reports:
-        values = ",".join(f"{getattr(rep, name):.6f}" for name in METRIC_COLUMNS)
-        lines.append(f"{rep.method},{values}")
-    return "\n".join(lines) + "\n"
+    """Six-decimal CSV with header ``method,ssim,sam,ergas,q<n>,qnr``, the
+    Q2^n column named by the reports' one ``q_order`` (q4 for no report)."""
+    orders = {rep.q_order for rep in reports} or {4}
+    if len(orders) > 1:
+        raise UsageError(f"reports of Q2^n orders {sorted(orders)} cannot share one CSV")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["method", *_columns(orders.pop())])
+    writer.writerows([r.method, *(f"{getattr(r, n):.6f}" for n in METRIC_COLUMNS)] for r in reports)
+    return out.getvalue()
 
 
 def reports_to_json(reports: list[MetricReport]) -> str:

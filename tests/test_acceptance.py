@@ -238,6 +238,46 @@ def test_criterion_7_end_to_end_table_shape(tmp_path):
     )
 
 
+def test_criterion_7_eight_band_table_shape(tmp_path):
+    """The same pipeline on a WorldView-3-like 8-band scene: the Q2^n column
+    is q8, and every value is in range (|q8| <= 1: octonions compose)."""
+    start = time.monotonic()
+
+    def cli(*args):
+        r = run_cli(*args)
+        assert r.returncode == 0, f"{args}: {r.stderr}"
+        return r
+
+    cli("simulate", "--size", 96, "--bands", 8, "--seed", 11, "--out", tmp_path)
+    cli("degrade", "--hrms", tmp_path / "hrms.msr", "--pan", tmp_path / "pan.msr",
+        "--ratio", 4, "--out", tmp_path)
+    methods = ["gihs", "brovey", "pca", "gs", "hpf"]
+    for m in methods:
+        cli("fuse", "--method", m, "--lrms", tmp_path / "lrms.msr",
+            "--pan", tmp_path / "pan.msr", "--ratio", 4, "--name", m, "--out", tmp_path)
+    cli("eval", "--fused", tmp_path / "reference.msr", *[tmp_path / f"{m}.msr" for m in methods],
+        "--reference", tmp_path / "reference.msr", "--lrms", tmp_path / "lrms.msr",
+        "--pan", tmp_path / "pan.msr", "--ratio", 4, "--out", tmp_path)
+    rows = (tmp_path / "report.csv").read_text().strip().split("\n")
+    assert rows[0] == "method,ssim,sam,ergas,q8,qnr"
+    table = {}
+    for row in rows[1:]:
+        cells = row.split(",")
+        table[cells[0]] = dict(zip(("ssim", "sam", "ergas", "q8", "qnr"), map(float, cells[1:])))
+    ideal = table.pop("reference")
+    in_range = all(
+        -1.0 <= vals["ssim"] <= 1.0 and 0.0 <= vals["sam"] <= math.pi and vals["ergas"] >= 0.0
+        and -1.0 <= vals["q8"] < ideal["q8"] and 0.0 <= vals["qnr"] <= 1.0
+        for vals in table.values()
+    )
+    elapsed = time.monotonic() - start
+    report(
+        "7 (8 bands)",
+        list(table) == methods and ideal["q8"] == 1.0 and in_range and elapsed < 120.0,
+        f"5 rows in range below the ideal q8 = {ideal['q8']}, {elapsed:.1f}s",
+    )
+
+
 def test_criterion_8_wald_consistency():
     value = 0.0
     for seed in (2, 12):

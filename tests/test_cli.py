@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, formats, and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import struct
@@ -16,6 +17,7 @@ from panfuse import (
     read_raster,
     save_conv_stack,
     synth_scene,
+    wald_degrade,
     write_raster,
 )
 from panfuse import cli
@@ -41,6 +43,22 @@ def sweep_dir(tmp_path_factory):
     write_raster(random_raster(22, 8, 12, 4, lo=0.1, hi=0.9), out / "wide.msr")
     write_raster(random_raster(23, 2, 2, 4, lo=0.1, hi=0.9), out / "lrms.msr")
     save_conv_stack(SWEEP_STACK, out / "stack.csw")
+    return out
+
+
+@pytest.fixture(scope="module")
+def band_dir(tmp_path_factory):
+    """A 16 x 16 scene per band count 1-9 in ``<bands>/``, degraded at ratio 4
+    (hrms, pan, lrms, lrpan, reference), plus a file that is not a raster."""
+    out = tmp_path_factory.mktemp("bands")
+    for bands in range(1, 10):
+        hrms, pan = synth_scene(16, 16, bands, bands, [1.0] * bands)
+        lrms, lrpan, reference = wald_degrade(hrms, pan, 4)
+        (out / str(bands)).mkdir()
+        for name, r in [("hrms", hrms), ("pan", pan), ("lrms", lrms), ("lrpan", lrpan),
+                        ("reference", reference)]:
+            write_raster(r, out / str(bands) / f"{name}.msr")
+    (out / "junk.msr").write_bytes(b"MSR1 not a raster")
     return out
 
 
@@ -313,6 +331,25 @@ class TestEval:
                     "--lrms", scene_dir / "lrms.msr", "--pan", scene_dir / "pan.msr",
                     "--ratio", 4, "--out", tmp_path)
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("bands, column", [(2, "q2"), (3, "q4"), (8, "q8"), (9, "q16")])
+    def test_q2n_column_for_band_count(self, band_dir, tmp_path, capsys, bands, column):
+        scene = band_dir / str(bands)
+        code = cli.main([str(a) for a in (
+            "eval", "--fused", scene / "reference.msr", "--reference", scene / "reference.msr",
+            "--lrms", scene / "lrms.msr", "--pan", scene / "pan.msr", "--out", tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        header, row = csv.reader((tmp_path / "report.csv").read_text().splitlines())
+        assert header == ["method", "ssim", "sam", "ergas", column, "qnr"]
+        assert row[4] == "1.000000"
+
+    def test_one_band_exit_three(self, band_dir, tmp_path):
+        scene = band_dir / "1"
+        r = run_cli("eval", "--fused", scene / "reference.msr",
+                    "--reference", scene / "reference.msr", "--lrms", scene / "lrms.msr",
+                    "--pan", scene / "pan.msr", "--out", tmp_path)
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestLoss:
@@ -605,3 +642,97 @@ class TestMalformedInputs:
                     scene_dir / "hrms.msr", scene_dir / "reference.msr")
         self.assert_exit(r, 5)
         assert "bad.csw" in r.stderr
+
+
+class TestSweep:
+    """Random arguments to every subcommand end in a documented exit code."""
+
+    FLAGS = {
+        "simulate": ("--size", "--bands", "--seed", "--pan-weights"),
+        "degrade": ("--hrms", "--pan", "--ratio"),
+        "patchify": ("--ms", "--pan", "--patch", "--ratio"),
+        "fuse": ("--method", "--lrms", "--pan", "--ratio", "--lrpan", "--name"),
+        "eval": ("--fused", "--reference", "--lrms", "--pan", "--ratio", "--format"),
+        "loss": ("--rasters", "--lrms", "--ratio", "--extractor", "--d-score", "--d-fake",
+                 "--d-real", "--grad-check"),
+    }
+    # The scene file each raster flag expects.
+    ROLES = {"--hrms": "hrms", "--ms": "lrms", "--pan": "pan", "--lrms": "lrms",
+             "--reference": "reference", "--fused": "reference", "--rasters": "hrms"}
+    FILES = ("hrms", "pan", "lrms", "lrpan", "reference")
+    # Valid values of the other flags; None leaves the flag out.
+    VALID = {
+        "--size": ["8", "17"],
+        "--bands": [str(b) for b in range(1, 10)],
+        "--seed": ["0", "3"],
+        "--pan-weights": [None],
+        "--ratio": ["4"],
+        "--patch": ["8", "16"],
+        "--method": list(cli.FUSE_METHODS),
+        "--lrpan": [None],
+        "--name": ["fused", "x,y"],
+        "--format": ["csv", "json"],
+        "--extractor": ["identity"],
+        "--d-score": ["0.5"],
+        "--d-fake": ["0.3"],
+        "--d-real": ["0.6"],
+        "--grad-check": [None, "--grad-check"],
+    }
+    # Faulty values; a faulty raster is another file or band count, junk or missing.
+    FAULTY = {
+        "--size": ["-3", "0", "1", "x"],
+        "--bands": ["0", "-1", "x"],
+        "--seed": ["-1", "x"],
+        "--pan-weights": ["1", "1,2", "nan", "0,0", "x"],
+        "--ratio": ["2", "3", "1", "0", "-1", "64", "x", "2.5"],
+        "--patch": ["4", "3", "0", "-4", "x"],
+        "--method": ["nope"],
+        "--lrpan": ["mmse", "weighted-mean", "blur-decimate", "nope"],
+        "--format": ["xml"],
+        "--extractor": ["missing.csw"],
+        "--d-score": ["nan", "1.5", "x"],
+        "--d-fake": ["0", ""],
+        "--d-real": ["1"],
+    }
+
+    def raster(self, data, band_dir, bands, role, faulty):
+        if not faulty:
+            return str(band_dir / str(bands) / f"{role}.msr")
+        other = data.draw(st.sampled_from([1, 4, 9, bands]))
+        return str(data.draw(st.sampled_from([
+            *(band_dir / str(other) / f"{name}.msr" for name in self.FILES),
+            band_dir / "junk.msr", band_dir / "missing.msr"])))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), command=st.sampled_from(list(FLAGS)), bands=st.integers(1, 9))
+    def test_exit_code_documented_and_no_traceback(self, band_dir, data, command, bands):
+        """At most one flag per draw is faulty: left out, given a bad value, or
+        given another raster; eval runs on every band count from 1 to 9."""
+        flags = self.FLAGS[command]
+        faulty = data.draw(st.sampled_from([None, *flags]))
+        argv = [command]
+        if command == "loss":
+            argv += ["--name", data.draw(st.sampled_from([*cli.LOSSES, "gen-adv", "disc"]))]
+        for flag in flags:
+            if flag == faulty and data.draw(st.booleans()):
+                continue  # the faulty flag is left out
+            if flag in self.ROLES:
+                count = 2 if flag == "--rasters" else 1
+                count = data.draw(st.integers(1, 3)) if flag == "--fused" else count
+                paths = [self.raster(data, band_dir, bands, self.ROLES[flag], flag == faulty)
+                         for _ in range(count)]
+                argv += paths if flag == "--rasters" else [flag, *paths]
+                continue
+            value = data.draw(st.sampled_from(
+                self.FAULTY.get(flag, self.VALID[flag]) if flag == faulty else self.VALID[flag]))
+            if value is not None:
+                argv += [value] if flag == "--grad-check" else [flag, value]
+        argv += ["--out", str(band_dir / "out")] if command != "loss" else []
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4, 5), argv
+        assert "Traceback" not in stderr.getvalue(), argv

@@ -1,5 +1,6 @@
 """Quality metrics against hand computations and brute-force tile oracles."""
 
+import csv
 import json
 import math
 
@@ -23,7 +24,7 @@ from panfuse import (
     reports_to_json,
     synth_scene,
 )
-from panfuse.errors import DegenerateInputError, ShapeMismatchError
+from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
 from helpers import CUBE_FAULTS, PAN_FAULTS, random_raster, scale_pair
 
 
@@ -456,6 +457,30 @@ class TestReport:
         lines = text.strip().split("\n")
         assert lines[0] == "method,ssim,sam,ergas,q4,qnr"
         assert lines[1] == "gihs,0.812915,0.098976,5.592451,0.794797,0.938389"
+
+    def test_csv_method_with_comma_reads_back_as_six_cells(self):
+        rep = MetricReport("x,y", 0.5, 0.1, 2.0, 0.75, 0.9)
+        header, row = csv.reader(reports_to_csv([rep]).splitlines())
+        assert header == ["method", "ssim", "sam", "ergas", "q4", "qnr"]
+        assert row == ["x,y", "0.500000", "0.100000", "2.000000", "0.750000", "0.900000"]
+
+    def test_q_order_names_the_column(self):
+        rep = MetricReport("m", 0.5, 0.1, 2.0, 0.75, 0.9, q_order=8)
+        assert reports_to_csv([rep]).split("\n")[0] == "method,ssim,sam,ergas,q8,qnr"
+        assert json.loads(reports_to_json([rep]))[0]["q8"] == 0.75
+        assert reports_to_csv([]) == "method,ssim,sam,ergas,q4,qnr\n"
+
+    def test_csv_refuses_mixed_orders(self):
+        reps = [MetricReport("a", 0.5, 0.1, 2.0, 0.75, 0.9, q_order=q) for q in (4, 8)]
+        with pytest.raises(UsageError):
+            reports_to_csv(reps)
+
+    @pytest.mark.parametrize("bands, order", [(2, 2), (3, 4), (5, 8), (8, 8), (9, 16)])
+    def test_report_order_from_band_count(self, bands, order):
+        hrms, pan = synth_scene(32, 32, bands, 3, [1.0] * bands)
+        rep = build_report("ideal", hrms, hrms, downsample_antialias(hrms, 4), pan, 4)
+        assert rep.q_order == order
+        assert abs(rep.q4 - 1.0) < 1e-9
 
     def test_json_and_csv_encode_identical_values(self):
         ref, lrms, pan = self._ideal_inputs(seed=9)
