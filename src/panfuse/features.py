@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -38,16 +38,23 @@ IDENTITY = "identity"
 
 @dataclass(frozen=True, eq=False)
 class ConvLayer:
-    """One convolution layer: weights (out, in, k, k), per-out-channel bias."""
+    """One convolution layer: weights (out, in, k, k), per-out-channel bias.
+
+    The layer holds read-only float64 copies of the weights and bias, so a
+    caller's later edit of its own arrays does not reach it.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
     stride: int
     leaky_slope: float
+    # The weights laid out (k, k, in, out), C-contiguous: a strided (in, out)
+    # slice of the (out, in, k, k) weights would not reach BLAS.
+    _taps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
+        b = np.array(self.bias, dtype=np.float64)
         if w.ndim != 4 or w.shape[2] != w.shape[3]:
             raise ValueError(f"layer weights must be (out, in, k, k), got {w.shape}")
         if w.shape[2] % 2 == 0:
@@ -62,7 +69,11 @@ class ConvLayer:
             raise ValueError("layer weights must be finite")
         if not math.isfinite(slope):
             raise ValueError(f"leaky slope must be finite, got {slope}")
+        taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+        for arr in (w, b, taps):
+            arr.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_taps", taps)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "leaky_slope", slope)
@@ -179,6 +190,23 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
         raise HeaderError(f"{path}: {exc}") from exc
 
 
+def _leaky_relu(out: np.ndarray, slope: float) -> None:
+    """x -> x if x > 0 else slope * x, in place.
+
+    One elementwise max (slope <= 1) or min (slope > 1) of x and slope * x:
+    the bits of multiplying the x <= 0 entries by the slope, without a branch
+    per element. A slope whose sign bit is set keeps that masked multiply:
+    there x and slope * x of a zero x are zeros of opposite signs, and numpy
+    leaves open which of the two a max or min returns.
+    """
+    if math.copysign(1.0, slope) < 0:
+        np.multiply(out, slope, out=out, where=out <= 0)
+    elif slope <= 1.0:
+        np.maximum(out * slope, out, out=out)
+    else:
+        np.minimum(out * slope, out, out=out)
+
+
 def _apply_layer(arr: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Zero-padded strided cross-correlation + bias + leaky-ReLU.
 
@@ -187,18 +215,18 @@ def _apply_layer(arr: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """
     k, s = layer.kernel_size, layer.stride
     pad = k // 2
-    padded = np.pad(arr, ((pad, pad), (pad, pad), (0, 0)))
-    h, w = (arr.shape[0] - 1) // s + 1, (arr.shape[1] - 1) // s + 1
-    # (k, k, C, O), C-contiguous: a strided (C, O) slice would not reach BLAS.
-    taps = np.ascontiguousarray(layer.weights.transpose(2, 3, 1, 0))
+    height, width = arr.shape[:2]
+    padded = np.zeros((height + 2 * pad, width + 2 * pad, arr.shape[2]))
+    padded[pad : pad + height, pad : pad + width] = arr
+    h, w = (height - 1) // s + 1, (width - 1) // s + 1
     out = np.empty((h, w, layer.out_channels))
     out[...] = layer.bias
     term = np.empty_like(out)
     for i in range(k):
         for j in range(k):
-            np.matmul(padded[i::s, j::s][:h, :w], taps[i, j], out=term)
+            np.matmul(padded[i::s, j::s][:h, :w], layer._taps[i, j], out=term)
             out += term
-    np.multiply(out, layer.leaky_slope, out=out, where=out <= 0)
+    _leaky_relu(out, layer.leaky_slope)
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, UsageError
-from .raster import Raster, _check_scale_pair
+from .raster import Raster, _band_sum, _check_scale_pair
 from .resample import _STD_EPS, _correlate_axis, _downsample, _match_moments, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
@@ -45,8 +45,10 @@ def _plane(cube: np.ndarray, fill: Callable[[np.ndarray, np.ndarray], object]) -
 
 
 def _band_mean(cube: np.ndarray) -> np.ndarray:
-    """The per-pixel band mean of an H x W x B cube."""
-    return _plane(cube, lambda s, out: np.mean(s, axis=2, out=out))
+    """The per-pixel band mean of an H x W x B cube, with the bits of
+    ``np.mean(cube, axis=2)``: the band sum over the band count."""
+    bands = cube.shape[2]
+    return _plane(cube, lambda s, out: np.divide(_band_sum(s), bands, out=out))
 
 
 def _inject(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .features import IDENTITY, Extractor, extract_features
-from .raster import Raster, _check_same_shape, _check_scale_pair
+from .raster import Raster, _band_sum, _check_same_shape, _check_scale_pair
 from .resample import _downsample, _downsample_adjoint
 
 _EPS = 1e-12
@@ -161,8 +161,8 @@ def _sam_loss(f: np.ndarray, t: np.ndarray, mode: str) -> float:
         )
     if f.shape[2] < 2:
         raise ShapeMismatchError("sam loss requires at least 2 bands")
-    dots = np.sum(f * t, axis=2)
-    norms = np.sqrt(np.sum(f * f, axis=2)) * np.sqrt(np.sum(t * t, axis=2))
+    dots = _band_sum(f * t)
+    norms = np.sqrt(_band_sum(f * f)) * np.sqrt(_band_sum(t * t))
     return max(float(np.mean(1.0 - dots / (norms + _EPS))), 0.0)
 
 
@@ -240,9 +240,9 @@ def combined_loss(base: float, regularizer: float, spec: LossSpec) -> float:
 def _sam_cosine_gradient(fused: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d/d fused of mean_p [1 - <f,t> / (|f| |t| + eps)]."""
     npix = fused.shape[0] * fused.shape[1]
-    dots = np.sum(fused * target, axis=2)
-    nf = np.sqrt(np.sum(fused * fused, axis=2))
-    nt = np.sqrt(np.sum(target * target, axis=2))
+    dots = _band_sum(fused * target)
+    nf = np.sqrt(_band_sum(fused * fused))
+    nt = np.sqrt(_band_sum(target * target))
     den = nf * nt + _EPS
     nf_safe = np.maximum(nf, _EPS)
     # d cos/d f_b = [t_b * den - dot * nt * f_b / nf] / den^2

@@ -104,6 +104,21 @@ def _positive_int(name: str, value: object, minimum: int = 1) -> int:
     return number
 
 
+def _band_sum(cube: np.ndarray) -> np.ndarray:
+    """The per-pixel band sum of an H x W x B array, with the bits of
+    ``np.sum(cube, axis=2)``. Below 8 bands numpy adds the bands in order
+    onto +0.0, which adding whole band slices onto ``cube[:, :, 0] + 0.0``
+    repeats without a per-pixel loop (the +0.0 turns an all -0.0 pixel into
+    +0.0, as numpy does). From 8 bands on numpy sums pairwise, so this calls
+    it."""
+    if cube.shape[2] >= 8:
+        return np.sum(cube, axis=2)
+    total = cube[:, :, 0] + 0.0
+    for b in range(1, cube.shape[2]):
+        total += cube[:, :, b]
+    return total
+
+
 def _check_same_shape(a: Raster, b: Raster) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeMismatchError(

@@ -161,6 +161,29 @@ class TestSpecValidation:
             ConvLayer(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=1,
                       leaky_slope=slope)
 
+    def test_caller_edits_after_construction_do_not_reach_the_layer(self):
+        rng = np.random.default_rng(5)
+        w, b = rng.standard_normal((2, 3, 3, 3)), rng.standard_normal(2)
+        layer = ConvLayer(weights=w, bias=b, stride=1, leaky_slope=0.2)
+        spec = ConvStackSpec(bands=3, layers=(layer,))
+        x = random_raster(6, 7, 8, 3)
+        before = extract_features(x, spec).data.copy()
+        want_w, want_b = w.copy(), b.copy()
+        w[0, 0, 0, 0] = np.nan
+        b[:] = 5.0
+        assert layer.weights is not w and layer.bias is not b
+        assert np.array_equal(layer.weights, want_w) and np.array_equal(layer.bias, want_b)
+        assert np.array_equal(extract_features(x, spec).data, before)
+
+    def test_layer_arrays_are_read_only_float64(self):
+        layer = ConvLayer(weights=np.ones((1, 1, 3, 3), dtype=np.float32),
+                          bias=np.zeros(1, dtype=np.int64), stride=1, leaky_slope=0.0)
+        for arr in (layer.weights, layer.bias):
+            assert arr.dtype == np.float64
+            assert arr.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            layer.weights[0, 0, 0, 0] = 2.0
+
 
 class TestCswIO:
     def test_roundtrip(self, tmp_path):

@@ -15,7 +15,12 @@ einsum over a window view of the taps. They are test-only oracles:
 the resampling, the scene, the written bytes and the gradients must match
 them bit for bit, SSIM (and its window mean), SAM and ERGAS within 1e-14, QNR, Q4 and UIQI within
 1e-12, and the conv features within 1e-12 of their largest magnitude (the
-order of the sums changed).
+order of the sums changed). ``masked_apply_layer`` is the per-tap conv layer
+before it padded into ``np.zeros`` and took its leaky ReLU as one max or min,
+and ``np_sum_sam_loss`` and ``np_sum_sam_cosine_gradient`` are the SAM loss
+and gradient before their band sums added band slices in order; the new
+bodies, and the band mean built on the same sum, must match them to the bit,
+zero signs included.
 """
 
 import itertools
@@ -30,10 +35,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import panfuse
-from panfuse import metrics
+from panfuse import fusion, losses, metrics
 from panfuse import (
     ConvLayer,
     ConvStackSpec,
+    FusionInput,
     Raster,
     downsample_antialias,
     downsample_antialias_adjoint,
@@ -47,19 +53,23 @@ from panfuse import (
     metric_uiqi,
     pan_from_weights,
     synth_scene,
+    total_sam_loss,
     write_raster,
 )
 from panfuse._strips import _map_strips
 from panfuse.errors import ShapeMismatchError
-from panfuse.features import _apply_layer
+from panfuse.features import _apply_layer, _leaky_relu
+from panfuse.losses import _EPS as LOSS_EPS
 from panfuse.losses import (
     GRADIENT_LOSSES,
     GRADIENTS,
     _gram_delta_gradient,
     _sam_cosine_gradient,
+    _sam_loss,
     gram_matrix,
 )
 from panfuse.metrics import _EPS
+from panfuse.raster import _band_sum
 from panfuse.resample import (
     _catmull_rom_weights,
     _downsample,
@@ -765,7 +775,7 @@ def test_conv_layer_all_negative_takes_leaky_branch(k, stride):
 
 
 @st.composite
-def stacks_and_inputs(draw):
+def stacks_and_inputs(draw, slopes=st.sampled_from([0.0, 0.2, 1.0, -0.5])):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     bands = draw(st.integers(1, 6))
@@ -773,7 +783,7 @@ def stacks_and_inputs(draw):
     for _ in range(draw(st.integers(1, 3))):
         c_out = draw(st.integers(1, 6))
         k, stride = draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 3))
-        slope = draw(st.sampled_from([0.0, 0.2, 1.0, -0.5]))
+        slope = draw(slopes)
         layers.append(random_layer(rng, c_in, c_out, k, stride, slope))
         c_in = c_out
     height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
@@ -844,3 +854,176 @@ def test_gradient_table_matches_old_if_chain(loss_id, height, width, bands, same
     got = loss_gradient(loss_id, fused, reference, lrms=lrms, ratio=4)
     want = old_loss_gradient(loss_id, fused, reference, lrms=lrms, ratio=4)
     assert np.array_equal(got.data, want.data)
+
+
+def masked_apply_layer(arr, layer):
+    """The per-tap conv layer before it padded into ``np.zeros``, laid its taps
+    out once per layer and took the leaky ReLU as a max or min: ``np.pad``,
+    taps per call, and the masked multiply."""
+    k, s = layer.kernel_size, layer.stride
+    pad = k // 2
+    padded = np.pad(arr, ((pad, pad), (pad, pad), (0, 0)))
+    h, w = (arr.shape[0] - 1) // s + 1, (arr.shape[1] - 1) // s + 1
+    taps = np.ascontiguousarray(layer.weights.transpose(2, 3, 1, 0))
+    out = np.empty((h, w, layer.out_channels))
+    out[...] = layer.bias
+    term = np.empty_like(out)
+    for i in range(k):
+        for j in range(k):
+            np.matmul(padded[i::s, j::s][:h, :w], taps[i, j], out=term)
+            out += term
+    np.multiply(out, layer.leaky_slope, out=out, where=out <= 0)
+    return out
+
+
+def np_sum_sam_loss(f, t):
+    """The cosine branch of ``_sam_loss`` with ``np.sum`` band reductions."""
+    dots = np.sum(f * t, axis=2)
+    norms = np.sqrt(np.sum(f * f, axis=2)) * np.sqrt(np.sum(t * t, axis=2))
+    return max(float(np.mean(1.0 - dots / (norms + LOSS_EPS))), 0.0)
+
+
+def np_sum_sam_cosine_gradient(fused, target):
+    """``_sam_cosine_gradient`` with ``np.sum`` band reductions."""
+    npix = fused.shape[0] * fused.shape[1]
+    dots = np.sum(fused * target, axis=2)
+    nf = np.sqrt(np.sum(fused * fused, axis=2))
+    nt = np.sqrt(np.sum(target * target, axis=2))
+    den = nf * nt + LOSS_EPS
+    nf_safe = np.maximum(nf, LOSS_EPS)
+    term = (
+        target * den[:, :, None]
+        - (dots * nt / nf_safe)[:, :, None] * fused
+    ) / (den * den)[:, :, None]
+    return -term / npix
+
+
+def same_bits(got, want):
+    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def signed_zero_cube(rng, shape, scale=1.0):
+    """Normal values over many magnitudes, a third of them replaced by +0.0 or
+    -0.0, with one all -0.0 pixel and one all +0.0 pixel."""
+    cube = scale * rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    zeros = rng.random(shape) < 0.3
+    cube[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    cube[0, 0] = -0.0
+    cube[-1, -1] = 0.0
+    return cube
+
+
+BAND_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16]
+# Non-negative slopes, which the max or min form serves, and the sign-bit
+# slopes, which keep the masked multiply.
+SLOPES = [0.0, 0.2, 1.0, 2.5, 1e300, -0.5, -0.0]
+
+
+@pytest.mark.parametrize("bands", BAND_COUNTS)
+def test_band_sum_same_bits_as_np_sum(bands):
+    rng = np.random.default_rng(bands)
+    cube = signed_zero_cube(rng, (9, 13, bands))
+    for view in (cube, cube[::2, 1::3], np.asfortranarray(cube)):
+        assert same_bits(_band_sum(view), np.sum(view, axis=2))
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_leaky_relu_same_bits_as_masked_multiply(slope):
+    rng = np.random.default_rng(7)
+    x = signed_zero_cube(rng, (11, 10, 3))
+    x[1, 1] = [5e-324, -5e-324, 1e308]
+    got, want = x.copy(), x.copy()
+    with np.errstate(over="ignore"):
+        _leaky_relu(got, slope)
+        np.multiply(want, slope, out=want, where=want <= 0)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+@pytest.mark.parametrize("height, width", [(1, 1), (7, 9), (64, 64)])
+@pytest.mark.parametrize("k, stride", [(1, 1), (3, 1), (3, 2), (5, 3)])
+def test_conv_layer_same_bits_as_masked_body(slope, height, width, k, stride):
+    rng = np.random.default_rng(height + k * 10 + stride)
+    layer = random_layer(rng, 4, 8, k, stride, slope)
+    x = signed_zero_cube(rng, (height, width, 4))
+    with np.errstate(over="ignore"):
+        assert same_bits(_apply_layer(x, layer), masked_apply_layer(x, layer))
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_conv_layer_passes_signed_zeros_like_masked_body(slope):
+    """A 1 x 1 identity layer on a -0.0 bias hands the activation the input's
+    zeros of both signs."""
+    rng = np.random.default_rng(3)
+    layer = ConvLayer(weights=np.eye(3)[:, :, None, None], bias=np.full(3, -0.0),
+                      stride=1, leaky_slope=slope)
+    x = signed_zero_cube(rng, (6, 5, 3))
+    with np.errstate(over="ignore"):
+        assert same_bits(_apply_layer(x, layer), masked_apply_layer(x, layer))
+
+
+# The slopes above but 1e300, which would overflow a stack to inf.
+STACK_SLOPES = st.one_of(st.sampled_from([0.0, 0.2, 1.0, 2.5, -0.5, -0.0]), st.floats(0.0, 4.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(stacks_and_inputs(STACK_SLOPES))
+def test_extract_features_same_bits_as_masked_stack(case):
+    spec, x = case
+    want = x.data
+    for layer in spec.layers:
+        want = masked_apply_layer(want, layer)
+    assert same_bits(extract_features(x, spec).data, want)
+
+
+@pytest.mark.parametrize("bands", BAND_COUNTS[1:])
+def test_sam_value_and_gradient_same_bits_as_np_sum_body(bands):
+    rng = np.random.default_rng(100 + bands)
+    f = signed_zero_cube(rng, (12, 10, bands), 1e-3)
+    t = signed_zero_cube(rng, (12, 10, bands), 1e-3)
+    t[1, 0] = -0.0  # a pixel where only the target is all -0.0
+    for a, b in ((f, t), (t, f), (f, f)):
+        assert same_bits(_sam_loss(a, b, "cosine"), np_sum_sam_loss(a, b))
+        assert same_bits(_sam_cosine_gradient(a, b), np_sum_sam_cosine_gradient(a, b))
+
+
+@pytest.mark.parametrize("bands", [2, 4, 8, 9])
+def test_total_sam_same_bits_as_np_sum_body(monkeypatch, bands):
+    rng = np.random.default_rng(bands)
+    fused = Raster(rng.random((16, 12, bands)))
+    reference = Raster(rng.random((16, 12, bands)))
+    lrms = Raster(rng.random((4, 3, bands)))
+
+    def run():
+        return (
+            total_sam_loss(fused, reference, lrms, 4),
+            loss_gradient("total_sam", fused, reference, lrms=lrms, ratio=4).data,
+            loss_gradient("sam_cosine", fused, reference).data,
+        )
+
+    got = run()
+    monkeypatch.setattr(losses, "_sam_loss", lambda f, t, mode: np_sum_sam_loss(f, t))
+    monkeypatch.setattr(losses, "_sam_cosine_gradient", np_sum_sam_cosine_gradient)
+    for g, w in zip(got, run()):
+        assert same_bits(g, w)
+
+
+@pytest.mark.parametrize("bands", [3, 4, 8, 9])
+def test_band_mean_same_bits_as_np_mean(bands):
+    """Over several row strips, with zeros of both signs."""
+    rng = np.random.default_rng(bands)
+    cube = signed_zero_cube(rng, (150, 90, bands))
+    assert same_bits(fusion._band_mean(cube), np.mean(cube, axis=2))
+
+
+@pytest.mark.parametrize("method", ["gihs", "brovey", "gs"])
+@pytest.mark.parametrize("bands", [4, 8])
+def test_band_mean_fusions_same_bits_as_np_mean(monkeypatch, method, bands):
+    hrms, pan = synth_scene(128, 96, bands, 11, [1.0] * bands)
+    fin = FusionInput(downsample_antialias(hrms, 4), pan, 4)
+    fuse = getattr(fusion, f"fuse_{method}")
+    got = fuse(fin).data
+    monkeypatch.setattr(fusion, "_band_mean", lambda cube: np.mean(cube, axis=2))
+    assert same_bits(got, fuse(fin).data)
