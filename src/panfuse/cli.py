@@ -221,14 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--pan-weights", default="", help="comma-separated band weights")
     p_sim.add_argument("--out", default=".")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_deg = sub.add_parser("degrade", help="reduced-scale degradation of hrms and pan")
     p_deg.add_argument("--hrms", required=True)
     p_deg.add_argument("--pan", required=True)
     p_deg.add_argument("--ratio", type=int, default=4)
     p_deg.add_argument("--out", default=".")
-    p_deg.set_defaults(func=cmd_degrade)
 
     p_pat = sub.add_parser("patchify", help="cut aligned non-overlapping tiles")
     p_pat.add_argument("--ms", required=True)
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--patch", type=int, default=256)
     p_pat.add_argument("--ratio", type=int, default=4)
     p_pat.add_argument("--out", default=".")
-    p_pat.set_defaults(func=cmd_patchify)
 
     p_fuse = sub.add_parser("fuse", help="run one classical fusion method")
     p_fuse.add_argument("--method", required=True, choices=FUSE_METHODS)
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuse.add_argument("--name", default="fused", help="output file stem")
     p_fuse.add_argument("--out", default=".")
-    p_fuse.set_defaults(func=cmd_fuse)
 
     p_eval = sub.add_parser("eval", help="metric report for fused results")
     p_eval.add_argument("--fused", required=True, nargs="+")
@@ -258,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ratio", type=int, default=4)
     p_eval.add_argument("--format", default="csv", choices=("csv", "json"))
     p_eval.add_argument("--out", default=".")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_loss = sub.add_parser("loss", help="evaluate a loss value or check its gradient")
     p_loss.add_argument("--name", required=True, choices=(*LOSSES, "gen-adv", "disc"))
@@ -274,16 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--disc-mode", default="as_printed", choices=losses.DISC_MODES)
     p_loss.add_argument("--grad-check", action="store_true")
     p_loss.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
-    p_loss.set_defaults(func=cmd_loss)
 
     return parser
 
 
+# Built once per process; parsing leaves no state in it.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # ``cmd_<command>`` is looked up when the command runs, not bound in the
+    # parser, so rebinding a handler in this module reaches ``main``.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except PanfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

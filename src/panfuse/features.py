@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -93,10 +94,25 @@ class ConvLayer:
 
 @dataclass(frozen=True, eq=False)
 class ConvStackSpec:
-    """Validated chain of conv layers with a declared input band count."""
+    """Validated chain of conv layers with a declared input band count.
+
+    A stack remembers the features of the last two rasters it extracted, so
+    the perceptual and Gram losses of one (fused, reference) pair run it once
+    per input. An entry is keyed on its input through a weak reference, which
+    a raster that died can never match, and a ``Raster`` is immutable, so a
+    match has the features extraction would compute again. The memo is one
+    tuple, replaced whole; a copy or a pickle starts with an empty one.
+    """
 
     bands: int
     layers: tuple[ConvLayer, ...]
+    # ((weakref to input, features), ...), most recent first, at most two.
+    _memo: tuple = field(default=(), init=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        """The state to pickle or copy: no memo, whose weak references
+        cannot be pickled."""
+        return {**self.__dict__, "_memo": ()}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bands", _positive_int("declared bands", self.bands))
@@ -235,7 +251,9 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
 
     ``extractor`` is either the string ``"identity"`` (features are the
     raster itself, bit-equal) or a :class:`ConvStackSpec`, applied layer by
-    layer. Dropout from training-time variants is never applied here.
+    layer. Dropout from training-time variants is never applied here. A
+    stack returns the read-only features it remembers for ``x`` itself, the
+    same ``Raster`` object, when ``x`` is one of the last two it extracted.
     """
     if isinstance(extractor, str):
         if extractor != IDENTITY:
@@ -245,8 +263,14 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
         raise ShapeMismatchError(
             f"raster has {x.bands} bands, extractor expects {extractor.bands}"
         )
+    memo = extractor._memo
+    for ref, feats in memo:
+        if ref() is x:
+            return feats
     arr = x.data
     with np.errstate(over="ignore", invalid="ignore"):  # Raster rejects a non-finite result
         for layer in extractor.layers:
             arr = _apply_layer(arr, layer)
-    return Raster._adopt(arr)
+    feats = Raster._adopt(arr)
+    object.__setattr__(extractor, "_memo", ((weakref.ref(x), feats), *memo[:1]))
+    return feats

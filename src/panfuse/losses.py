@@ -17,14 +17,14 @@ the rest of the toolkit only where stated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .features import IDENTITY, Extractor, extract_features
-from .raster import Raster, _band_sum, _check_same_shape, _check_scale_pair
+from .raster import Raster, _band_sum, _check_same_shape, _check_scale_pair, _positive_int
 from .resample import _downsample, _downsample_adjoint
 
 _EPS = 1e-12
@@ -74,10 +74,11 @@ def _lrms_and_ratio(ctx: LossContext) -> tuple[Raster, int]:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Channel inner-product matrix of a feature map, normalized by pixel count."""
+    """Channel inner-product matrix of a feature map, normalized by its
+    pixel count ``n``, a positive integer."""
 
     matrix: np.ndarray
-    n: int = field(default=0)
+    n: int
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.float64, order="C")
@@ -85,6 +86,7 @@ class GramMatrix:
             raise ValueError(f"gram matrix must be square, got {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "n", _positive_int("pixel count", self.n))
 
     @property
     def unnormalized(self) -> np.ndarray:

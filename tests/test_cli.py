@@ -644,6 +644,38 @@ class TestMalformedInputs:
         assert "bad.csw" in r.stderr
 
 
+class TestParser:
+    """``main`` parses every call with one parser, built at import."""
+
+    ARGVS = {
+        "simulate": ["simulate", "--size", "16", "--seed", "3", "--out", "o"],
+        "degrade": ["degrade", "--hrms", "h.msr", "--pan", "p.msr", "--ratio", "2"],
+        "patchify": ["patchify", "--ms", "m.msr", "--pan", "p.msr", "--patch", "8"],
+        "fuse": ["fuse", "--method", "gs", "--lrms", "l.msr", "--pan", "p.msr",
+                 "--lrpan", "mmse"],
+        "eval": ["eval", "--fused", "a.msr", "b.msr", "--reference", "r.msr",
+                 "--lrms", "l.msr", "--pan", "p.msr", "--format", "json"],
+        "loss": ["loss", "--name", "perceptual", "a.msr", "b.msr", "--grad-check"],
+        "loss-disc": ["loss", "--name", "disc", "--d-fake", "0.3", "--d-real", "0.6"],
+    }
+
+    @pytest.mark.parametrize("argv", list(ARGVS.values()), ids=list(ARGVS))
+    def test_repeated_parses_equal_a_fresh_parser(self, argv, capsys):
+        want = cli.build_parser().parse_args(argv)
+        for _ in range(2):
+            for other in self.ARGVS.values():
+                cli._PARSER.parse_args(other)
+            with pytest.raises(SystemExit):
+                cli._PARSER.parse_args(["fuse", "--method", "nope"])
+            assert cli._PARSER.parse_args(argv) == want
+
+    def test_main_runs_the_handler_bound_when_it_runs(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.size) or 7)
+        assert cli.main(["simulate", "--size", "9"]) == 7
+        assert seen == [9]
+
+
 class TestSweep:
     """Random arguments to every subcommand end in a documented exit code."""
 

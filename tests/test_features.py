@@ -1,7 +1,11 @@
 """Feature extractors: identity, conv stacks, and the CSW weights format."""
 
+import copy
 import json
+import pickle
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,9 +17,12 @@ from panfuse import (
     IDENTITY,
     Raster,
     extract_features,
+    gm_perceptual_loss,
     load_conv_stack,
+    perceptual_loss,
     save_conv_stack,
 )
+from panfuse import features
 from panfuse.errors import (
     HeaderError,
     MagicError,
@@ -115,6 +122,150 @@ class TestConvStack:
         spec = single_layer(np.ones((1, 2, 1, 1)), [0.0])
         with pytest.raises(ShapeMismatchError):
             extract_features(random_raster(9, 4, 4, 3), spec)
+
+
+@pytest.fixture(scope="module")
+def bench_stack(tmp_path_factory):
+    """The gan-step-64 benchmark's stack: 4 -> 8 channels at stride 1, then
+    8 -> 16 at stride 2, 3 x 3 kernels, slope 0.2, through a CSW round trip."""
+    rng = np.random.default_rng(7)
+    layers = []
+    for c_in, c_out, stride in ((4, 8, 1), (8, 16, 2)):
+        layers.append(ConvLayer(weights=rng.normal(0.0, 0.3, (c_out, c_in, 3, 3)),
+                                bias=rng.normal(0.0, 0.05, c_out), stride=stride,
+                                leaky_slope=0.2))
+    path = tmp_path_factory.mktemp("stack") / "stack.csw"
+    save_conv_stack(ConvStackSpec(bands=4, layers=tuple(layers)), path)
+    return load_conv_stack(path)
+
+
+def fresh(spec):
+    """A spec with ``spec``'s layers and nothing remembered."""
+    return ConvStackSpec(bands=spec.bands, layers=spec.layers)
+
+
+def count_layer_calls(monkeypatch):
+    """A list that grows by one on every ``features._apply_layer`` call."""
+    calls = []
+    apply_layer = features._apply_layer
+
+    def counted(arr, layer):
+        calls.append(layer)
+        return apply_layer(arr, layer)
+
+    monkeypatch.setattr(features, "_apply_layer", counted)
+    return calls
+
+
+class TestMemo:
+    """A stack remembers the features of the last two rasters it extracted."""
+
+    def test_hit_returns_the_same_read_only_features(self, bench_stack):
+        spec = fresh(bench_stack)
+        x = random_raster(30, 64, 64, 4)
+        first = extract_features(x, spec)
+        assert extract_features(x, spec) is first
+        assert first.data.flags.writeable is False
+        assert np.array_equal(first.data, extract_features(x, fresh(spec)).data)
+
+    def test_equal_bytes_in_another_raster_are_extracted_afresh(self, bench_stack, monkeypatch):
+        spec = fresh(bench_stack)
+        x = random_raster(31, 16, 16, 4)
+        twin = Raster(x.data)
+        calls = count_layer_calls(monkeypatch)
+        a, b = extract_features(x, spec), extract_features(twin, spec)
+        assert b is not a
+        assert len(calls) == 2 * len(spec.layers)
+        assert np.array_equal(a.data, b.data)
+
+    def test_a_dead_raster_never_hits_even_at_its_old_id(self, bench_stack):
+        spec = fresh(bench_stack)
+        x = random_raster(32, 16, 16, 4)
+        other = random_raster(33, 16, 16, 4).data
+        old = extract_features(x, spec)
+        dead_id = id(x)
+        # Each candidate stays alive, so the next one takes another address,
+        # until one takes the dead raster's. Nothing else is made in between.
+        held, tries = [], range(10000)
+        del x
+        for _ in tries:
+            y = Raster._adopt(other)
+            if id(y) == dead_id:
+                break
+            held.append(y)
+        assert id(y) == dead_id
+        got = extract_features(y, spec)
+        assert got is not old
+        assert np.array_equal(got.data, extract_features(y, fresh(spec)).data)
+        assert not np.array_equal(got.data, old.data)
+
+    def test_at_most_two_entries(self, bench_stack, monkeypatch):
+        spec = fresh(bench_stack)
+        xs = [random_raster(40 + i, 8, 8, 4) for i in range(4)]
+        for x in xs:
+            extract_features(x, spec)
+            assert len(spec._memo) <= 2
+        assert [ref() for ref, _ in spec._memo] == [xs[3], xs[2]]
+        calls = count_layer_calls(monkeypatch)
+        extract_features(xs[2], spec)
+        assert calls == []
+        got = extract_features(xs[1], spec)
+        assert len(calls) == len(spec.layers)
+        assert np.array_equal(got.data, extract_features(xs[1], fresh(spec)).data)
+
+    def test_perceptual_then_gram_run_each_input_once(self, bench_stack, monkeypatch):
+        spec = fresh(bench_stack)
+        f, r = random_raster(50, 64, 64, 4), random_raster(51, 64, 64, 4)
+        want = (perceptual_loss(f, r, fresh(spec)), gm_perceptual_loss(f, r, fresh(spec)))
+        calls = count_layer_calls(monkeypatch)
+        got = (perceptual_loss(f, r, spec), gm_perceptual_loss(f, r, spec))
+        assert len(calls) == 2 * len(spec.layers)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda spec: pickle.loads(pickle.dumps(spec)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_a_copy_of_a_used_spec_remembers_nothing(self, bench_stack, clone):
+        spec = fresh(bench_stack)
+        x = random_raster(60, 16, 16, 4)
+        feats = extract_features(x, spec)
+        other = clone(spec)
+        assert other._memo == () and len(spec._memo) == 1
+        for got, want in zip(other.layers, spec.layers):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+        again = extract_features(x, other)
+        assert again is not feats and np.array_equal(again.data, feats.data)
+
+    def test_threads_sharing_a_spec_get_their_own_features(self, bench_stack):
+        """More threads than the CI runner's cores, each extracting its own
+        raster over and over, switching as often as the interpreter allows."""
+        spec = fresh(bench_stack)
+        xs = [random_raster(70 + i, 8, 8, 4) for i in range(4)]
+        wants = [extract_features(x, fresh(spec)).data for x in xs]
+        start = threading.Barrier(len(xs))
+        wrong = []
+
+        def work(x, want):
+            start.wait(timeout=10)
+            for _ in range(300):
+                if not np.array_equal(extract_features(x, spec).data, want):
+                    wrong.append(x)
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(xs, wants)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestSpecValidation:

@@ -211,6 +211,20 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             GramMatrix(matrix=np.ones((2, 3)), n=1)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, 4.0, "4", None])
+    def test_pixel_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(UsageError, match="pixel count"):
+            GramMatrix(matrix=np.eye(2), n=n)
+
+    def test_pixel_count_is_required(self):
+        with pytest.raises(TypeError):
+            GramMatrix(np.eye(2))
+
+    def test_numpy_pixel_count_stored_as_int(self):
+        g = GramMatrix(matrix=np.eye(2), n=np.int64(3))
+        assert type(g.n) is int
+        assert np.array_equal(g.unnormalized, 3.0 * np.eye(2))
+
 
 class TestGramLosses:
     def test_zero_at_identity(self):

@@ -9,15 +9,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from panfuse import (
+    IDENTITY,
+    ConvLayer,
+    ConvStackSpec,
+    FusionInput,
     Patch,
     PatchSet,
     Raster,
+    downsample_antialias,
+    downsample_antialias_adjoint,
+    extract_features,
+    fuse_brovey,
+    fuse_gihs,
+    fuse_gs,
+    fuse_hpf,
+    fuse_pca,
+    histogram_match,
+    loss_gradient,
     pan_from_weights,
     patchify,
     read_raster,
     synth_scene,
+    upsample,
+    wald_degrade,
     write_raster,
 )
+from panfuse.losses import GRADIENT_LOSSES
 from panfuse.errors import (
     DegenerateInputError,
     HeaderError,
@@ -427,3 +444,72 @@ class TestScalePairCheck:
         lrms, pan, _ = scale_pair()
         with pytest.raises(UsageError):
             _check_scale_pair(lrms, pan, ratio)
+
+
+def _scene():
+    hrms, pan = synth_scene(16, 16, 4, 5, [1.0] * 4)
+    lrms, lrpan, _ = wald_degrade(hrms, pan, 4)
+    return hrms, pan, lrms, lrpan
+
+
+def _write_then_read(tmp_path):
+    write_raster(random_raster(90, 3, 2, 2), tmp_path / "x.msr")
+    return (read_raster(tmp_path / "x.msr"),)
+
+
+def _stack_features():
+    layer = ConvLayer(np.full((2, 4, 3, 3), 0.1), np.zeros(2), 2, 0.2)
+    return (extract_features(_scene()[0], ConvStackSpec(bands=4, layers=(layer,))),)
+
+
+def _gradient(loss_id):
+    def make(tmp_path):
+        hrms, _, lrms, _ = _scene()
+        reference = Raster(np.clip(hrms.data + 0.01, 0.0, 1.0))
+        return (loss_gradient(loss_id, hrms, reference, lrms=lrms, ratio=4),)
+
+    return make
+
+
+def _fusion(fuse):
+    def make(tmp_path):
+        _, pan, lrms, _ = _scene()
+        return (fuse(FusionInput(lrms=lrms, pan=pan, ratio=4)),)
+
+    return make
+
+
+# path that makes a Raster -> (tmp_path -> the rasters it made)
+READ_ONLY_PATHS = {
+    "constructor": lambda tmp_path: (Raster(np.ones((2, 3, 2))), Raster(np.ones((2, 3)))),
+    "read_raster": _write_then_read,
+    "synth_scene": lambda tmp_path: synth_scene(8, 8, 3, 1, [1.0] * 3),
+    "pan_from_weights": lambda tmp_path: (pan_from_weights(_scene()[0], [1.0, 2.0, 3.0, 4.0]),),
+    "extract_features-identity": lambda tmp_path: (extract_features(_scene()[0], IDENTITY),),
+    "extract_features-stack": lambda tmp_path: _stack_features(),
+    **{f"loss_gradient-{loss_id}": _gradient(loss_id) for loss_id in GRADIENT_LOSSES},
+    "downsample_antialias": lambda tmp_path: (downsample_antialias(_scene()[0], 4),),
+    "downsample_antialias_adjoint": lambda tmp_path: (
+        downsample_antialias_adjoint(_scene()[2], 4, 16, 16),
+    ),
+    "upsample": lambda tmp_path: (upsample(_scene()[2], 4),),
+    "histogram_match": lambda tmp_path: (histogram_match(_scene()[1], _scene()[3]),),
+    "wald_degrade": lambda tmp_path: wald_degrade(*_scene()[:2], 4),
+    "fuse_gihs": _fusion(fuse_gihs),
+    "fuse_brovey": _fusion(fuse_brovey),
+    "fuse_pca": _fusion(fuse_pca),
+    "fuse_gs": _fusion(fuse_gs),
+    "fuse_hpf": _fusion(fuse_hpf),
+}
+
+
+@pytest.mark.parametrize("make", list(READ_ONLY_PATHS.values()), ids=list(READ_ONLY_PATHS))
+def test_every_raster_path_makes_read_only_data(tmp_path, make):
+    """A Raster is immutable on every path that makes one: a conv stack
+    hands back the features it remembers on that ground."""
+    rasters = make(tmp_path)
+    assert rasters and all(isinstance(r, Raster) for r in rasters)
+    for r in rasters:
+        assert r.data.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            r.data[0, 0, 0] = 0.5
