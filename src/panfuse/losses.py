@@ -17,6 +17,7 @@ the rest of the toolkit only where stated.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -153,6 +154,50 @@ def discriminator_loss(
     return total / len(d_fake)
 
 
+class _LastTwo:
+    """``compute``, remembering the values of its last two calls.
+
+    A call matches an entry when each argument that is an int or a str equals
+    the entry's and every other argument is the entry's object itself, held
+    through a weak reference, which an object that died never matches; the
+    rasters and conv stacks it is given are immutable, so a match holds what
+    computing again would give. The entries are one tuple, replaced whole: a
+    thread can only lose an entry, which is then computed again.
+    """
+
+    def __init__(self, compute: Callable[..., tuple]) -> None:
+        self.compute = compute
+        self.entries: tuple = ()  # ((key, value), ...), most recent first
+
+    def __call__(self, *args: object) -> tuple:
+        entries = self.entries
+        for key, value in entries:
+            if all(k() is a if isinstance(k, weakref.ref) else k == a for k, a in zip(key, args)):
+                return value
+        value = self.compute(*args)
+        key = tuple(a if isinstance(a, (int, str)) else weakref.ref(a) for a in args)
+        self.entries = ((key, value), *entries[:1])
+        return value
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _sam_parts(f: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The per-pixel ``<f, t>``, ``|f|`` and ``|t|`` of two H x W x B arrays,
+    read-only: what the cosine SAM value and gradient are made of."""
+    return _read_only(_band_sum(f * t), np.sqrt(_band_sum(f * f)), np.sqrt(_band_sum(t * t)))
+
+
+def _sam_value(parts: tuple[np.ndarray, ...]) -> float:
+    """The cosine SAM loss of its :func:`_sam_parts`."""
+    dots, nf, nt = parts
+    return max(float(np.mean(1.0 - dots / (nf * nt + _EPS))), 0.0)
+
+
 def _sam_loss(f: np.ndarray, t: np.ndarray, mode: str) -> float:
     """:func:`sam_loss` of two H x W x B arrays of one shape."""
     if mode not in SAM_MODES:
@@ -163,9 +208,7 @@ def _sam_loss(f: np.ndarray, t: np.ndarray, mode: str) -> float:
         )
     if f.shape[2] < 2:
         raise ShapeMismatchError("sam loss requires at least 2 bands")
-    dots = _band_sum(f * t)
-    norms = np.sqrt(_band_sum(f * f)) * np.sqrt(_band_sum(t * t))
-    return max(float(np.mean(1.0 - dots / (norms + _EPS))), 0.0)
+    return _sam_value(_sam_parts(f, t))
 
 
 def sam_loss(fused: Raster, target: Raster, mode: str = "cosine") -> float:
@@ -189,10 +232,26 @@ def total_sam_loss(
     """
     _check_same_shape(fused, reference)
     ratio = _check_scale_pair(lrms, fused, ratio, pan=False)
-    down = _downsample(fused.data, ratio)
-    return 0.5 * _sam_loss(fused.data, reference.data, mode) + 0.5 * _sam_loss(
-        down, lrms.data, mode
-    )
+    if mode != "cosine":
+        down = _downsample(fused.data, ratio)
+        return 0.5 * _sam_loss(fused.data, reference.data, mode) + 0.5 * _sam_loss(
+            down, lrms.data, mode
+        )
+    if fused.bands < 2:
+        raise ShapeMismatchError("sam loss requires at least 2 bands")
+    _, full, low = _total_sam_parts(fused, reference, lrms, ratio)
+    return 0.5 * _sam_value(full) + 0.5 * _sam_value(low)
+
+
+@_LastTwo
+def _total_sam_parts(
+    fused: Raster, reference: Raster, lrms: Raster, ratio: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The read-only downsample of ``fused`` and the :func:`_sam_parts` of
+    (fused, reference) and (downsample, lrms): what the cosine total SAM and
+    its gradient share."""
+    (down,) = _read_only(_downsample(fused.data, ratio))
+    return down, _sam_parts(fused.data, reference.data), _sam_parts(down, lrms.data)
 
 
 def gram_matrix(f: Raster) -> GramMatrix:
@@ -217,10 +276,20 @@ def gm_reconstruction_loss(fused: Raster, reference: Raster) -> float:
 def gm_perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> float:
     """Frobenius distance between Gram matrices in feature space."""
     _check_same_shape(fused, reference)
+    return _gram_delta(fused, reference, extractor)[1]
+
+
+@_LastTwo
+def _gram_delta(
+    fused: Raster, reference: Raster, extractor: Extractor
+) -> tuple[np.ndarray, float]:
+    """The read-only Gram difference of the features of ``fused`` and
+    ``reference``, and its Frobenius norm: what the Gram loss and its
+    gradient share."""
     gf = gram_matrix(extract_features(fused, extractor)).matrix
     gr = gram_matrix(extract_features(reference, extractor)).matrix
-    delta = gf - gr
-    return float(np.sqrt(np.sum(delta * delta)))
+    (delta,) = _read_only(gf - gr)
+    return delta, float(np.sqrt(np.sum(delta * delta)))
 
 
 def perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> float:
@@ -241,10 +310,15 @@ def combined_loss(base: float, regularizer: float, spec: LossSpec) -> float:
 
 def _sam_cosine_gradient(fused: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d/d fused of mean_p [1 - <f,t> / (|f| |t| + eps)]."""
+    return _sam_parts_gradient(fused, target, _sam_parts(fused, target))
+
+
+def _sam_parts_gradient(
+    fused: np.ndarray, target: np.ndarray, parts: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """:func:`_sam_cosine_gradient` given the :func:`_sam_parts` of its pair."""
+    dots, nf, nt = parts
     npix = fused.shape[0] * fused.shape[1]
-    dots = _band_sum(fused * target)
-    nf = np.sqrt(_band_sum(fused * fused))
-    nt = np.sqrt(_band_sum(target * target))
     den = nf * nt + _EPS
     nf_safe = np.maximum(nf, _EPS)
     # d cos/d f_b = [t_b * den - dot * nt * f_b / nf] / den^2
@@ -283,15 +357,14 @@ def _sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndar
 def _total_sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
     lrms, ratio = _lrms_and_ratio(ctx)
     ratio = _check_scale_pair(lrms, fused, ratio, pan=False)
-    grad_full = _sam_cosine_gradient(fused.data, reference.data)
-    grad_low = _sam_cosine_gradient(_downsample(fused.data, ratio), lrms.data)
+    down, full, low = _total_sam_parts(fused, reference, lrms, ratio)
+    grad_full = _sam_parts_gradient(fused.data, reference.data, full)
+    grad_low = _sam_parts_gradient(down, lrms.data, low)
     return 0.5 * grad_full + 0.5 * _downsample_adjoint(grad_low, ratio)
 
 
 def _gram_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
-    delta = gram_matrix(fused).matrix - gram_matrix(reference).matrix
-    fro = float(np.sqrt(np.sum(delta * delta)))
-    return _gram_delta_gradient(fused.data, delta, fro)
+    return _gram_delta_gradient(fused.data, *_gram_delta(fused, reference, IDENTITY))
 
 
 def _perceptual_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:

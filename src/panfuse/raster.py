@@ -62,6 +62,11 @@ class Raster:
         object.__setattr__(raster, "data", _checked(np.asarray(arr, dtype=np.float64, order="C")))
         return raster
 
+    def __reduce__(self) -> tuple:
+        """Copy and unpickle through the constructor, so a copy's data is
+        checked and read-only too."""
+        return (Raster, (self.data,))
+
     @property
     def height(self) -> int:
         return self.data.shape[0]
@@ -76,7 +81,12 @@ class Raster:
 
 
 def _checked(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as a read-only H x W x B cube, or the error it breaks."""
+    """``arr`` as a read-only H x W x B cube, or the error it breaks.
+
+    The result is a read-only view whose every base array is read-only too:
+    numpy lets the writeable flag of an array that owns its memory, or of a
+    view with a writeable base, be set again, but not of such a view.
+    """
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
@@ -85,8 +95,11 @@ def _checked(arr: np.ndarray) -> np.ndarray:
         raise RasterShapeError(f"raster dimensions must all be >= 1, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteRasterError("raster data contains non-finite values")
-    arr.flags.writeable = False
-    return arr
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return arr.view()
 
 
 def _positive_int(name: str, value: object, minimum: int = 1) -> int:

@@ -8,6 +8,8 @@ blur-then-decimate operator is available for analytic loss gradients.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._strips import _row_strips
@@ -45,45 +47,41 @@ def _correlate_axis(
     return out
 
 
-def _correlate_axis_adjoint(
-    grad: np.ndarray, kernel: np.ndarray, axis: int, step: int = 1
-) -> np.ndarray:
-    """Exact transpose of :func:`_correlate_axis` with the same ``step``; the
-    result is ``step`` times longer than ``grad`` along ``axis``.
+def _correlate_rows_adjoint(grad: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:
+    """Exact transpose of :func:`_correlate_axis` along axis 0 with the same
+    ``step``; the result has ``step`` times as many rows as ``grad``.
 
-    ``grad`` is scattered straight into the padded axis, then the 2*pad
+    ``grad`` is scattered straight into the padded rows, then the 2*pad
     border rows are folded back through the symmetric boundary. Every input
     row receives its contributions in increasing padded-row order, so the
     sums match a scatter-then-fold over the full grid bit for bit, also when
     a border folds more than once (n < pad).
     """
-    n = grad.shape[axis] * step
+    n = grad.shape[0] * step
     pad = kernel.size // 2
-    shape = list(grad.shape)
-    shape[axis] = n + 2 * pad
-    # Axis-first views of arrays kept in the caller's layout, which the next
-    # pass reads in row order.
-    g = np.moveaxis(grad, axis, 0)
-    scattered = np.moveaxis(np.zeros(shape, dtype=np.float64), axis, 0)
+    scattered = np.zeros((n + 2 * pad,) + grad.shape[1:], dtype=np.float64)
     for j, kj in enumerate(kernel):
-        scattered[j : j + n : step] += kj * g
+        scattered[j : j + n : step] += kj * grad
     src = _reflect(np.arange(-pad, n + pad), n)
     # The left border precedes the interior in padded-row order; sum it apart
     # first. Addition commutes, so adding it to the interior is then exact.
-    left = np.zeros((min(n, pad),) + g.shape[1:], dtype=np.float64)
+    left = np.zeros((min(n, pad),) + grad.shape[1:], dtype=np.float64)
     for p in range(pad):
         left[src[p]] += scattered[p]
     out = scattered[pad : pad + n]
     out[: left.shape[0]] += left
     for p in range(pad + n, n + 2 * pad):
         out[src[p]] += scattered[p]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
+@functools.lru_cache(maxsize=32)
 def _gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (t / sigma) ** 2)
-    return k / k.sum()
+    k /= k.sum()
+    k.flags.writeable = False  # cached: every caller shares this array
+    return k
 
 
 def _downsample(arr: np.ndarray, ratio: int) -> np.ndarray:
@@ -93,10 +91,15 @@ def _downsample(arr: np.ndarray, ratio: int) -> np.ndarray:
 
 
 def _downsample_adjoint(grad: np.ndarray, ratio: int) -> np.ndarray:
-    """:func:`downsample_antialias_adjoint` of an array, as a fresh array."""
+    """:func:`downsample_antialias_adjoint` of an array, as a fresh array.
+
+    Each pass runs down the rows of a C-ordered, axis-first copy, so its
+    adds stream whole rows; along axis 1 of an H x W x B cube they would
+    stride over runs of B values.
+    """
     kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
-    z = _correlate_axis_adjoint(grad, kernel, 1, ratio)
-    return _correlate_axis_adjoint(z, kernel, 0, ratio)
+    z = _correlate_rows_adjoint(np.ascontiguousarray(np.swapaxes(grad, 0, 1)), kernel, ratio)
+    return _correlate_rows_adjoint(np.ascontiguousarray(np.swapaxes(z, 0, 1)), kernel, ratio)
 
 
 def downsample_antialias(x: Raster, ratio: int) -> Raster:

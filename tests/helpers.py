@@ -120,3 +120,28 @@ def scale_pair(fault=None, ratio=4):
     pan = random_raster(1, *pan_shape.get(fault, (hr, hr, 1)))
     cube = random_raster(2, *cube_shape.get(fault, (hr, hr, 4)))
     return lrms, pan, cube
+
+
+def same_bits(got, want):
+    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def reborn_at_dead_id(dead_bytes, new_bytes, use):
+    """(``use`` of a raster of ``dead_bytes`` that then died, a live raster of
+    ``new_bytes`` at the dead raster's id). Each candidate stays alive, so the
+    next one takes another address, until one takes the dead raster's; the
+    allocator may hand that address to another object first, so a few dead
+    rasters are tried."""
+    adopt, held = Raster._adopt, []
+    for _ in range(20):
+        x = Raster(dead_bytes)
+        result, dead_id = use(x), id(x)
+        del x
+        for _ in range(1000):
+            y = adopt(new_bytes)
+            if id(y) == dead_id:
+                return result, y
+            held.append(y)
+    raise AssertionError("no new raster took a dead raster's id")

@@ -30,7 +30,7 @@ from panfuse.errors import (
     PanfuseError,
     ShapeMismatchError,
 )
-from helpers import JSON_VALUES, framed, random_raster
+from helpers import JSON_VALUES, framed, random_raster, reborn_at_dead_id
 
 
 def single_layer(weights, bias, stride=1, slope=0.0, bands=None):
@@ -180,20 +180,9 @@ class TestMemo:
 
     def test_a_dead_raster_never_hits_even_at_its_old_id(self, bench_stack):
         spec = fresh(bench_stack)
-        x = random_raster(32, 16, 16, 4)
-        other = random_raster(33, 16, 16, 4).data
-        old = extract_features(x, spec)
-        dead_id = id(x)
-        # Each candidate stays alive, so the next one takes another address,
-        # until one takes the dead raster's. Nothing else is made in between.
-        held, tries = [], range(10000)
-        del x
-        for _ in tries:
-            y = Raster._adopt(other)
-            if id(y) == dead_id:
-                break
-            held.append(y)
-        assert id(y) == dead_id
+        old, y = reborn_at_dead_id(random_raster(32, 16, 16, 4).data,
+                                   random_raster(33, 16, 16, 4).data,
+                                   lambda x: extract_features(x, spec))
         got = extract_features(y, spec)
         assert got is not old
         assert np.array_equal(got.data, extract_features(y, fresh(spec)).data)

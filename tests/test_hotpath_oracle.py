@@ -20,7 +20,9 @@ before it padded into ``np.zeros`` and took its leaky ReLU as one max or min,
 and ``np_sum_sam_loss`` and ``np_sum_sam_cosine_gradient`` are the SAM loss
 and gradient before their band sums added band slices in order; the new
 bodies, and the band mean built on the same sum, must match them to the bit,
-zero signs included.
+zero signs included. ``strided_correlate_axis_adjoint`` is the downsample
+adjoint's pass before each pass ran down the rows of an axis-first copy; the
+adjoint must match it to the bit, zero signs and subnormals included.
 """
 
 import itertools
@@ -77,6 +79,7 @@ from panfuse.resample import (
     _reflect,
     _upsample,
 )
+from helpers import same_bits
 
 
 def old_correlate_axis(arr, kernel, axis):
@@ -898,12 +901,6 @@ def np_sum_sam_cosine_gradient(fused, target):
     return -term / npix
 
 
-def same_bits(got, want):
-    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def signed_zero_cube(rng, shape, scale=1.0):
     """Normal values over many magnitudes, a third of them replaced by +0.0 or
     -0.0, with one all -0.0 pixel and one all +0.0 pixel."""
@@ -1027,3 +1024,94 @@ def test_band_mean_fusions_same_bits_as_np_mean(monkeypatch, method, bands):
     got = fuse(fin).data
     monkeypatch.setattr(fusion, "_band_mean", lambda cube: np.mean(cube, axis=2))
     assert same_bits(got, fuse(fin).data)
+
+
+def strided_correlate_axis_adjoint(grad, kernel, axis, step=1):
+    """The downsample adjoint's axis pass before each pass ran down the rows
+    of a C-ordered, axis-first copy: the same scatter and fold on strided
+    axis-first views of arrays kept in the caller's layout."""
+    n = grad.shape[axis] * step
+    pad = kernel.size // 2
+    shape = list(grad.shape)
+    shape[axis] = n + 2 * pad
+    g = np.moveaxis(grad, axis, 0)
+    scattered = np.moveaxis(np.zeros(shape, dtype=np.float64), axis, 0)
+    for j, kj in enumerate(kernel):
+        scattered[j : j + n : step] += kj * g
+    src = _reflect(np.arange(-pad, n + pad), n)
+    left = np.zeros((min(n, pad),) + g.shape[1:], dtype=np.float64)
+    for p in range(pad):
+        left[src[p]] += scattered[p]
+    out = scattered[pad : pad + n]
+    out[: left.shape[0]] += left
+    for p in range(pad + n, n + 2 * pad):
+        out[src[p]] += scattered[p]
+    return np.moveaxis(out, 0, axis)
+
+
+def strided_downsample_adjoint(grad, ratio):
+    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
+    z = strided_correlate_axis_adjoint(grad, kernel, 1, ratio)
+    return strided_correlate_axis_adjoint(z, kernel, 0, ratio)
+
+
+def planted_cube(rng, shape):
+    """Normal values over many magnitudes, subnormals among them, with zeros
+    of both signs planted, one all -0.0 pixel and one all +0.0 pixel."""
+    cube = signed_zero_cube(rng, shape)
+    cube.flat[rng.integers(0, cube.size, 3)] = [5e-324, -5e-324, 2.2e-308]
+    return cube
+
+
+# The resampling shapes above, plus ratios up to 16 on sides shorter and
+# longer than the 2*ratio kernel radius.
+ADJOINT_SHAPES = RESAMPLE_SHAPES + [
+    (64, 64, 4), (16, 16, 8), (32, 32, 16), (16, 48, 16), (40, 24, 8), (25, 15, 5),
+]
+
+
+@pytest.mark.parametrize("height, width, ratio", ADJOINT_SHAPES)
+@pytest.mark.parametrize("bands", range(1, 10))
+def test_downsample_adjoint_same_bits_as_strided_body(height, width, ratio, bands):
+    rng = np.random.default_rng(height * 1000 + width * 10 + ratio + bands)
+    for grad in (planted_cube(rng, (height // ratio, width // ratio, bands)),
+                 rng.random((height // ratio, width // ratio, bands))):
+        got = downsample_antialias_adjoint(Raster(grad), ratio, height, width).data
+        assert same_bits(got, strided_downsample_adjoint(grad, ratio))
+
+
+@pytest.mark.parametrize("ratio", [1, 2, 3, 4, 8, 16])
+def test_gaussian_kernel_is_built_once_and_read_only(ratio):
+    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
+    assert _gaussian_kernel(2 * ratio, ratio / 2.0) is kernel
+    assert kernel.flags.writeable is False
+    t = np.arange(-2 * ratio, 2 * ratio + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (t / (ratio / 2.0)) ** 2)
+    assert same_bits(kernel, k / k.sum())
+
+
+@pytest.mark.parametrize("bands", [2, 4, 8, 9])
+@pytest.mark.parametrize("gradient_first", [False, True])
+def test_total_sam_same_bits_as_unshared_np_sum_body(bands, gradient_first):
+    """Total SAM's value and gradient through the loss memo, in either order,
+    against the ``np.sum`` SAM bodies, a downsample of their own and the
+    strided adjoint."""
+    rng = np.random.default_rng(200 + bands)
+    fused = Raster(signed_zero_cube(rng, (16, 12, bands), 1e-3))
+    reference = Raster(signed_zero_cube(rng, (16, 12, bands), 1e-3))
+    lrms = Raster(rng.random((4, 3, bands)))
+    down = _downsample(fused.data, 4)
+    want_value = 0.5 * np_sum_sam_loss(fused.data, reference.data) + 0.5 * np_sum_sam_loss(
+        down, lrms.data
+    )
+    want_grad = 0.5 * np_sum_sam_cosine_gradient(fused.data, reference.data) + (
+        0.5 * strided_downsample_adjoint(np_sum_sam_cosine_gradient(down, lrms.data), 4)
+    )
+    for memo in (losses._total_sam_parts, losses._gram_delta):
+        memo.entries = ()
+    calls = [lambda: total_sam_loss(fused, reference, lrms, 4),
+             lambda: loss_gradient("total_sam", fused, reference, lrms=lrms, ratio=4).data]
+    got = [call() for call in (calls[::-1] if gradient_first else calls)]
+    got_value, got_grad = got[::-1] if gradient_first else got
+    assert same_bits(got_value, want_value)
+    assert same_bits(got_grad, want_grad)

@@ -1,11 +1,16 @@
 """Loss values against closed forms and compositional oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from panfuse import cli, losses
 from panfuse import (
+    ConvLayer,
+    ConvStackSpec,
     GramMatrix,
     IDENTITY,
     LossSpec,
@@ -22,9 +27,10 @@ from panfuse import (
     pixel_loss,
     sam_loss,
     total_sam_loss,
+    write_raster,
 )
 from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
-from helpers import CUBE_FAULTS, random_raster, scale_pair
+from helpers import CUBE_FAULTS, random_raster, reborn_at_dead_id, same_bits, scale_pair
 
 
 class TestPixelLoss:
@@ -313,3 +319,255 @@ class TestCombinedLoss:
     def test_negative_eta_rejected(self):
         with pytest.raises(UsageError):
             LossSpec(eta1=-1.0)
+
+
+@pytest.fixture
+def empty_memos():
+    """Both loss memos start and end the test empty."""
+    memos = (losses._total_sam_parts, losses._gram_delta)
+    for memo in memos:
+        memo.entries = ()
+    yield memos
+    for memo in memos:
+        memo.entries = ()
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one on every call of ``losses.<name>``."""
+    calls = []
+    fn = getattr(losses, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(losses, name, counted)
+    return calls
+
+
+def sam_triple(seed, size=16, bands=4, ratio=4):
+    """(fused, reference, lrms) for total SAM at ``ratio``."""
+    return (
+        random_raster(seed, size, size, bands),
+        random_raster(seed + 1, size, size, bands),
+        random_raster(seed + 2, size // ratio, size // ratio, bands),
+    )
+
+
+def two_layer_stack(seed):
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        ConvLayer(weights=rng.normal(0.0, 0.3, (c_out, c_in, 3, 3)),
+                  bias=rng.normal(0.0, 0.05, c_out), stride=stride, leaky_slope=0.2)
+        for c_in, c_out, stride in ((4, 8, 1), (8, 16, 2))
+    )
+    return ConvStackSpec(bands=4, layers=layers)
+
+
+def step_outputs(fused, reference, lrms, ratio=4, gradient_first=False):
+    """The bits of total SAM and the Gram reconstruction loss, and of their
+    gradients, computed in the given order."""
+
+    def values():
+        return [total_sam_loss(fused, reference, lrms, ratio), gm_reconstruction_loss(fused, reference)]
+
+    def gradients():
+        return [loss_gradient(g, fused, reference, lrms=lrms, ratio=ratio).data
+                for g in ("total_sam", "gm_reconstruction")]
+
+    if gradient_first:
+        grads = gradients()
+        return values() + grads
+    return values() + gradients()
+
+
+class TestLastTwo:
+    """The memo rule itself: ints and strs by value, anything else by identity."""
+
+    def test_key_rule(self):
+        memo = losses._LastTwo(lambda *args: (object(),))
+        a, b = random_raster(1, 2, 2, 1), random_raster(1, 2, 2, 1)
+        first = memo(a, 4, "identity")
+        assert memo(a, 4, "ident" + "ity") is first
+        assert memo(b, 4, "identity") is not first
+        assert memo(a, 4, "identity") is first
+        assert memo(a, 2, "identity") is not first
+
+    def test_a_str_and_an_object_in_one_place_never_match(self):
+        memo = losses._LastTwo(lambda *args: (object(),))
+        x, stack = random_raster(2, 8, 8, 4), two_layer_stack(3)
+        by_name = memo(x, "identity")
+        by_stack = memo(x, stack)
+        assert by_stack is not by_name
+        assert memo(x, stack) is by_stack and memo(x, "identity") is by_name
+
+
+class TestLossMemo:
+    """Total SAM and the Gram losses share their intermediates with their
+    gradients through a memo keyed on the very rasters they were given."""
+
+    def test_repeat_call_hits(self, empty_memos, monkeypatch):
+        f, r, lr = sam_triple(10)
+        downs = count_calls(monkeypatch, "_downsample")
+        grams = count_calls(monkeypatch, "gram_matrix")
+        first = step_outputs(f, r, lr)
+        again = step_outputs(f, r, lr)
+        assert len(downs) == 1 and len(grams) == 2
+        assert all(same_bits(a, b) for a, b in zip(first, again))
+        assert losses._total_sam_parts(f, r, lr, 4) is losses._total_sam_parts(f, r, lr, 4)
+
+    def test_values_are_read_only(self, empty_memos):
+        f, r, lr = sam_triple(11)
+        down, full, low = losses._total_sam_parts(f, r, lr, 4)
+        delta, fro = losses._gram_delta(f, r, IDENTITY)
+        for arr in (down, *full, *low, delta):
+            assert arr.flags.writeable is False
+        assert isinstance(fro, float)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda f, r, lr: (Raster(f.data), r, lr),
+            lambda f, r, lr: (f, Raster(r.data), lr),
+            lambda f, r, lr: (f, r, Raster(lr.data)),
+            lambda f, r, lr: (f, r, random_raster(99, 4, 4, 4)),
+            lambda f, r, lr: (f, random_raster(98, 16, 16, 4), lr),
+        ],
+        ids=["fused-copy", "reference-copy", "lrms-copy", "other-lrms", "other-reference"],
+    )
+    def test_any_other_raster_misses(self, empty_memos, monkeypatch, change):
+        f, r, lr = sam_triple(12)
+        step_outputs(f, r, lr)
+        other = change(f, r, lr)
+        downs = count_calls(monkeypatch, "_downsample")
+        grams = count_calls(monkeypatch, "gram_matrix")
+        got = step_outputs(*other)
+        assert len(downs) == 1
+        assert len(grams) == (0 if other[0] is f and other[1] is r else 2)
+        for memo in empty_memos:
+            memo.entries = ()
+        assert all(same_bits(a, b) for a, b in zip(got, step_outputs(*other)))
+
+    def test_other_ratio_misses(self, empty_memos, monkeypatch):
+        f, r, lr4 = sam_triple(13)
+        lr2 = random_raster(16, 8, 8, 4)
+        total_sam_loss(f, r, lr4, 4)
+        downs = count_calls(monkeypatch, "_downsample")
+        total_sam_loss(f, r, lr2, 2)
+        assert len(downs) == 1 and downs[0][1] == 2
+        assert [key[3] for key, _ in losses._total_sam_parts.entries] == [2, 4]
+
+    def test_other_extractor_misses(self, empty_memos, monkeypatch):
+        f, r = random_raster(14, 16, 16, 4), random_raster(15, 16, 16, 4)
+        stack, twin = two_layer_stack(7), two_layer_stack(7)
+        grams = count_calls(monkeypatch, "gram_matrix")
+        by_stack = gm_perceptual_loss(f, r, stack)
+        by_identity = gm_perceptual_loss(f, r, IDENTITY)
+        assert len(grams) == 4
+        assert gm_perceptual_loss(f, r, twin) == by_stack
+        assert len(grams) == 6
+        assert gm_perceptual_loss(f, r, twin) == by_stack
+        assert gm_reconstruction_loss(f, r) == by_identity
+        assert len(grams) == 6
+
+    def test_a_dead_raster_never_hits_even_at_its_old_id(self, empty_memos):
+        _, r, lr = sam_triple(17)
+        dead_bytes = random_raster(20, 16, 16, 4).data
+        old, y = reborn_at_dead_id(dead_bytes, random_raster(21, 16, 16, 4).data,
+                                   lambda x: total_sam_loss(x, r, lr, 4))
+        got = total_sam_loss(y, r, lr, 4)
+        for memo in empty_memos:
+            memo.entries = ()
+        assert got == total_sam_loss(y, r, lr, 4)
+        assert got != old
+
+    def test_at_most_two_entries(self, empty_memos, monkeypatch):
+        triples = [sam_triple(30 + 3 * i) for i in range(4)]
+        for f, r, lr in triples:
+            step_outputs(f, r, lr)
+            assert all(len(memo.entries) <= 2 for memo in empty_memos)
+        newest = [tuple(ref() for ref in key[:3]) for key, _ in losses._total_sam_parts.entries]
+        assert newest == [triples[3], triples[2]]
+        downs = count_calls(monkeypatch, "_downsample")
+        step_outputs(*triples[2])
+        assert downs == []
+        step_outputs(*triples[1])
+        assert len(downs) == 1
+
+    @pytest.mark.parametrize("bands", [2, 4, 8, 9])
+    def test_call_order_gives_the_same_bits(self, empty_memos, bands):
+        f, r, lr = sam_triple(40 + bands, bands=bands)
+        loss_first = step_outputs(f, r, lr)
+        for memo in empty_memos:
+            memo.entries = ()
+        gradient_first = step_outputs(f, r, lr, gradient_first=True)
+        cleared = []
+        for i in range(4):
+            for memo in empty_memos:
+                memo.entries = ()
+            cleared.append(step_outputs(f, r, lr)[i])
+        for a, b, c in zip(loss_first, gradient_first, cleared):
+            assert same_bits(a, b) and same_bits(a, c)
+
+    def test_one_downsample_and_two_grams_per_patch(self, empty_memos, monkeypatch):
+        """The gan-step-64 sequence on 8 patches: total SAM and its gradient,
+        then the Gram reconstruction loss and its gradient."""
+        patches = [sam_triple(60 + 3 * i, size=64) for i in range(8)]
+        downs = count_calls(monkeypatch, "_downsample")
+        grams = count_calls(monkeypatch, "gram_matrix")
+        for f, r, lr in patches:
+            total_sam_loss(f, r, lr, 4)
+            loss_gradient("total_sam", f, r, lrms=lr, ratio=4)
+            gm_reconstruction_loss(f, r)
+            loss_gradient("gm_reconstruction", f, r)
+        assert len(downs) == 8
+        assert len(grams) == 16
+
+    def test_threads_sharing_the_memo_get_their_own_values(self, empty_memos):
+        """More threads than the CI runner's cores, each computing its own
+        patch over and over, switching as often as the interpreter allows."""
+        triples = [sam_triple(80 + 3 * i, size=8) for i in range(4)]
+        wants = []
+        for t in triples:
+            for memo in empty_memos:
+                memo.entries = ()
+            wants.append(step_outputs(*t))
+        start = threading.Barrier(len(triples))
+        wrong = []
+
+        def work(triple, want):
+            start.wait(timeout=10)
+            for i in range(150):
+                got = step_outputs(*triple, gradient_first=bool(i % 2))
+                if not all(same_bits(a, b) for a, b in zip(got, want)):
+                    wrong.append(triple)
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(triples, wants)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("name", ["total-sam", "gm-reconstruction"])
+    def test_grad_check_misses_on_every_perturbed_raster(
+        self, empty_memos, monkeypatch, tmp_path, capsys, name
+    ):
+        """The finite differences perturb fresh rasters, one loss each; a memo
+        hit on any of them would fail the check."""
+        f, r, lr = sam_triple(90)
+        for raster, stem in ((f, "f"), (r, "r"), (lr, "lrms")):
+            write_raster(raster, tmp_path / f"{stem}.msr")
+        core = count_calls(monkeypatch, "_downsample" if name == "total-sam" else "gram_matrix")
+        argv = ["loss", "--name", name, "--grad-check", "--lrms", tmp_path / "lrms.msr",
+                "--ratio", 4, tmp_path / "f.msr", tmp_path / "r.msr"]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert "PASS" in capsys.readouterr().out
+        evaluations = 2 * f.data.size
+        assert len(core) >= (1 if name == "total-sam" else 2) * evaluations

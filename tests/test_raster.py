@@ -1,7 +1,9 @@
 """Raster type, MSR file IO, synthetic scenes, and patch extraction."""
 
+import copy
 import json
 import os
+import pickle
 import struct
 
 import numpy as np
@@ -513,3 +515,28 @@ def test_every_raster_path_makes_read_only_data(tmp_path, make):
         assert r.data.flags.writeable is False
         with pytest.raises(ValueError, match="read-only"):
             r.data[0, 0, 0] = 0.5
+
+
+@pytest.mark.parametrize("make", list(READ_ONLY_PATHS.values()), ids=list(READ_ONLY_PATHS))
+def test_every_raster_path_data_cannot_be_made_writable(tmp_path, make):
+    """numpy lets the writeable flag be set again on an array that owns its
+    memory or has a writeable base; a raster's data is neither."""
+    for r in make(tmp_path):
+        with pytest.raises(ValueError):
+            r.data.flags.writeable = True
+        assert r.data.flags.writeable is False
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_raster_is_read_only_too(clone):
+    r = random_raster(91, 3, 4, 2)
+    c = clone(r)
+    assert np.array_equal(c.data, r.data)
+    with pytest.raises(ValueError):
+        c.data.flags.writeable = True
+    with pytest.raises(ValueError, match="read-only"):
+        c.data[0, 0, 0] = 0.5
