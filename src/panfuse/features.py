@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -30,7 +29,14 @@ from .errors import (
     ShapeMismatchError,
     UsageError,
 )
-from .raster import Raster, _check_positive_ints, _positive_int, _read_framed, _write_framed
+from .raster import (
+    Raster,
+    _LastTwo,
+    _check_positive_ints,
+    _positive_int,
+    _read_framed,
+    _write_framed,
+)
 
 CSW_MAGIC = b"CSW1"
 
@@ -79,6 +85,11 @@ class ConvLayer:
         object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "leaky_slope", slope)
 
+    def __reduce__(self) -> tuple:
+        """Copy and unpickle through the constructor, so a copy's arrays are
+        read-only too."""
+        return (ConvLayer, (self.weights, self.bias, self.stride, self.leaky_slope))
+
     @property
     def out_channels(self) -> int:
         return self.weights.shape[0]
@@ -94,38 +105,28 @@ class ConvLayer:
 
 @dataclass(frozen=True, eq=False)
 class ConvStackSpec:
-    """Validated chain of conv layers with a declared input band count.
-
-    A stack remembers the features of the last two rasters it extracted, so
-    the perceptual and Gram losses of one (fused, reference) pair run it once
-    per input. An entry is keyed on its input through a weak reference, which
-    a raster that died can never match, and a ``Raster`` is immutable, so a
-    match has the features extraction would compute again. The memo is one
-    tuple, replaced whole; a copy or a pickle starts with an empty one.
-    """
+    """Validated chain of conv layers, kept as a tuple, with a declared input
+    band count."""
 
     bands: int
     layers: tuple[ConvLayer, ...]
-    # ((weakref to input, features), ...), most recent first, at most two.
-    _memo: tuple = field(default=(), init=False, repr=False)
-
-    def __getstate__(self) -> dict:
-        """The state to pickle or copy: no memo, whose weak references
-        cannot be pickled."""
-        return {**self.__dict__, "_memo": ()}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bands", _positive_int("declared bands", self.bands))
-        if not self.layers:
+        layers = tuple(self.layers or ())
+        if not layers:
             raise ValueError("conv stack needs at least one layer")
         expected = self.bands
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(layers):
+            if not isinstance(layer, ConvLayer):
+                raise ValueError(f"layer {i} must be a ConvLayer, got {type(layer).__name__}")
             if layer.in_channels != expected:
                 raise ValueError(
                     f"layer {i} expects {layer.in_channels} input channels, "
                     f"previous stage provides {expected}"
                 )
             expected = layer.out_channels
+        object.__setattr__(self, "layers", layers)
 
     @property
     def out_channels(self) -> int:
@@ -252,8 +253,9 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
     ``extractor`` is either the string ``"identity"`` (features are the
     raster itself, bit-equal) or a :class:`ConvStackSpec`, applied layer by
     layer. Dropout from training-time variants is never applied here. A
-    stack returns the read-only features it remembers for ``x`` itself, the
-    same ``Raster`` object, when ``x`` is one of the last two it extracted.
+    stack's read-only features of ``x`` are remembered: asked again for
+    ``x`` itself with the same stack, as one of the last two such calls in
+    the process, it returns the same ``Raster`` object.
     """
     if isinstance(extractor, str):
         if extractor != IDENTITY:
@@ -263,14 +265,14 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
         raise ShapeMismatchError(
             f"raster has {x.bands} bands, extractor expects {extractor.bands}"
         )
-    memo = extractor._memo
-    for ref, feats in memo:
-        if ref() is x:
-            return feats
+    return _stack_features(x, extractor)
+
+
+@_LastTwo
+def _stack_features(x: Raster, stack: ConvStackSpec) -> Raster:
+    """The features of ``x`` through every layer of ``stack``."""
     arr = x.data
     with np.errstate(over="ignore", invalid="ignore"):  # Raster rejects a non-finite result
-        for layer in extractor.layers:
+        for layer in stack.layers:
             arr = _apply_layer(arr, layer)
-    feats = Raster._adopt(arr)
-    object.__setattr__(extractor, "_memo", ((weakref.ref(x), feats), *memo[:1]))
-    return feats
+    return Raster._adopt(arr)

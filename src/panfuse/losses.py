@@ -17,7 +17,6 @@ the rest of the toolkit only where stated.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .features import IDENTITY, Extractor, extract_features
-from .raster import Raster, _band_sum, _check_same_shape, _check_scale_pair, _positive_int
+from .raster import Raster, _LastTwo, _band_sum, _check_same_shape, _check_scale_pair, _positive_int
 from .resample import _downsample, _downsample_adjoint
 
 _EPS = 1e-12
@@ -88,6 +87,11 @@ class GramMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n", _positive_int("pixel count", self.n))
+
+    def __reduce__(self) -> tuple:
+        """Copy and unpickle through the constructor, so a copy's matrix is
+        read-only too."""
+        return (GramMatrix, (self.matrix, self.n))
 
     @property
     def unnormalized(self) -> np.ndarray:
@@ -152,32 +156,6 @@ def discriminator_loss(
         else:
             total += -math.log(1.0 - df) - math.log(dr)
     return total / len(d_fake)
-
-
-class _LastTwo:
-    """``compute``, remembering the values of its last two calls.
-
-    A call matches an entry when each argument that is an int or a str equals
-    the entry's and every other argument is the entry's object itself, held
-    through a weak reference, which an object that died never matches; the
-    rasters and conv stacks it is given are immutable, so a match holds what
-    computing again would give. The entries are one tuple, replaced whole: a
-    thread can only lose an entry, which is then computed again.
-    """
-
-    def __init__(self, compute: Callable[..., tuple]) -> None:
-        self.compute = compute
-        self.entries: tuple = ()  # ((key, value), ...), most recent first
-
-    def __call__(self, *args: object) -> tuple:
-        entries = self.entries
-        for key, value in entries:
-            if all(k() is a if isinstance(k, weakref.ref) else k == a for k, a in zip(key, args)):
-                return value
-        value = self.compute(*args)
-        key = tuple(a if isinstance(a, (int, str)) else weakref.ref(a) for a in args)
-        self.entries = ((key, value), *entries[:1])
-        return value
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

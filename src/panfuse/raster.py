@@ -21,9 +21,10 @@ import json
 import operator
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Generic, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -100,6 +101,35 @@ def _checked(arr: np.ndarray) -> np.ndarray:
         base.flags.writeable = False
         base = base.base
     return arr.view()
+
+
+_T = TypeVar("_T")
+
+
+class _LastTwo(Generic[_T]):
+    """``compute``, remembering the values of its last two calls.
+
+    A call matches an entry when each argument that is an int or a str equals
+    the entry's and every other argument is the entry's object itself, held
+    through a weak reference, which an object that died never matches; the
+    rasters and conv stacks it is given are immutable, so a match holds what
+    computing again would give. The entries are one tuple, replaced whole: a
+    thread can only lose an entry, which is then computed again.
+    """
+
+    def __init__(self, compute: Callable[..., _T]) -> None:
+        self.compute = compute
+        self.entries: tuple = ()  # ((key, value), ...), most recent first
+
+    def __call__(self, *args: object) -> _T:
+        entries = self.entries
+        for key, value in entries:
+            if all(k() is a if isinstance(k, weakref.ref) else k == a for k, a in zip(key, args)):
+                return value
+        value = self.compute(*args)
+        key = tuple(a if isinstance(a, (int, str)) else weakref.ref(a) for a in args)
+        self.entries = ((key, value), *entries[:1])
+        return value
 
 
 def _positive_int(name: str, value: object, minimum: int = 1) -> int:

@@ -1,7 +1,9 @@
 """Shared test fixtures: seeded rasters, brute-force reference filters, CLI runs."""
 
+import copy
 import math
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -130,18 +132,33 @@ def same_bits(got, want):
 
 def reborn_at_dead_id(dead_bytes, new_bytes, use):
     """(``use`` of a raster of ``dead_bytes`` that then died, a live raster of
-    ``new_bytes`` at the dead raster's id). Each candidate stays alive, so the
-    next one takes another address, until one takes the dead raster's; the
-    allocator may hand that address to another object first, so a few dead
-    rasters are tried."""
-    adopt, held = Raster._adopt, []
+    ``new_bytes`` at the dead raster's id): :func:`born_at_dead_id` for
+    rasters."""
+    return born_at_dead_id(lambda: Raster(dead_bytes), lambda: Raster._adopt(new_bytes), use)
+
+
+def born_at_dead_id(make_dead, make_new, use):
+    """(``use`` of an object from ``make_dead`` that then died, a live object
+    from ``make_new`` at the dead object's id). Each candidate stays alive, so
+    the next one takes another address, until one takes the dead object's;
+    the allocator may hand that address to another object first, so a few
+    dead objects are tried."""
+    held = []
     for _ in range(20):
-        x = Raster(dead_bytes)
+        x = make_dead()
         result, dead_id = use(x), id(x)
         del x
         for _ in range(1000):
-            y = adopt(new_bytes)
+            y = make_new()
             if id(y) == dead_id:
                 return result, y
             held.append(y)
-    raise AssertionError("no new raster took a dead raster's id")
+    raise AssertionError("no new object took a dead object's id")
+
+
+# Every way to copy an object: each must go through the object's constructor.
+CLONES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}

@@ -30,7 +30,15 @@ from panfuse.errors import (
     PanfuseError,
     ShapeMismatchError,
 )
-from helpers import JSON_VALUES, framed, random_raster, reborn_at_dead_id
+from helpers import (
+    CLONES,
+    JSON_VALUES,
+    born_at_dead_id,
+    framed,
+    random_raster,
+    reborn_at_dead_id,
+    same_bits,
+)
 
 
 def single_layer(weights, bias, stride=1, slope=0.0, bands=None):
@@ -140,8 +148,30 @@ def bench_stack(tmp_path_factory):
 
 
 def fresh(spec):
-    """A spec with ``spec``'s layers and nothing remembered."""
+    """A new spec with ``spec``'s layers, on which no memo entry is keyed."""
     return ConvStackSpec(bands=spec.bands, layers=spec.layers)
+
+
+@pytest.fixture
+def empty_memo():
+    """The feature memo, shared by every stack, starts and ends the test
+    empty."""
+    features._stack_features.entries = ()
+    yield features._stack_features
+    features._stack_features.entries = ()
+
+
+def stack_of(seed, bands, strides):
+    """A random stack on ``bands`` input bands, one 3 x 3 layer per stride."""
+    rng = np.random.default_rng(seed)
+    layers, c_in = [], bands
+    for i, stride in enumerate(strides):
+        c_out = 6 - i
+        layers.append(ConvLayer(weights=rng.normal(0.0, 0.3, (c_out, c_in, 3, 3)),
+                                bias=rng.normal(0.0, 0.05, c_out), stride=stride,
+                                leaky_slope=0.2))
+        c_in = c_out
+    return ConvStackSpec(bands=bands, layers=tuple(layers))
 
 
 def count_layer_calls(monkeypatch):
@@ -157,8 +187,10 @@ def count_layer_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("empty_memo")
 class TestMemo:
-    """A stack remembers the features of the last two rasters it extracted."""
+    """The features of the last two (raster, stack) extractions are
+    remembered."""
 
     def test_hit_returns_the_same_read_only_features(self, bench_stack):
         spec = fresh(bench_stack)
@@ -193,8 +225,8 @@ class TestMemo:
         xs = [random_raster(40 + i, 8, 8, 4) for i in range(4)]
         for x in xs:
             extract_features(x, spec)
-            assert len(spec._memo) <= 2
-        assert [ref() for ref, _ in spec._memo] == [xs[3], xs[2]]
+            assert len(features._stack_features.entries) <= 2
+        assert [key[0]() for key, _ in features._stack_features.entries] == [xs[3], xs[2]]
         calls = count_layer_calls(monkeypatch)
         extract_features(xs[2], spec)
         assert calls == []
@@ -221,7 +253,8 @@ class TestMemo:
         x = random_raster(60, 16, 16, 4)
         feats = extract_features(x, spec)
         other = clone(spec)
-        assert other._memo == () and len(spec._memo) == 1
+        keyed = [key[1]() for key, _ in features._stack_features.entries]
+        assert sum(s is other for s in keyed) == 0 and sum(s is spec for s in keyed) == 1
         for got, want in zip(other.layers, spec.layers):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.bias, want.bias)
@@ -255,6 +288,91 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+@pytest.mark.usefixtures("empty_memo")
+class TestOneMemoPerProcess:
+    """The memo keeps the last two (raster, stack) pairs of the process, not
+    of each stack."""
+
+    def test_two_stacks_alternating_on_one_raster_each_hit(self, monkeypatch):
+        one, two = stack_of(100, 4, (1, 2)), stack_of(101, 4, (1, 2))
+        x = random_raster(102, 12, 12, 4)
+        a, b = extract_features(x, one), extract_features(x, two)
+        assert not np.array_equal(a.data, b.data)
+        calls = count_layer_calls(monkeypatch)
+        for _ in range(3):
+            assert extract_features(x, one) is a and extract_features(x, two) is b
+        assert calls == []
+        assert same_bits(a.data, extract_features(x, fresh(one)).data)
+        assert same_bits(b.data, extract_features(x, fresh(two)).data)
+
+    def test_three_stacks_in_turn_leave_at_most_two_entries(self, empty_memo, monkeypatch):
+        stacks = [stack_of(110 + i, 4, (1, 2)) for i in range(3)]
+        x = random_raster(113, 8, 8, 4)
+        first = extract_features(x, stacks[0])
+        for stack in stacks:
+            extract_features(x, stack)
+            assert len(empty_memo.entries) <= 2
+        assert [key[1]() for key, _ in empty_memo.entries] == [stacks[2], stacks[1]]
+        calls = count_layer_calls(monkeypatch)
+        again = extract_features(x, stacks[0])
+        assert len(calls) == len(stacks[0].layers)
+        assert again is not first and same_bits(again.data, first.data)
+
+    def test_a_dead_stack_never_hits_even_at_its_old_id(self):
+        x = random_raster(120, 8, 8, 4)
+        dead_layers, new_layers = stack_of(121, 4, (1, 2)).layers, stack_of(122, 4, (1, 2)).layers
+        old, new = born_at_dead_id(lambda: ConvStackSpec(bands=4, layers=dead_layers),
+                                   lambda: ConvStackSpec(bands=4, layers=new_layers),
+                                   lambda stack: extract_features(x, stack))
+        got = extract_features(x, new)
+        assert got is not old
+        assert same_bits(got.data, extract_features(x, fresh(new)).data)
+        assert not np.array_equal(got.data, old.data)
+
+    @pytest.mark.parametrize(
+        "bands, strides",
+        [(1, (1, 2)), (4, (1, 2)), (8, (1, 2)), (4, (3, 3, 3))],
+        ids=["bands1", "bands4", "bands8", "stride3"],
+    )
+    def test_remembered_features_have_the_bits_of_a_fresh_extraction(self, bands, strides):
+        stack = stack_of(130 + bands, bands, strides)
+        x = random_raster(140 + bands, 17, 14, bands)
+        first = extract_features(x, stack)
+        hit = extract_features(x, stack)
+        assert hit is first
+        assert same_bits(hit.data, features._stack_features.compute(x, stack).data)
+        assert same_bits(hit.data, extract_features(x, fresh(stack)).data)
+
+
+class TestCopies:
+    """A conv layer copies through its constructor, so a copy's arrays are
+    read-only too, and so are those of a copied stack's layers."""
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_a_copied_layer_is_read_only_too(self, clone):
+        layer = stack_of(150, 3, (2,)).layers[0]
+        other = clone(layer)
+        for got, want in ((other.weights, layer.weights), (other._taps, layer._taps),
+                          (other.bias, layer.bias)):
+            assert same_bits(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got.flat[0] = 1.0
+        assert (other.stride, other.leaky_slope) == (layer.stride, layer.leaky_slope)
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_a_copied_stack_cannot_be_edited_in_place(self, empty_memo, clone):
+        spec = stack_of(151, 4, (1, 2))
+        other = clone(spec)
+        x = random_raster(152, 10, 10, 4)
+        before = extract_features(x, other)
+        with pytest.raises(ValueError, match="read-only"):
+            other.layers[0]._taps[0, 0, 0, 0] = 1.0
+        assert type(other.layers) is tuple
+        empty_memo.entries = ()
+        assert same_bits(extract_features(x, other).data, before.data)
+        assert same_bits(before.data, extract_features(x, spec).data)
 
 
 class TestSpecValidation:
@@ -314,6 +432,40 @@ class TestSpecValidation:
         assert layer.weights is not w and layer.bias is not b
         assert np.array_equal(layer.weights, want_w) and np.array_equal(layer.bias, want_b)
         assert np.array_equal(extract_features(x, spec).data, before)
+
+    def test_a_list_of_layers_is_kept_as_a_tuple(self, empty_memo):
+        layer = ConvLayer(weights=np.ones((2, 2, 1, 1)), bias=np.zeros(2), stride=1,
+                          leaky_slope=0.0)
+        given = [layer]
+        spec = ConvStackSpec(bands=2, layers=given)
+        x = random_raster(160, 5, 5, 2)
+        before = extract_features(x, spec)
+        given.append(layer)
+        assert spec.layers == (layer,) and spec.out_channels == 2
+        with pytest.raises(AttributeError):
+            spec.layers.append(layer)
+        empty_memo.entries = ()
+        assert same_bits(extract_features(x, spec).data, before.data)
+
+    def test_layers_from_a_generator(self):
+        layers = stack_of(161, 4, (1, 2)).layers
+        spec = ConvStackSpec(bands=4, layers=(layer for layer in layers))
+        assert spec.layers == layers
+
+    @pytest.mark.parametrize(
+        "element", [object(), None, "layer", np.ones((1, 1, 1, 1))],
+        ids=["object", "none", "str", "array"],
+    )
+    def test_an_element_that_is_not_a_layer_is_a_value_error(self, element):
+        layer = ConvLayer(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=1,
+                          leaky_slope=0.0)
+        with pytest.raises(ValueError, match="layer 1 must be a ConvLayer"):
+            ConvStackSpec(bands=1, layers=(layer, element))
+
+    @pytest.mark.parametrize("layers", [(), [], None], ids=["tuple", "list", "none"])
+    def test_no_layers_is_a_value_error(self, layers):
+        with pytest.raises(ValueError, match="at least one layer"):
+            ConvStackSpec(bands=1, layers=layers)
 
     def test_layer_arrays_are_read_only_float64(self):
         layer = ConvLayer(weights=np.ones((1, 1, 3, 3), dtype=np.float32),

@@ -30,7 +30,7 @@ from panfuse import (
     write_raster,
 )
 from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
-from helpers import CUBE_FAULTS, random_raster, reborn_at_dead_id, same_bits, scale_pair
+from helpers import CLONES, CUBE_FAULTS, random_raster, reborn_at_dead_id, same_bits, scale_pair
 
 
 class TestPixelLoss:
@@ -230,6 +230,14 @@ class TestGramMatrix:
         g = GramMatrix(matrix=np.eye(2), n=np.int64(3))
         assert type(g.n) is int
         assert np.array_equal(g.unnormalized, 3.0 * np.eye(2))
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_a_copied_matrix_is_read_only_too(self, clone):
+        g = gram_matrix(random_raster(26, 5, 5, 3))
+        other = clone(g)
+        assert same_bits(other.matrix, g.matrix) and other.n == g.n
+        with pytest.raises(ValueError, match="read-only"):
+            other.matrix[0, 0] = 1.0
 
 
 class TestGramLosses:
