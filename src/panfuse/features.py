@@ -33,6 +33,7 @@ from .raster import (
     Raster,
     _LastTwo,
     _check_positive_ints,
+    _frozen,
     _positive_int,
     _read_framed,
     _write_framed,
@@ -69,19 +70,19 @@ class ConvLayer:
         if b.shape != (w.shape[0],):
             raise ValueError(f"bias shape {b.shape} does not match out={w.shape[0]}")
         stride = _positive_int("stride", self.stride)
-        if not isinstance(self.leaky_slope, numbers.Real):
+        if isinstance(self.leaky_slope, bool) or not isinstance(self.leaky_slope, numbers.Real):
             raise ValueError(f"leaky slope must be a real number, got {self.leaky_slope!r}")
-        slope = float(self.leaky_slope)
+        try:
+            slope = float(self.leaky_slope)
+        except OverflowError as exc:
+            raise ValueError(f"leaky slope must be finite: {exc}") from exc
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer weights must be finite")
         if not math.isfinite(slope):
             raise ValueError(f"leaky slope must be finite, got {slope}")
-        taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
-        for arr in (w, b, taps):
-            arr.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_taps", taps)
-        object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "_taps", _frozen(np.ascontiguousarray(w.transpose(2, 3, 1, 0))))
+        object.__setattr__(self, "bias", _frozen(b))
         object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "leaky_slope", slope)
 
@@ -174,10 +175,6 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
     layers = []
     for i, meta in enumerate(header["layers"]):
         _check_positive_ints(f"{path}: layer {i}", meta, ("out", "in", "k", "stride"))
-        try:
-            slope = float(meta["slope"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise HeaderError(f"{path}: layer {i} metadata invalid: {exc}") from exc
         out_c, in_c, k = meta["out"], meta["in"], meta["k"]
         n_w, n_b = out_c * in_c * k * k, out_c
         end = offset + 4 * (n_w + n_b)
@@ -193,7 +190,7 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
                     weights=w.reshape(out_c, in_c, k, k),
                     bias=b,
                     stride=meta["stride"],
-                    leaky_slope=slope,
+                    leaky_slope=meta.get("slope"),
                 )
             )
         except ValueError as exc:

@@ -24,7 +24,15 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .features import IDENTITY, Extractor, extract_features
-from .raster import Raster, _LastTwo, _band_sum, _check_same_shape, _check_scale_pair, _positive_int
+from .raster import (
+    Raster,
+    _LastTwo,
+    _band_sum,
+    _check_same_shape,
+    _check_scale_pair,
+    _frozen,
+    _positive_int,
+)
 from .resample import _downsample, _downsample_adjoint
 
 _EPS = 1e-12
@@ -84,8 +92,7 @@ class GramMatrix:
         m = np.array(self.matrix, dtype=np.float64, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"gram matrix must be square, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "n", _positive_int("pixel count", self.n))
 
     def __reduce__(self) -> tuple:
@@ -158,16 +165,11 @@ def discriminator_loss(
     return total / len(d_fake)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def _sam_parts(f: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """The per-pixel ``<f, t>``, ``|f|`` and ``|t|`` of two H x W x B arrays,
     read-only: what the cosine SAM value and gradient are made of."""
-    return _read_only(_band_sum(f * t), np.sqrt(_band_sum(f * f)), np.sqrt(_band_sum(t * t)))
+    parts = _band_sum(f * t), np.sqrt(_band_sum(f * f)), np.sqrt(_band_sum(t * t))
+    return tuple(_frozen(p) for p in parts)
 
 
 def _sam_value(parts: tuple[np.ndarray, ...]) -> float:
@@ -228,7 +230,7 @@ def _total_sam_parts(
     """The read-only downsample of ``fused`` and the :func:`_sam_parts` of
     (fused, reference) and (downsample, lrms): what the cosine total SAM and
     its gradient share."""
-    (down,) = _read_only(_downsample(fused.data, ratio))
+    down = _frozen(_downsample(fused.data, ratio))
     return down, _sam_parts(fused.data, reference.data), _sam_parts(down, lrms.data)
 
 
@@ -266,7 +268,7 @@ def _gram_delta(
     gradient share."""
     gf = gram_matrix(extract_features(fused, extractor)).matrix
     gr = gram_matrix(extract_features(reference, extractor)).matrix
-    (delta,) = _read_only(gf - gr)
+    delta = _frozen(gf - gr)
     return delta, float(np.sqrt(np.sum(delta * delta)))
 
 

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._strips import _map_strips, _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
-from .raster import Raster, _check_same_shape, _check_scale_pair, _positive_int
+from .raster import Raster, _check_same_shape, _check_scale_pair, _frozen, _positive_int
 from .resample import _downsample
 
 _EPS = 1e-12
@@ -217,9 +217,7 @@ def _conj_signs(bands: int) -> np.ndarray:
     while True:
         c = np.where(np.arange(len(m)) == 0, 1.0, -1.0)
         if len(m) >= bands:
-            m *= c
-            m.flags.writeable = False  # cached: every caller shares this array
-            return m
+            return _frozen(m * c)  # cached: every caller shares this array
         m = np.block([[m, m.T], [m * c, -m.T * c]])
 
 

@@ -81,13 +81,19 @@ class Raster:
         return self.data.shape[2]
 
 
-def _checked(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as a read-only H x W x B cube, or the error it breaks.
-
-    The result is a read-only view whose every base array is read-only too:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only view whose every base array is read-only too:
     numpy lets the writeable flag of an array that owns its memory, or of a
-    view with a writeable base, be set again, but not of such a view.
-    """
+    view with a writeable base, be set again, but not of such a view."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return arr.view()
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a :func:`_frozen` H x W x B cube, or the error it breaks."""
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
@@ -96,11 +102,7 @@ def _checked(arr: np.ndarray) -> np.ndarray:
         raise RasterShapeError(f"raster dimensions must all be >= 1, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteRasterError("raster data contains non-finite values")
-    base = arr
-    while isinstance(base, np.ndarray):
-        base.flags.writeable = False
-        base = base.base
-    return arr.view()
+    return _frozen(arr)
 
 
 _T = TypeVar("_T")

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import Raster, _check_scale_pair, _positive_int
+from .raster import Raster, _check_scale_pair, _frozen, _positive_int
 
 _STD_EPS = 1e-12
 
@@ -80,8 +80,7 @@ def _gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (t / sigma) ** 2)
     k /= k.sum()
-    k.flags.writeable = False  # cached: every caller shares this array
-    return k
+    return _frozen(k)  # cached: every caller shares this array
 
 
 def _downsample(arr: np.ndarray, ratio: int) -> np.ndarray:

@@ -643,6 +643,19 @@ class TestMalformedInputs:
         self.assert_exit(r, 5)
         assert "bad.csw" in r.stderr
 
+    def test_string_csw_slope_exit_five(self, scene_dir, tmp_path, capsys):
+        """A CSW slope given as a JSON string is no number: ``main`` exits 5."""
+        header = json.dumps(
+            {"bands": 1, "layers": [{"out": 1, "in": 1, "k": 1, "stride": 1, "slope": "0.2"}]}
+        ).encode()
+        csw = tmp_path / "bad.csw"
+        csw.write_bytes(b"CSW1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        argv = ["loss", "--name", "perceptual", "--extractor", csw,
+                scene_dir / "hrms.msr", scene_dir / "reference.msr"]
+        assert cli.main([str(a) for a in argv]) == 5
+        err = capsys.readouterr().err
+        assert "bad.csw" in err and "slope" in err and "Traceback" not in err
+
 
 class TestParser:
     """``main`` parses every call with one parser, built at import."""

@@ -413,7 +413,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="bands"):
             ConvStackSpec(bands=bands, layers=(layer,))
 
-    @pytest.mark.parametrize("slope", ["0.2", None, 1j])
+    @pytest.mark.parametrize(
+        "slope", ["0.2", None, 1j, True, False, 10**400],
+        ids=["0.2", "None", "1j", "true", "false", "beyond-float"],
+    )
     def test_non_real_slope_rejected(self, slope):
         with pytest.raises(ValueError, match="slope"):
             ConvLayer(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=1,
@@ -548,6 +551,30 @@ class TestCswIO:
         path.write_bytes(b"CSW1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
         with pytest.raises(HeaderError):
             load_conv_stack(path)
+
+    @staticmethod
+    def one_layer_csw(path, **slope):
+        """A 1 -> 1 channel, 1 x 1 CSW file whose layer has ``slope`` as its
+        slope field, or none if it is not given."""
+        meta = {"out": 1, "in": 1, "k": 1, "stride": 1, **slope}
+        header = json.dumps({"bands": 1, "layers": [meta]}).encode()
+        path.write_bytes(b"CSW1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        return path
+
+    @pytest.mark.parametrize(
+        "slope", [{"slope": "0.2"}, {"slope": "  7 "}, {"slope": True}, {"slope": None}, {}],
+        ids=["string", "padded-string", "bool", "null", "missing"],
+    )
+    def test_slope_that_is_not_a_number_rejected_on_load(self, tmp_path, slope):
+        """The layer's own rule holds a CSW slope: no string or bool is
+        converted, and a missing slope is no number either."""
+        path = self.one_layer_csw(tmp_path / "bad.csw", **slope)
+        with pytest.raises(HeaderError, match="leaky slope must be a real number"):
+            load_conv_stack(path)
+
+    def test_a_json_int_slope_loads_as_a_float(self, tmp_path):
+        spec = load_conv_stack(self.one_layer_csw(tmp_path / "int.csw", slope=2))
+        assert type(spec.layers[0].leaky_slope) is float and spec.layers[0].leaky_slope == 2.0
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.csw"

@@ -15,6 +15,7 @@ from panfuse import (
     ConvLayer,
     ConvStackSpec,
     FusionInput,
+    GramMatrix,
     Patch,
     PatchSet,
     Raster,
@@ -49,8 +50,19 @@ from panfuse.errors import (
     ShapeMismatchError,
     UsageError,
 )
+from panfuse import losses, raster
+from panfuse.metrics import _conj_signs
 from panfuse.raster import _check_scale_pair
-from helpers import CUBE_FAULTS, JSON_VALUES, PAN_FAULTS, framed, random_raster, scale_pair
+from panfuse.resample import _gaussian_kernel
+from helpers import (
+    CLONES,
+    CUBE_FAULTS,
+    JSON_VALUES,
+    PAN_FAULTS,
+    framed,
+    random_raster,
+    scale_pair,
+)
 
 
 class TestRasterType:
@@ -540,3 +552,107 @@ def test_a_copied_raster_is_read_only_too(clone):
         c.data.flags.writeable = True
     with pytest.raises(ValueError, match="read-only"):
         c.data[0, 0, 0] = 0.5
+
+
+class _SubArray(np.ndarray):
+    pass
+
+
+class TestFrozen:
+    """``raster._frozen``, the package's one way to make an array it shares
+    immutable: a read-only view whose every base array is read-only, so numpy
+    refuses to set the view's writeable flag again."""
+
+    @staticmethod
+    def assert_frozen(frozen, want):
+        assert np.array_equal(frozen, want)
+        with pytest.raises(ValueError):
+            frozen.flags.writeable = True
+        assert frozen.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.flat[0] = 0.5
+
+    def test_an_owning_array(self):
+        a = np.arange(6.0)
+        frozen = raster._frozen(a)
+        assert frozen.base is a and a.flags.writeable is False
+        self.assert_frozen(frozen, np.arange(6.0))
+
+    def test_a_view_of_a_writeable_array(self):
+        a = np.arange(12.0)
+        view = a.reshape(3, 4)[1:, ::2]
+        frozen = raster._frozen(view)
+        assert a.flags.writeable is False and view.flags.writeable is False
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+        self.assert_frozen(frozen, np.arange(12.0).reshape(3, 4)[1:, ::2])
+
+    def test_a_two_level_view_chain(self):
+        """numpy points a view of a plain view at the owning array, but a
+        subclass view keeps each level; every level is made read-only."""
+        owner = np.arange(6.0)
+        outer = owner.view(_SubArray)
+        view = outer[1:]
+        assert view.base is outer and outer.base is owner
+        frozen = raster._frozen(view)
+        for arr in (view, outer, owner):
+            assert arr.flags.writeable is False
+        self.assert_frozen(frozen, np.arange(1.0, 6.0))
+
+
+def _layer():
+    return ConvLayer(np.full((2, 4, 3, 3), 0.1), np.zeros(2), 2, 0.2)
+
+
+def _total_sam_parts(index):
+    hrms, _, lrms, _ = _scene()
+    down, full, low = losses._total_sam_parts(hrms, Raster(hrms.data * 0.5), lrms, 4)
+    return (down, *full, *low)[index]
+
+
+def _gram_delta(extractor):
+    hrms, _, _, _ = _scene()
+    return losses._gram_delta(hrms, Raster(hrms.data * 0.5), extractor)[0]
+
+
+# Each way to get an object: as built, or a copy of it (which goes through its constructor).
+_AS_BUILT_OR_CLONED = {"": lambda obj: obj, **{f"{name}-": clone for name, clone in CLONES.items()}}
+_SAM_PARTS = ("down", "full-dots", "full-norm-fused", "full-norm-reference",
+              "low-dots", "low-norm-down", "low-norm-lrms")
+
+# array the package shares with every caller -> () -> that array
+SHARED_ARRAYS = {
+    **{
+        f"{how}layer-{attr}": lambda get=get, attr=attr: getattr(get(_layer()), attr)
+        for how, get in _AS_BUILT_OR_CLONED.items()
+        for attr in ("weights", "_taps", "bias")
+    },
+    **{
+        f"{how}gram-matrix": lambda get=get: get(GramMatrix(np.eye(3), 4)).matrix
+        for how, get in _AS_BUILT_OR_CLONED.items()
+    },
+    **{
+        f"total_sam_parts-{name}": lambda i=i: _total_sam_parts(i)
+        for i, name in enumerate(_SAM_PARTS)
+    },
+    "gram_delta-identity": lambda: _gram_delta(IDENTITY),
+    "gram_delta-stack": lambda: _gram_delta(ConvStackSpec(bands=4, layers=(_layer(),))),
+    **{
+        f"gaussian_kernel-ratio-{r}": lambda r=r: _gaussian_kernel(2 * r, r / 2.0)
+        for r in (1, 2, 3, 4, 8, 16)
+    },
+    **{f"conj_signs-{bands}": lambda bands=bands: _conj_signs(bands) for bands in (2, 4, 8, 16)},
+}
+
+
+@pytest.mark.parametrize("make", list(SHARED_ARRAYS.values()), ids=list(SHARED_ARRAYS))
+def test_every_shared_array_cannot_be_made_writable(make):
+    """A conv layer's arrays, a Gram matrix, the loss memo's values and the
+    cached Gaussian taps and Q2^n sign tables are shared by every caller, so,
+    like a raster's data, none of them can be made writable again."""
+    arr = make()
+    with pytest.raises(ValueError):
+        arr.flags.writeable = True
+    assert arr.flags.writeable is False
+    with pytest.raises(ValueError, match="read-only"):
+        arr.flat[0] = 0.5
