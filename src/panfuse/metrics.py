@@ -24,7 +24,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._strips import _map_strips, _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
-from .raster import Raster, _check_same_shape, _check_scale_pair, _frozen, _positive_int
+from .raster import (
+    Raster,
+    _LastTwo,
+    _check_same_shape,
+    _check_scale_pair,
+    _frozen,
+    _positive_int,
+)
 from .resample import _downsample
 
 _EPS = 1e-12
@@ -129,8 +136,10 @@ def _tile_index(
     left out.
 
     Each row of tiles is one strip of :func:`_map_strips`: it is copied once
-    into a (tiles, block * block, C) array and its deviations are taken in
-    place. ``tile_q(m, v, cov)`` gets the per-tile channel means (t, C),
+    into a channel-major (tiles, C, block * block) array, so the means,
+    deviations and variances run along contiguous pixels, its deviations are
+    taken in place, and the covariance is one ``d @ d.T`` per tile.
+    ``tile_q(m, v, cov)`` gets the per-tile channel means (t, C),
     variances (t, C) and covariances ``cov[t, i, j] = cov(c_i, c_j)``
     (t, C, C), all with (n-1) normalization, and returns (values, valid),
     each (t, P). The valid values of each output are summed in tile-row
@@ -149,17 +158,17 @@ def _tile_index(
     bounds = np.cumsum([0] + [p.shape[2] for p in parts])
 
     def tile_row(r: int) -> tuple[np.ndarray, np.ndarray]:
-        stack = np.empty((cols, n, bounds[-1]), dtype=np.float64)
-        tiles = stack.reshape(cols, block, block, bounds[-1])
+        stack = np.empty((cols, bounds[-1], n), dtype=np.float64)
+        tiles = stack.reshape(cols, bounds[-1], block, block)
         for p, lo, hi in zip(parts, bounds, bounds[1:]):
             row = p[r : r + block, : cols * block].reshape(block, cols, block, hi - lo)
-            tiles[..., lo:hi] = row.transpose(1, 0, 2, 3)
+            tiles[:, lo:hi] = row.transpose(1, 3, 0, 2)
         # Skipped tiles may divide by zero; their values are dropped below.
         with np.errstate(divide="ignore", invalid="ignore"):
-            m = stack.mean(axis=1)
-            d = np.subtract(stack, m[:, None, :], out=stack)
-            v = np.einsum("tnc,tnc->tc", d, d) / (n - 1)
-            cov = np.matmul(d.transpose(0, 2, 1), d) / (n - 1)
+            m = stack.mean(axis=2)
+            d = np.subtract(stack, m[:, :, None], out=stack)
+            v = np.einsum("tcn,tcn->tc", d, d) / (n - 1)
+            cov = np.matmul(d, d.transpose(0, 2, 1)) / (n - 1)
             values, valid = tile_q(m, v, cov)
         return np.where(valid, values, 0.0).sum(axis=0), np.count_nonzero(valid, axis=0)
 
@@ -350,6 +359,23 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     return float(np.mean(band_sums / (rows * cols)))
 
 
+def _qnr_pairs(nbands: int) -> list[tuple[int, int]]:
+    """QNR's channel pairs over a band stack with the pan as channel ``nbands``:
+    each unordered band pair once (Q is symmetric), then each band with the pan."""
+    return [*itertools.combinations(range(nbands), 2), *((b, nbands) for b in range(nbands))]
+
+
+@_LastTwo
+def _qnr_low(lrms: Raster, pan: Raster, ratio: int, lr_block: int) -> tuple[float, ...]:
+    """The low-resolution side of :func:`metric_qnr`: the Q index of each
+    :func:`_qnr_pairs` pair over ``lrms`` and the pan downsampled by ``ratio``,
+    in ``lr_block`` tiles. It does not depend on the fused image, so every
+    method evaluated against one (lrms, pan) pair shares it."""
+    pairs = _qnr_pairs(lrms.bands)
+    pan_lr = _downsample(pan.data, ratio)
+    return tuple(_tile_index((lrms.data, pan_lr), lr_block, _uiqi(pairs), pairs))
+
+
 def metric_qnr(
     fused: Raster, lrms: Raster, pan: Raster, ratio: int, block: int
 ) -> tuple[float, float, float]:
@@ -368,20 +394,16 @@ def metric_qnr(
         raise ShapeMismatchError("qnr requires at least 2 bands")
     block = _positive_int("block", block)
     lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
-    pan_lr = _downsample(pan.data, ratio)
-    # Channels 0..nbands-1 are the bands and channel nbands the pan. Q is
-    # symmetric, so each unordered band pair is visited once.
-    pairs = list(itertools.combinations(range(nbands), 2))
-    pan_pairs = [(b, nbands) for b in range(nbands)]
-    tile_q = _uiqi(pairs + pan_pairs)
-    hr = _tile_index((fused.data, pan.data), block, tile_q, pairs + pan_pairs)
-    lr = _tile_index((lrms.data, pan_lr), lr_block, tile_q, pairs + pan_pairs)
+    pairs = _qnr_pairs(nbands)
+    hr = _tile_index((fused.data, pan.data), block, _uiqi(pairs), pairs)
+    lr = _qnr_low(lrms, pan, ratio, lr_block)
     gaps = [abs(q_hr - q_lr) for q_hr, q_lr in zip(hr, lr)]
 
-    d_lambda = sum(gaps[: len(pairs)]) / len(pairs)
+    npairs = len(pairs) - nbands
+    d_lambda = sum(gaps[:npairs]) / npairs
     d_lambda = min(max(d_lambda, 0.0), 1.0)
 
-    d_s = sum(gaps[len(pairs) :]) / nbands
+    d_s = sum(gaps[npairs:]) / nbands
     d_s = min(max(d_s, 0.0), 1.0)
 
     return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s

@@ -130,6 +130,20 @@ def same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def computed_calls(monkeypatch, memo):
+    """A list that gets the arguments of every call ``memo`` computes (a
+    remembered call adds nothing), for the rest of the test."""
+    calls = []
+    compute = memo.compute
+
+    def counted(*args):
+        calls.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(memo, "compute", counted)
+    return calls
+
+
 def reborn_at_dead_id(dead_bytes, new_bytes, use):
     """(``use`` of a raster of ``dead_bytes`` that then died, a live raster of
     ``new_bytes`` at the dead raster's id): :func:`born_at_dead_id` for

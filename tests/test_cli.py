@@ -20,8 +20,8 @@ from panfuse import (
     wald_degrade,
     write_raster,
 )
-from panfuse import cli
-from helpers import random_raster, run_cli, separated_pair
+from panfuse import cli, metrics
+from helpers import computed_calls, random_raster, run_cli, separated_pair
 
 
 # The losses that have an analytic gradient.
@@ -315,6 +315,32 @@ class TestEval:
         json_row = json.loads((tmp_path / "report.json").read_text())[0]
         for i, name in enumerate(("ssim", "sam", "ergas", "q4", "qnr")):
             assert float(csv_cells[i + 1]) == json_row[name]
+
+    def test_five_methods_compute_the_qnr_low_side_once(self, scene_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        """lrms and pan are read once per eval, so QNR's low side is computed
+        for the first method and remembered for the other four; the rows are
+        byte for byte those of five one-method evals."""
+        names = ["gihs", "brovey", "pca", "gs", "hpf"]
+        inputs = ["--reference", scene_dir / "reference.msr", "--lrms", scene_dir / "lrms.msr",
+                  "--pan", scene_dir / "pan.msr", "--ratio", 4]
+        for m in names:
+            assert cli.main([str(a) for a in (
+                "fuse", "--method", m, "--lrms", scene_dir / "lrms.msr",
+                "--pan", scene_dir / "pan.msr", "--ratio", 4, "--name", m,
+                "--out", tmp_path / "fused")]) == 0
+        calls = computed_calls(monkeypatch, metrics._qnr_low)
+        fused = [tmp_path / "fused" / f"{m}.msr" for m in names]
+        args = ("eval", "--fused", *fused, *inputs, "--out", tmp_path / "all")
+        assert cli.main([str(a) for a in args]) == 0
+        assert len(calls) == 1
+        header, *rows = (tmp_path / "all" / "report.csv").read_text().splitlines(keepends=True)
+        for path, row in zip(fused, rows, strict=True):
+            out = tmp_path / path.stem
+            assert cli.main([str(a) for a in ("eval", "--fused", path, *inputs, "--out", out)]) == 0
+            assert (out / "report.csv").read_text() == header + row
+        assert len(calls) == 1 + len(names)
+        capsys.readouterr()
 
     def test_one_pixel_wide_exit_three(self, tmp_path):
         # The Q-index block is clamped to the image width: one pixel has no tile statistics.

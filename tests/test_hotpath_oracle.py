@@ -23,6 +23,9 @@ bodies, and the band mean built on the same sum, must match them to the bit,
 zero signs included. ``strided_correlate_axis_adjoint`` is the downsample
 adjoint's pass before each pass ran down the rows of an axis-first copy; the
 adjoint must match it to the bit, zero signs and subnormals included.
+``tnc_tile_index`` is the channel-stack tile core before each row of tiles
+was laid out channel-major; the core must match it within 1e-12, with equal
+counts of valid tiles.
 """
 
 import itertools
@@ -717,6 +720,108 @@ def test_stacked_pairs_match_two_array_tile_core(height, width, block, channels)
     assert got[pairs.index((1, 3))] == 1.0
     if stack.shape[2] > 4:
         assert got[pairs.index((1, 4))] == got[pairs.index((3, 4))] == 0.0
+
+
+def tnc_tile_index(parts, block, tile_q, groups):
+    """The channel-stack tile core with each row of tiles stacked as
+    (tiles, block * block, C), so every per-tile reduction runs over an
+    inner loop of C values."""
+    height, width, _ = parts[0].shape
+    _check_block(height, width, block)
+    cols, n = width // block, block * block
+    bounds = np.cumsum([0] + [p.shape[2] for p in parts])
+
+    def tile_row(r):
+        stack = np.empty((cols, n, bounds[-1]), dtype=np.float64)
+        tiles = stack.reshape(cols, block, block, bounds[-1])
+        for p, lo, hi in zip(parts, bounds, bounds[1:]):
+            row = p[r : r + block, : cols * block].reshape(block, cols, block, hi - lo)
+            tiles[..., lo:hi] = row.transpose(1, 0, 2, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = stack.mean(axis=1)
+            d = np.subtract(stack, m[:, None, :], out=stack)
+            v = np.einsum("tnc,tnc->tc", d, d) / (n - 1)
+            cov = np.matmul(d.transpose(0, 2, 1), d) / (n - 1)
+            values, valid = tile_q(m, v, cov)
+        return np.where(valid, values, 0.0).sum(axis=0), np.count_nonzero(valid, axis=0)
+
+    total, count = map(sum, zip(*_map_strips(tile_row, range(0, height - block + 1, block))))
+    channels = [p[:, :, c] for p in parts for c in range(p.shape[2])]
+
+    def fallback(a, b):
+        pairs = zip(np.atleast_1d(a), np.atleast_1d(b))
+        same = (np.allclose(channels[i], channels[j], rtol=1e-9, atol=0.0) for i, j in pairs)
+        return 1.0 if all(same) else 0.0
+
+    return [
+        float(total[k] / count[k]) if count[k] else fallback(a, b)
+        for k, (a, b) in enumerate(groups)
+    ]
+
+
+def valid_counts(tile_q):
+    """``tile_q`` and a list that gets each call's count of valid tiles per output."""
+    counts = []
+
+    def counted(m, v, cov):
+        values, valid = tile_q(m, v, cov)
+        counts.append(np.count_nonzero(valid, axis=0))
+        return values, valid
+
+    return counted, counts
+
+
+def tile_case(height, width, channels, index, constant):
+    """(parts, tile_q, groups) over a stack split into ``channels``: every
+    channel pair (``uiqi``) or the first half against the second (``q2n``).
+    ``constant`` is "none", "some" (channels 1 and the last share one
+    constant, channel 0 holds another) or "all" (every tile degenerate)."""
+    total = sum(channels)
+    stack = np.random.default_rng(height * width + total).uniform(0.1, 0.9, (height, width, total))
+    if constant == "some":
+        stack[:, :, [1, total - 1]] = 0.3
+        stack[:, :, 0] = 0.6
+    elif constant == "all":
+        stack[:, :, :] = np.linspace(0.2, 0.8, total)
+        stack[:, :, -1] = stack[0, 0, 0]
+    parts = tuple(np.split(stack, np.cumsum(channels)[:-1], axis=2))
+    if index == "q2n":
+        bands = total // 2
+        return parts, metrics._q2n(bands), [(range(bands), range(bands, total))]
+    pairs = list(itertools.combinations(range(total), 2))
+    return parts, metrics._uiqi(pairs), pairs
+
+
+# Channel splits of 2 to 17 channels; the even two-part splits also run as Q2^n.
+TILE_SPLITS = [((1, 1), "uiqi"), ((1, 1), "q2n"), ((2, 1, 3), "uiqi"), ((4, 4), "q2n"),
+               ((5, 1), "uiqi"), ((3, 4, 2), "uiqi"), ((8, 8), "q2n"), ((16, 1), "uiqi")]
+
+
+@pytest.mark.parametrize("height, width", TILE_SHAPES)
+@pytest.mark.parametrize("block", [2, 8, 32])
+@pytest.mark.parametrize("channels, index", TILE_SPLITS,
+                         ids=[f"{sum(c)}ch-{len(c)}part-{i}" for c, i in TILE_SPLITS])
+@pytest.mark.parametrize("constant", ["none", "some", "all"])
+def test_tile_index_matches_tnc_body(height, width, block, channels, index, constant):
+    """Within 1e-12 of the (tiles, n, C) body, with the same valid tiles per
+    output; constant channels fall back pair by pair, and a stack of constant
+    channels skips every tile and falls back whole."""
+    parts, tile_q, groups = tile_case(height, width, channels, index, constant)
+    got_q, got_counts = valid_counts(tile_q)
+    want_q, want_counts = valid_counts(tile_q)
+    got = metrics._tile_index(parts, block, got_q, groups)
+    want = tnc_tile_index(parts, block, want_q, groups)
+    assert len(got) == len(want) == len(groups)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+    assert np.array_equal(sum(got_counts), sum(want_counts))
+    if constant == "all":
+        assert not np.any(sum(got_counts))
+        assert got == want
+    elif constant == "some" and index == "uiqi":
+        last = sum(channels) - 1
+        if last > 1:
+            assert got[groups.index((1, last))] == 1.0
+        assert got[groups.index((0, 1))] == 0.0
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (16, 9, 4), (33, 17, 3)])

@@ -24,8 +24,9 @@ from panfuse import (
     reports_to_json,
     synth_scene,
 )
+from panfuse import metrics
 from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
-from helpers import CUBE_FAULTS, PAN_FAULTS, random_raster, scale_pair
+from helpers import CUBE_FAULTS, PAN_FAULTS, computed_calls, random_raster, scale_pair
 
 
 def uiqi_tile_oracle(x, y):
@@ -417,6 +418,64 @@ class TestQnr:
         lrms, pan, fused = scale_pair(fault)
         with pytest.raises(ShapeMismatchError):
             metric_qnr(fused, lrms, pan, 4, 8)
+
+
+@pytest.fixture
+def qnr_low_calls(monkeypatch):
+    """The argument tuples of every computed (not remembered) QNR low side;
+    the memo starts and ends the test empty."""
+    metrics._qnr_low.entries = ()
+    yield computed_calls(monkeypatch, metrics._qnr_low)
+    metrics._qnr_low.entries = ()
+
+
+class TestQnrLowMemo:
+    """QNR's low-resolution side is remembered per (lrms, pan) object pair,
+    ratio and low-resolution block."""
+
+    def _scene(self, seed=9, size=64, bands=4, ratio=4):
+        hrms, pan = synth_scene(size, size, bands, seed, [1.0] * bands)
+        lrms = downsample_antialias(hrms, ratio)
+        noise = np.random.default_rng(seed).normal(0.0, 0.03, hrms.data.shape)
+        return Raster(np.clip(hrms.data + noise, 0.0, 1.0)), hrms, lrms, pan
+
+    def test_other_fused_images_hit(self, qnr_low_calls):
+        fused, hrms, lrms, pan = self._scene()
+        first = metric_qnr(fused, lrms, pan, 4, 32)
+        second = metric_qnr(hrms, lrms, pan, 4, 32)
+        assert len(qnr_low_calls) == 1
+        assert qnr_low_calls[0][2:] == (4, 8)
+        metrics._qnr_low.entries = ()
+        assert metric_qnr(hrms, lrms, pan, 4, 32) == second
+        assert metric_qnr(fused, lrms, pan, 4, 32) == first
+
+    @pytest.mark.parametrize("copied", ["lrms", "pan"])
+    def test_an_equal_bytes_copy_misses(self, qnr_low_calls, copied):
+        fused, _, lrms, pan = self._scene()
+        want = metric_qnr(fused, lrms, pan, 4, 32)
+        if copied == "lrms":
+            lrms = Raster(lrms.data)
+        else:
+            pan = Raster(pan.data)
+        assert metric_qnr(fused, lrms, pan, 4, 32) == want
+        assert len(qnr_low_calls) == 2
+
+    def test_another_block_misses(self, qnr_low_calls):
+        fused, _, lrms, pan = self._scene()
+        metric_qnr(fused, lrms, pan, 4, 32)
+        metric_qnr(fused, lrms, pan, 4, 16)
+        assert [call[3] for call in qnr_low_calls] == [8, 4]
+
+    def test_another_ratio_misses(self, qnr_low_calls, monkeypatch):
+        """Keyed on the ratio's value: the one (lrms, pan) pair under two
+        ratios is two entries (the values are stand-ins)."""
+        monkeypatch.setattr(metrics._qnr_low, "compute", lambda *args: (object(),))
+        _, _, lrms, pan = self._scene()
+        four = metrics._qnr_low(lrms, pan, 4, 8)
+        two = metrics._qnr_low(lrms, pan, 2, 8)
+        assert two is not four
+        assert metrics._qnr_low(lrms, pan, 4, 8) is four
+        assert metrics._qnr_low(lrms, pan, 2, 8) is two
 
 
 class TestReport:
