@@ -18,8 +18,8 @@ class UsageError(PanfuseError):
     exit_code = 2
 
 
-class IntegerParameterError(UsageError, ValueError):
-    """Integer parameter (ratio, size, stride, ...) not an int at or above its minimum."""
+class ParameterError(UsageError, ValueError):
+    """Integer or real parameter (ratio, stride, weight, step, ...) breaking its rule."""
 
 
 class ShapeMismatchError(PanfuseError):

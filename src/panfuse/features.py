@@ -15,7 +15,6 @@ CSW file layout (the framing of :mod:`panfuse.raster`'s MSR files):
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -33,6 +32,7 @@ from .raster import (
     Raster,
     _LastTwo,
     _check_positive_ints,
+    _finite_real,
     _frozen,
     _positive_int,
     _read_framed,
@@ -70,16 +70,9 @@ class ConvLayer:
         if b.shape != (w.shape[0],):
             raise ValueError(f"bias shape {b.shape} does not match out={w.shape[0]}")
         stride = _positive_int("stride", self.stride)
-        if isinstance(self.leaky_slope, bool) or not isinstance(self.leaky_slope, numbers.Real):
-            raise ValueError(f"leaky slope must be a real number, got {self.leaky_slope!r}")
-        try:
-            slope = float(self.leaky_slope)
-        except OverflowError as exc:
-            raise ValueError(f"leaky slope must be finite: {exc}") from exc
+        slope = _finite_real("leaky slope", self.leaky_slope)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer weights must be finite")
-        if not math.isfinite(slope):
-            raise ValueError(f"leaky slope must be finite, got {slope}")
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "_taps", _frozen(np.ascontiguousarray(w.transpose(2, 3, 1, 0))))
         object.__setattr__(self, "bias", _frozen(b))

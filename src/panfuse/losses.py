@@ -3,7 +3,7 @@
 Pixel losses, the adversarial generator/discriminator objectives, the
 spectral-angle regularizer at one and two resolutions, Gram-matrix and
 perceptual losses, and the weighted combination. ``LOSSES`` holds the
-raster-pair losses; six have an analytic gradient with respect to the fused
+raster-pair losses; seven have an analytic gradient with respect to the fused
 image in ``GRADIENTS``, verified by a central finite-difference oracle.
 
 Two of the published formulas are kept in both an as-printed and a
@@ -30,6 +30,7 @@ from .raster import (
     _band_sum,
     _check_same_shape,
     _check_scale_pair,
+    _finite_real,
     _frozen,
     _positive_int,
 )
@@ -58,8 +59,7 @@ class LossSpec:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "eta1", "eta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise UsageError(f"loss weight {name} must be finite")
+            object.__setattr__(self, name, _finite_real(f"loss weight {name}", getattr(self, name)))
         if self.eta1 < 0 or self.eta2 < 0:
             raise UsageError("eta1 and eta2 must be nonnegative")
 
@@ -166,8 +166,10 @@ def discriminator_loss(
 
 
 def _sam_parts(f: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The per-pixel ``<f, t>``, ``|f|`` and ``|t|`` of two H x W x B arrays,
-    read-only: what the cosine SAM value and gradient are made of."""
+    """The per-pixel ``<f, t>``, ``|f|`` and ``|t|`` of two H x W x B arrays of
+    2 bands or more, read-only: what the cosine SAM value and gradient read."""
+    if f.shape[2] < 2:
+        raise ShapeMismatchError("sam loss requires at least 2 bands")
     parts = _band_sum(f * t), np.sqrt(_band_sum(f * f)), np.sqrt(_band_sum(t * t))
     return tuple(_frozen(p) for p in parts)
 
@@ -186,8 +188,6 @@ def _sam_loss(f: np.ndarray, t: np.ndarray, mode: str) -> float:
         return float(
             1.0 - np.sum(f * t) / (np.sum(f * f) * np.sum(t * t) + _EPS)
         )
-    if f.shape[2] < 2:
-        raise ShapeMismatchError("sam loss requires at least 2 bands")
     return _sam_value(_sam_parts(f, t))
 
 
@@ -217,8 +217,6 @@ def total_sam_loss(
         return 0.5 * _sam_loss(fused.data, reference.data, mode) + 0.5 * _sam_loss(
             down, lrms.data, mode
         )
-    if fused.bands < 2:
-        raise ShapeMismatchError("sam loss requires at least 2 bands")
     _, full, low = _total_sam_parts(fused, reference, lrms, ratio)
     return 0.5 * _sam_value(full) + 0.5 * _sam_value(low)
 
@@ -283,8 +281,8 @@ def perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> f
 
 def combined_loss(base: float, regularizer: float, spec: LossSpec) -> float:
     """Weighted objective eta1 * base + eta2 * regularizer."""
-    if not (math.isfinite(base) and math.isfinite(regularizer)):
-        raise UsageError("combined loss inputs must be finite")
+    base = _finite_real("combined loss base", base)
+    regularizer = _finite_real("combined loss regularizer", regularizer)
     return spec.eta1 * base + spec.eta2 * regularizer
 
 
@@ -439,8 +437,7 @@ def finite_difference_gradient(
     O(N) loss evaluations; intended for small verification instances.
     Elements are perturbed in fixed C order so results are deterministic.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise UsageError(f"step size must be finite and positive, got {h}")
+    h = _finite_real("step size", h, positive=True)
     base = fused.data.copy()
     grad = np.zeros_like(base)
     flat = base.ravel()

@@ -32,7 +32,7 @@ from .raster import (
     _frozen,
     _positive_int,
 )
-from .resample import _downsample
+from .resample import _downsample, _gaussian_kernel
 
 _EPS = 1e-12
 
@@ -278,9 +278,8 @@ def metric_q4(fused: Raster, reference: Raster, block: int) -> float:
 
 
 def _ssim_window() -> np.ndarray:
-    t = np.arange(-5, 6, dtype=np.float64)
-    k = np.exp(-0.5 * (t / 1.5) ** 2)
-    return k / k.sum()
+    """SSIM's 11-tap Gaussian (sigma 1.5): the cached taps of the resampler."""
+    return _gaussian_kernel(5, 1.5)
 
 
 def _valid_window_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ format of :mod:`panfuse.features`.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 import os
 import struct
@@ -31,11 +32,11 @@ import numpy as np
 from ._strips import _row_strips
 from .errors import (
     HeaderError,
-    IntegerParameterError,
     MagicError,
     MissingFileError,
     NonFiniteDataError,
     NonFiniteRasterError,
+    ParameterError,
     PayloadSizeError,
     RasterIOError,
     RasterShapeError,
@@ -139,13 +140,27 @@ def _positive_int(name: str, value: object, minimum: int = 1) -> int:
     integer parameter. A bool, float or other non-integer breaks it too, with
     an error that is both a usage error and a ``ValueError``."""
     if isinstance(value, bool):
-        raise IntegerParameterError(f"{name} must be an integer, got {value!r}")
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
     try:
         number = operator.index(value)
     except TypeError:
-        raise IntegerParameterError(f"{name} must be an integer, got {value!r}") from None
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if number < minimum:
-        raise IntegerParameterError(f"{name} must be >= {minimum}, got {number}")
+        raise ParameterError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
+def _finite_real(name: str, value: object, positive: bool = False) -> float:
+    """``value`` as a finite ``float``, above 0 if ``positive``: the one rule for
+    every real parameter (weight, slope, step), with the integer rule's error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ParameterError(f"{name} must be finite: {exc}") from None
+    if not np.isfinite(number) or (positive and number <= 0):
+        raise ParameterError(f"{name} must be finite{' and positive' * positive}, got {number}")
     return number
 
 
@@ -274,7 +289,7 @@ def _check_positive_ints(where: object, fields: object, keys: Sequence[str]) -> 
     for key in keys:
         try:
             _positive_int(key, fields.get(key) if isinstance(fields, dict) else None)
-        except IntegerParameterError:
+        except ParameterError:
             raise HeaderError(f"{where}: header field {key!r} missing or invalid") from None
 
 
@@ -312,11 +327,12 @@ def read_raster(path: str | Path) -> Raster:
 def _normalized_weights(pan_weights: Sequence[float], bands: int) -> np.ndarray:
     """``pan_weights`` over their sum, or the usage error they break: one
     finite, nonnegative weight per band with a finite positive sum."""
-    w = np.asarray(pan_weights, dtype=np.float64)
-    if w.shape != (bands,):
-        raise UsageError(f"pan_weights length {w.size} does not match band count {bands}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise UsageError("pan_weights must be finite and nonnegative")
+    weights = np.asarray(pan_weights, dtype=object)
+    if weights.shape != (bands,):
+        raise UsageError(f"pan_weights length {weights.size} does not match band count {bands}")
+    w = np.array([_finite_real("pan weight", v) for v in weights], dtype=np.float64)
+    if np.any(w < 0):
+        raise UsageError("pan_weights must be nonnegative")
     with np.errstate(over="ignore"):
         total = w.sum()
     if not np.isfinite(total) or total <= 0:

@@ -78,6 +78,7 @@ from panfuse.raster import _band_sum
 from panfuse.resample import (
     _catmull_rom_weights,
     _downsample,
+    _downsample_adjoint,
     _gaussian_kernel,
     _reflect,
     _upsample,
@@ -1110,6 +1111,23 @@ def test_total_sam_same_bits_as_np_sum_body(monkeypatch, bands):
     monkeypatch.setattr(losses, "_sam_cosine_gradient", np_sum_sam_cosine_gradient)
     for g, w in zip(got, run()):
         assert same_bits(g, w)
+
+
+@pytest.mark.parametrize("bands", [2, 4, 8, 9])
+def test_total_sam_same_bits_as_np_sum_parts(bands):
+    """Total SAM's value and gradient on fresh rasters, which no memo entry
+    answers, against np.sum parts at both scales, built here through the same
+    downsample and its adjoint."""
+    rng = np.random.default_rng(200 + bands)
+    f, r, lr = rng.random((16, 12, bands)), rng.random((16, 12, bands)), rng.random((4, 3, bands))
+    down = _downsample(f, 4)
+    value = 0.5 * np_sum_sam_loss(f, r) + 0.5 * np_sum_sam_loss(down, lr)
+    grad = 0.5 * np_sum_sam_cosine_gradient(f, r) + 0.5 * _downsample_adjoint(
+        np_sum_sam_cosine_gradient(down, lr), 4
+    )
+    fused, reference, lrms = Raster(f), Raster(r), Raster(lr)
+    assert same_bits(total_sam_loss(fused, reference, lrms, 4), value)
+    assert same_bits(loss_gradient("total_sam", fused, reference, lrms, 4).data, grad)
 
 
 @pytest.mark.parametrize("bands", [3, 4, 8, 9])

@@ -170,6 +170,15 @@ class TestTotalSamLoss:
         )
         assert abs(total_sam_loss(fused, ref, lrms, 4, "cosine") - want) < 1e-15
 
+    def test_as_printed_equals_compositional_oracle(self):
+        fused = random_raster(24, 16, 16, 4)
+        ref = random_raster(25, 16, 16, 4)
+        lrms = random_raster(26, 4, 4, 4)
+        want = 0.5 * sam_loss(fused, ref, "as_printed") + 0.5 * sam_loss(
+            downsample_antialias(fused, 4), lrms, "as_printed"
+        )
+        assert total_sam_loss(fused, ref, lrms, 4, "as_printed") == want
+
     def test_dims_validated(self):
         with pytest.raises(ShapeMismatchError):
             total_sam_loss(
@@ -186,6 +195,37 @@ class TestTotalSamLoss:
             total_sam_loss(fused, fused, lrms, 4)
         with pytest.raises(ShapeMismatchError):
             loss_gradient("total_sam", fused, fused, lrms=lrms, ratio=4)
+
+
+class TestOneBandSam:
+    """The cosine SAM needs 2 bands: at 1 band its value and its gradient, at
+    one resolution or two, are the same shape error (exit 3)."""
+
+    FUSED = random_raster(27, 16, 16, 1, lo=0.1, hi=0.9)
+    REF = random_raster(28, 16, 16, 1, lo=0.1, hi=0.9)
+    LRMS = random_raster(29, 4, 4, 1, lo=0.1, hi=0.9)
+
+    CALLS = {
+        "sam_loss": lambda f, r, lr: sam_loss(f, r, "cosine"),
+        "total_sam_loss": lambda f, r, lr: total_sam_loss(f, r, lr, 4, "cosine"),
+        "loss_gradient-sam_cosine": lambda f, r, lr: loss_gradient("sam_cosine", f, r),
+        "loss_gradient-total_sam": lambda f, r, lr: loss_gradient("total_sam", f, r, lr, 4),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_one_band_is_a_shape_error(self, call):
+        with pytest.raises(ShapeMismatchError, match="at least 2 bands") as info:
+            self.CALLS[call](self.FUSED, self.REF, self.LRMS)
+        assert info.value.exit_code == 3
+
+    def test_as_printed_takes_one_band(self):
+        """The printed global form has no per-pixel angle, so no band floor."""
+        assert math.isfinite(total_sam_loss(self.FUSED, self.REF, self.LRMS, 4, "as_printed"))
+
+    def test_the_check_is_in_the_parts(self):
+        """One check, in the core that the values and gradients all read."""
+        with pytest.raises(ShapeMismatchError):
+            losses._sam_parts(self.FUSED.data, self.REF.data)
 
 
 class TestGramMatrix:
