@@ -87,12 +87,8 @@ def cmd_patchify(args: argparse.Namespace) -> int:
 
 def cmd_fuse(args: argparse.Namespace) -> int:
     fuse, lrpan_modes = FUSE_METHODS[args.method]
-    if args.lrpan is not None and args.lrpan not in lrpan_modes:
-        accepted = ", ".join(lrpan_modes) or "none"
-        raise UsageError(
-            f"--lrpan {args.lrpan} does not apply to --method {args.method}"
-            f" (accepted: {accepted})"
-        )
+    if args.lrpan is not None:
+        raster._choice(f"--lrpan for --method {args.method}", args.lrpan, lrpan_modes)
     lrpan = args.lrpan or (lrpan_modes[0] if lrpan_modes else None)
     lrms = raster.read_raster(args.lrms)
     pan = raster.read_raster(args.pan)
@@ -188,8 +184,9 @@ def _grad_check(
 
 
 def cmd_loss(args: argparse.Namespace) -> int:
-    if args.grad_check and (args.name not in LOSSES or LOSSES[args.name].gradient is None):
-        raise UsageError(f"loss {args.name!r} has no analytic gradient to check")
+    if args.grad_check:
+        with_gradient = [name for name, loss in LOSSES.items() if loss.gradient is not None]
+        raster._choice("--name with an analytic gradient to check", args.name, with_gradient)
     if args.name == "disc":
         fake, real = _scores(args, "--d-fake"), _scores(args, "--d-real")
         value = losses.discriminator_loss(fake, real, args.disc_mode)

@@ -19,7 +19,7 @@ class UsageError(PanfuseError):
 
 
 class ParameterError(UsageError, ValueError):
-    """Integer or real parameter (ratio, stride, weight, step, ...) breaking its rule."""
+    """Integer, real or choice parameter (ratio, weight, mode, ...) breaking its rule."""
 
 
 class ShapeMismatchError(PanfuseError):

@@ -21,17 +21,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    HeaderError,
-    NonFiniteDataError,
-    PayloadSizeError,
-    ShapeMismatchError,
-    UsageError,
-)
+from .errors import HeaderError, NonFiniteDataError, PayloadSizeError
 from .raster import (
     Raster,
     _LastTwo,
+    _check_bands,
     _check_positive_ints,
+    _choice,
     _finite_real,
     _frozen,
     _positive_int,
@@ -247,14 +243,10 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
     ``x`` itself with the same stack, as one of the last two such calls in
     the process, it returns the same ``Raster`` object.
     """
-    if isinstance(extractor, str):
-        if extractor != IDENTITY:
-            raise UsageError(f"unknown extractor {extractor!r}")
+    if not isinstance(extractor, ConvStackSpec):
+        _choice("extractor", extractor, (IDENTITY,))
         return x
-    if x.bands != extractor.bands:
-        raise ShapeMismatchError(
-            f"raster has {x.bands} bands, extractor expects {extractor.bands}"
-        )
+    _check_bands("extractor", x.bands, extractor.bands, exact=True)
     return _stack_features(x, extractor)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, UsageError
-from .raster import Raster, _band_sum, _check_scale_pair
+from .raster import Raster, _band_sum, _check_scale_pair, _choice
 from .resample import _STD_EPS, _correlate_axis, _downsample, _match_moments, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
@@ -170,8 +170,7 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
     downsampled pan, the enhanced-GS variant). Per-band gains are
     cov(band, intensity) / var(intensity).
     """
-    if lr_pan_mode not in GS_LR_PAN_MODES:
-        raise UsageError(f"unknown gs lr-pan mode {lr_pan_mode!r}")
+    lr_pan_mode = _choice("gs lr-pan mode", lr_pan_mode, GS_LR_PAN_MODES)
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     pan2d = fin.pan.data[:, :, 0]
     if lr_pan_mode == "weighted-mean":

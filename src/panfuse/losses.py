@@ -22,17 +22,20 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeMismatchError, UsageError
+from .errors import DegenerateInputError, UsageError
 from .features import IDENTITY, Extractor, extract_features
 from .raster import (
     Raster,
     _LastTwo,
     _band_sum,
+    _check_bands,
     _check_same_shape,
     _check_scale_pair,
+    _choice,
     _finite_real,
     _frozen,
     _positive_int,
+    _real,
 )
 from .resample import _downsample, _downsample_adjoint
 
@@ -108,8 +111,7 @@ class GramMatrix:
 def pixel_loss(a: Raster, b: Raster, mode: str) -> float:
     """Mean absolute ("l1") or mean squared ("mse") difference."""
     _check_same_shape(a, b)
-    if mode not in PIXEL_MODES:
-        raise UsageError(f"unknown pixel loss mode {mode!r}")
+    mode = _choice("pixel loss mode", mode, PIXEL_MODES)
     diff = a.data - b.data
     if mode == "l1":
         return float(np.abs(diff).mean())
@@ -132,6 +134,7 @@ def generator_loss(
         raise UsageError("generator loss needs at least one sample")
     total = 0.0
     for d, f, r in zip(d_scores, fused, reference):
+        d = _real("discriminator score", d)
         if not (math.isfinite(d) and d > 0):
             raise DegenerateInputError(f"discriminator score {d} outside log domain")
         total += -spec.alpha * math.log(d) + spec.beta * pixel_loss(f, r, "l1")
@@ -147,17 +150,17 @@ def discriminator_loss(
     ``bce`` is the standard binary cross entropy
     (1/n) * sum [-log(1 - d_fake) - log d_real].
     """
-    if mode not in DISC_MODES:
-        raise UsageError(f"unknown discriminator mode {mode!r}")
+    mode = _choice("discriminator mode", mode, DISC_MODES)
     if len(d_fake) != len(d_real):
         raise UsageError("d_fake and d_real must have equal length")
     if len(d_fake) == 0:
         raise UsageError("discriminator loss needs at least one sample")
-    for d in list(d_fake) + list(d_real):
+    scores = [_real("discriminator score", d) for d in (*d_fake, *d_real)]
+    for d in scores:
         if not 0.0 < d < 1.0:
             raise DegenerateInputError(f"discriminator score {d} outside (0, 1)")
     total = 0.0
-    for df, dr in zip(d_fake, d_real):
+    for df, dr in zip(scores[: len(d_fake)], scores[len(d_fake) :]):
         if mode == "as_printed":
             total += 1.0 - math.log(df) + math.log(dr)
         else:
@@ -168,8 +171,7 @@ def discriminator_loss(
 def _sam_parts(f: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """The per-pixel ``<f, t>``, ``|f|`` and ``|t|`` of two H x W x B arrays of
     2 bands or more, read-only: what the cosine SAM value and gradient read."""
-    if f.shape[2] < 2:
-        raise ShapeMismatchError("sam loss requires at least 2 bands")
+    _check_bands("sam loss", f.shape[2], 2)
     parts = _band_sum(f * t), np.sqrt(_band_sum(f * f)), np.sqrt(_band_sum(t * t))
     return tuple(_frozen(p) for p in parts)
 
@@ -182,9 +184,7 @@ def _sam_value(parts: tuple[np.ndarray, ...]) -> float:
 
 def _sam_loss(f: np.ndarray, t: np.ndarray, mode: str) -> float:
     """:func:`sam_loss` of two H x W x B arrays of one shape."""
-    if mode not in SAM_MODES:
-        raise UsageError(f"unknown sam mode {mode!r}")
-    if mode == "as_printed":
+    if _choice("sam mode", mode, SAM_MODES) == "as_printed":
         return float(
             1.0 - np.sum(f * t) / (np.sum(f * f) * np.sum(t * t) + _EPS)
         )
@@ -212,7 +212,7 @@ def total_sam_loss(
     """
     _check_same_shape(fused, reference)
     ratio = _check_scale_pair(lrms, fused, ratio, pan=False)
-    if mode != "cosine":
+    if _choice("sam mode", mode, SAM_MODES) != "cosine":
         down = _downsample(fused.data, ratio)
         return 0.5 * _sam_loss(fused.data, reference.data, mode) + 0.5 * _sam_loss(
             down, lrms.data, mode
@@ -423,10 +423,9 @@ def loss_gradient(
     zero difference is zero. Frobenius-norm losses return a zero raster
     at their (non-differentiable) minimum.
     """
-    if loss_id not in GRADIENTS:
-        raise UsageError(f"no analytic gradient for loss {loss_id!r}")
+    gradient = GRADIENTS[_choice("gradient loss id", loss_id, GRADIENT_LOSSES)]
     _check_same_shape(fused, reference)
-    return Raster._adopt(GRADIENTS[loss_id](fused, reference, LossContext(lrms, ratio)))
+    return Raster._adopt(gradient(fused, reference, LossContext(lrms, ratio)))
 
 
 def finite_difference_gradient(

@@ -27,6 +27,7 @@ from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .raster import (
     Raster,
     _LastTwo,
+    _check_bands,
     _check_same_shape,
     _check_scale_pair,
     _frozen,
@@ -76,8 +77,7 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     :func:`_row_strips`, so the per-strip temporaries stay small.
     """
     _check_same_shape(fused, reference)
-    if fused.bands < 2:
-        raise ShapeMismatchError("sam requires at least 2 bands")
+    _check_bands("sam", fused.bands, 2)
     angles = np.empty((fused.height, fused.width), dtype=np.float64)
 
     def strip(rows: slice) -> None:
@@ -211,8 +211,7 @@ def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
     relative 1e-9 and 0 otherwise.
     """
     _check_same_shape(a, b)
-    if a.bands != 1:
-        raise ShapeMismatchError("uiqi expects single-band rasters")
+    _check_bands("uiqi", a.bands, 1, exact=True)
     return _tile_index((a.data, b.data), block, _uiqi([(0, 1)]), [(0, 1)])[0]
 
 
@@ -263,17 +262,14 @@ def metric_q2n(fused: Raster, reference: Raster, block: int) -> float:
     (complex for 2 bands, octonion for 5-8); tiles are scored, skipped and averaged as
     in :func:`metric_uiqi`, with hypercomplex moments. |Q| <= 1 up to 8 bands only."""
     _check_same_shape(fused, reference)
-    bands = fused.bands
-    if bands < 2:
-        raise ShapeMismatchError(f"q2n requires at least 2 bands, got {bands}")
+    bands = _check_bands("q2n", fused.bands, 2)
     groups = [(range(bands), range(bands, 2 * bands))]
     return _tile_index((reference.data, fused.data), block, _q2n(bands), groups)[0]
 
 
 def metric_q4(fused: Raster, reference: Raster, block: int) -> float:
     """Quaternion quality index: :func:`metric_q2n` of exactly 4-band imagery."""
-    if fused.bands != 4:
-        raise ShapeMismatchError(f"q4 requires exactly 4 bands, got {fused.bands}")
+    _check_bands("q4", fused.bands, 4, exact=True)
     return metric_q2n(fused, reference, block)
 
 
@@ -388,9 +384,7 @@ def metric_qnr(
     """
     ratio = _check_scale_pair(lrms, pan, ratio)
     _check_scale_pair(lrms, fused, ratio, pan=False)
-    nbands = fused.bands
-    if nbands < 2:
-        raise ShapeMismatchError("qnr requires at least 2 bands")
+    nbands = _check_bands("qnr", fused.bands, 2)
     block = _positive_int("block", block)
     lr_block = min(max(block // ratio, 4), lrms.height, lrms.width)
     pairs = _qnr_pairs(nbands)

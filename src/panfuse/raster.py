@@ -150,18 +150,41 @@ def _positive_int(name: str, value: object, minimum: int = 1) -> int:
     return number
 
 
-def _finite_real(name: str, value: object, positive: bool = False) -> float:
-    """``value`` as a finite ``float``, above 0 if ``positive``: the one rule for
-    every real parameter (weight, slope, step), with the integer rule's error."""
+def _real(name: str, value: object) -> float:
+    """``value`` as a plain ``float`` unless it is a bool or no real number: the
+    type half of :func:`_finite_real`, which a discriminator score follows too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError as exc:
         raise ParameterError(f"{name} must be finite: {exc}") from None
+
+
+def _finite_real(name: str, value: object, positive: bool = False) -> float:
+    """``value`` as a finite ``float``, above 0 if ``positive``: the one rule for
+    every real parameter (weight, slope, step), with the integer rule's error."""
+    number = _real(name, value)
     if not np.isfinite(number) or (positive and number <= 0):
         raise ParameterError(f"{name} must be finite{' and positive' * positive}, got {number}")
     return number
+
+
+def _choice(name: str, value: object, choices: Sequence[str]) -> str:
+    """``value`` if it is a ``str`` in ``choices``, the one rule for every mode, method,
+    loss id and extractor name; else the integer rule's error, naming the choices."""
+    if isinstance(value, str) and value in choices:
+        return value
+    accepted = ", ".join(repr(c) for c in choices) or "none"
+    raise ParameterError(f"{name} must be one of {accepted}; got {value!r}")
+
+
+def _check_bands(what: str, bands: int, minimum: int, exact: bool = False) -> int:
+    """``bands`` if at least ``minimum``, or exactly it if ``exact``: the one band-count rule."""
+    if bands != minimum if exact else bands < minimum:
+        need = f"{'exactly' if exact else 'at least'} {minimum} band{'s' * (minimum != 1)}"
+        raise ShapeMismatchError(f"{what} requires {need}, got {bands}")
+    return bands
 
 
 def _band_sum(cube: np.ndarray) -> np.ndarray:
@@ -191,9 +214,9 @@ def _check_scale_pair(lr: Raster, hr: Raster, ratio: int, pan: bool = True) -> i
     height and width and is a single pan band (``pan``) or has as many bands as
     ``lr`` (``not pan``)."""
     ratio = _positive_int("ratio", ratio)
-    if pan and hr.bands != 1:
-        raise ShapeMismatchError(f"pan must be single band, got {hr.bands} bands")
-    if not pan and hr.bands != lr.bands:
+    if pan:
+        _check_bands("pan", hr.bands, 1, exact=True)
+    elif hr.bands != lr.bands:
         raise ShapeMismatchError(f"band counts differ: {hr.bands} vs {lr.bands}")
     if (hr.height, hr.width) != (ratio * lr.height, ratio * lr.width):
         raise ShapeMismatchError(

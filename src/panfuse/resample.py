@@ -14,7 +14,7 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import Raster, _check_scale_pair, _frozen, _positive_int
+from .raster import Raster, _check_bands, _check_scale_pair, _frozen, _positive_int
 
 _STD_EPS = 1e-12
 
@@ -217,7 +217,7 @@ def histogram_match(src: Raster, target: Raster) -> Raster:
     source has no spread to rescale and is rejected; a constant target
     simply maps everything onto its mean.
     """
-    if src.bands != 1 or target.bands != 1:
-        raise ShapeMismatchError("histogram_match expects single-band rasters")
+    _check_bands("histogram_match source", src.bands, 1, exact=True)
+    _check_bands("histogram_match target", target.bands, 1, exact=True)
     return Raster._adopt(_match_moments(src.data, target.data))
 
