@@ -11,11 +11,12 @@ Exit codes: 0 ok, 1 gradient check failed (``loss --grad-check``), 2 usage,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import features, fusion, losses, metrics, raster, resample
-from .errors import PanfuseError, UsageError
+from .errors import DegenerateInputError, PanfuseError, UsageError
 from .raster import Raster
 
 # method name -> (fusion call, the --lrpan modes it accepts, default first).
@@ -111,10 +112,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     reports = []
     for path in args.fused:
         fused = raster.read_raster(path)
-        reports.append(
-            metrics.build_report(Path(path).stem, fused, reference, lrms, pan, args.ratio)
-        )
+        report = metrics.build_report(Path(path).stem, fused, reference, lrms, pan, args.ratio)
         del fused  # freed before the next read, so one fused cube is held at a time
+        for column, name in zip(metrics._columns(report.q_order), metrics.METRIC_COLUMNS):
+            _check_finite(f"eval {report.method}: {column}", getattr(report, name))
+        reports.append(report)
     if args.format == "csv":
         text = metrics.reports_to_csv(reports)
         name = "report.csv"
@@ -141,6 +143,11 @@ def _loss_inputs(args: argparse.Namespace) -> tuple[Raster, Raster, losses.LossC
     if extractor != features.IDENTITY:
         extractor = features.load_conv_stack(extractor)
     return fused, reference, losses.LossContext(lrms, args.ratio, extractor)
+
+
+def _check_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DegenerateInputError(f"{what} overflowed to {value}")
 
 
 def _scores(args: argparse.Namespace, flag: str) -> list[float]:
@@ -198,9 +205,13 @@ def cmd_loss(args: argparse.Namespace) -> int:
         value = losses.generator_loss(scores, [fused] * n, [reference] * n, spec)
     else:
         fused, reference, ctx = _loss_inputs(args)
-        value = LOSSES[args.name].value(fused, reference, ctx)
-        if args.grad_check:
-            return _grad_check(args, fused, reference, ctx)
+        try:
+            value = LOSSES[args.name].value(fused, reference, ctx)
+        except DegenerateInputError as exc:  # such as a Gram matrix that overflowed
+            raise type(exc)(f"loss {args.name}: {exc}") from exc
+    _check_finite(f"loss {args.name}", value)
+    if args.grad_check:  # only a raster-pair loss has a gradient to check
+        return _grad_check(args, fused, reference, ctx)
     print(f"{value:.6f}")
     return 0
 

@@ -19,7 +19,7 @@ class UsageError(PanfuseError):
 
 
 class ParameterError(UsageError, ValueError):
-    """Integer, real or choice parameter (ratio, weight, mode, ...) breaking its rule."""
+    """Integer, real, choice or array input (ratio, weight, mode, raster data) breaking its rule."""
 
 
 class ShapeMismatchError(PanfuseError):

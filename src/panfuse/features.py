@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import HeaderError, NonFiniteDataError, PayloadSizeError
+from .errors import HeaderError, NonFiniteDataError, NonFiniteRasterError, PayloadSizeError
 from .raster import (
     Raster,
     _LastTwo,
@@ -32,6 +32,7 @@ from .raster import (
     _frozen,
     _positive_int,
     _read_framed,
+    _real_array,
     _write_framed,
 )
 
@@ -57,8 +58,8 @@ class ConvLayer:
     _taps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        b = np.array(self.bias, dtype=np.float64)
+        w = _real_array("layer weights", self.weights)
+        b = _real_array("layer bias", self.bias)
         if w.ndim != 4 or w.shape[2] != w.shape[3]:
             raise ValueError(f"layer weights must be (out, in, k, k), got {w.shape}")
         if w.shape[2] % 2 == 0:
@@ -67,11 +68,9 @@ class ConvLayer:
             raise ValueError(f"bias shape {b.shape} does not match out={w.shape[0]}")
         stride = _positive_int("stride", self.stride)
         slope = _finite_real("leaky slope", self.leaky_slope)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("layer weights must be finite")
-        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_taps", _frozen(np.ascontiguousarray(w.transpose(2, 3, 1, 0))))
-        object.__setattr__(self, "bias", _frozen(b))
+        object.__setattr__(self, "bias", b)
         object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "leaky_slope", slope)
 
@@ -169,10 +168,8 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
         end = offset + 4 * (n_w + n_b)
         if end > len(payload):
             raise PayloadSizeError(f"{path}: layer {i} weights truncated")
-        w = np.frombuffer(payload[offset : offset + 4 * n_w], dtype="<f4").astype(np.float64)
-        b = np.frombuffer(payload[offset + 4 * n_w : end], dtype="<f4").astype(np.float64)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise NonFiniteDataError(f"{path}: layer {i} has non-finite weights")
+        w = np.frombuffer(payload[offset : offset + 4 * n_w], dtype="<f4")
+        b = np.frombuffer(payload[offset + 4 * n_w : end], dtype="<f4")
         try:
             layers.append(
                 ConvLayer(
@@ -182,6 +179,8 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
                     leaky_slope=meta.get("slope"),
                 )
             )
+        except NonFiniteRasterError as exc:
+            raise NonFiniteDataError(f"{path}: layer {i} has non-finite weights") from exc
         except ValueError as exc:
             raise HeaderError(f"{path}: layer {i}: {exc}") from exc
         offset = end

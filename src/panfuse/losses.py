@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, UsageError
-from .features import IDENTITY, Extractor, extract_features
+from .errors import DegenerateInputError, ParameterError, UsageError
+from .features import IDENTITY, ConvStackSpec, Extractor, extract_features
 from .raster import (
     Raster,
     _LastTwo,
@@ -36,6 +36,7 @@ from .raster import (
     _frozen,
     _positive_int,
     _real,
+    _real_array,
 )
 from .resample import _downsample, _downsample_adjoint
 
@@ -92,10 +93,10 @@ class GramMatrix:
     n: int
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.float64, order="C")
+        m = _real_array("gram matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"gram matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n", _positive_int("pixel count", self.n))
 
     def __reduce__(self) -> tuple:
@@ -360,8 +361,9 @@ def _identity_only(gradient: _Gradient) -> _Gradient:
     """``gradient``, which holds only where the features are the pixels."""
 
     def checked(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
-        if ctx.extractor != IDENTITY:
+        if isinstance(ctx.extractor, ConvStackSpec):
             raise UsageError("the perceptual gradients hold for the identity extractor only")
+        _choice("extractor", ctx.extractor, (IDENTITY,))
         return gradient(fused, reference, ctx)
 
     return checked
@@ -463,7 +465,10 @@ def gradient_check(
     with ``L`` the loss at ``fused`` and ``eps`` the float64 epsilon, is the
     gradient that the central difference's rounding, about ``eps * max(|L|, 1)
     / h``, leaves a relative ``eps**(1/3)`` (6e-6) in error; smaller elements
-    are compared on that absolute scale."""
+    are compared on that absolute scale. A step below ``sqrt(eps)``, where the
+    floor lets even a sign-flipped gradient pass, breaks the step rule."""
+    if _finite_real("step size", h, positive=True) < math.sqrt(np.finfo(np.float64).eps):
+        raise ParameterError(f"step size of a gradient check must be >= sqrt(eps), got {h}")
     fd = finite_difference_gradient(loss, fused, h)
     floor = np.finfo(np.float64).eps ** (2 / 3) * max(abs(loss(fused)), 1.0) / h
     ga, gf = analytic.data, fd.data

@@ -54,14 +54,14 @@ class Raster:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", _checked(np.array(self.data, dtype=np.float64, order="C")))
+        object.__setattr__(self, "data", _checked(_real_array("raster data", self.data)))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> Raster:
         """Wrap ``arr``, an array no other code holds, without the copy the
         constructor makes; the checks are the same."""
         raster = object.__new__(cls)
-        object.__setattr__(raster, "data", _checked(np.asarray(arr, dtype=np.float64, order="C")))
+        object.__setattr__(raster, "data", _checked(_real_array("raster data", arr, copy=False)))
         return raster
 
     def __reduce__(self) -> tuple:
@@ -94,16 +94,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _checked(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as a :func:`_frozen` H x W x B cube, or the error it breaks."""
+    """``arr``, a :func:`_real_array`, as an H x W x B cube, or the shape error it breaks."""
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise RasterShapeError(f"raster data must be 2-D or 3-D, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise RasterShapeError(f"raster dimensions must all be >= 1, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteRasterError("raster data contains non-finite values")
-    return _frozen(arr)
+    return arr
 
 
 _T = TypeVar("_T")
@@ -168,6 +166,22 @@ def _finite_real(name: str, value: object, positive: bool = False) -> float:
     if not np.isfinite(number) or (positive and number <= 0):
         raise ParameterError(f"{name} must be finite{' and positive' * positive}, got {number}")
     return number
+
+
+def _real_array(name: str, value: object, copy: bool = True) -> np.ndarray:
+    """``value`` as a :func:`_frozen` C-ordered float64 array, copied unless not ``copy``:
+    the one rule for every input array. A bool, int or float array is cast in that one
+    copy; any other value gets the integer rule's error, and a NaN or infinity a non-finite one."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ValueError: a ragged list
+        raise ParameterError(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    arr = (np.array if copy else np.asarray)(arr, dtype=np.float64, order="C")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteRasterError(f"{name} contains non-finite values")
+    return _frozen(arr)
 
 
 def _choice(name: str, value: object, choices: Sequence[str]) -> str:
