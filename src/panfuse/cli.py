@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import features, fusion, losses, metrics, raster, resample
 from .errors import DegenerateInputError, PanfuseError, UsageError
 from .raster import Raster
@@ -194,24 +196,28 @@ def cmd_loss(args: argparse.Namespace) -> int:
     if args.grad_check:
         with_gradient = [name for name, loss in LOSSES.items() if loss.gradient is not None]
         raster._choice("--name with an analytic gradient to check", args.name, with_gradient)
-    if args.name == "disc":
-        fake, real = _scores(args, "--d-fake"), _scores(args, "--d-real")
-        value = losses.discriminator_loss(fake, real, args.disc_mode)
-    elif args.name == "gen-adv":
-        fused, reference, _ = _loss_inputs(args)
-        scores = _scores(args, "--d-score")
-        spec = losses.LossSpec(alpha=args.alpha, beta=args.beta)
-        n = len(scores)
-        value = losses.generator_loss(scores, [fused] * n, [reference] * n, spec)
-    else:
-        fused, reference, ctx = _loss_inputs(args)
-        try:
-            value = LOSSES[args.name].value(fused, reference, ctx)
-        except DegenerateInputError as exc:  # such as a Gram matrix that overflowed
-            raise type(exc)(f"loss {args.name}: {exc}") from exc
-    _check_finite(f"loss {args.name}", value)
-    if args.grad_check:  # only a raster-pair loss has a gradient to check
-        return _grad_check(args, fused, reference, ctx)
+    try:  # an overflow is a degeneracy; losses run on this thread, under its error state
+        with np.errstate(over="raise"):
+            if args.name == "disc":
+                fake, real = _scores(args, "--d-fake"), _scores(args, "--d-real")
+                value = losses.discriminator_loss(fake, real, args.disc_mode)
+            elif args.name == "gen-adv":
+                fused, reference, _ = _loss_inputs(args)
+                scores = _scores(args, "--d-score")
+                spec = losses.LossSpec(alpha=args.alpha, beta=args.beta)
+                n = len(scores)
+                value = losses.generator_loss(scores, [fused] * n, [reference] * n, spec)
+            else:
+                fused, reference, ctx = _loss_inputs(args)
+                try:
+                    value = LOSSES[args.name].value(fused, reference, ctx)
+                except DegenerateInputError as exc:  # such as a Gram matrix that overflowed
+                    raise type(exc)(f"loss {args.name}: {exc}") from exc
+            _check_finite(f"loss {args.name}", value)
+            if args.grad_check:  # only a raster-pair loss has a gradient to check
+                return _grad_check(args, fused, reference, ctx)
+    except FloatingPointError as exc:
+        raise DegenerateInputError(f"loss {args.name} overflowed") from exc
     print(f"{value:.6f}")
     return 0
 

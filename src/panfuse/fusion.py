@@ -18,7 +18,7 @@ import numpy as np
 from ._strips import _row_strips
 from .errors import DegenerateInputError, UsageError
 from .raster import Raster, _band_sum, _check_scale_pair, _choice
-from .resample import _STD_EPS, _correlate_axis, _downsample, _match_moments, _upsample
+from .resample import _STD_EPS, _downsample, _match_moments, _separable, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
 
@@ -197,11 +197,11 @@ def fuse_hpf(fin: FusionInput) -> Raster:
 
     The box kernel is (2*ratio + 1) squared, so the extracted detail scales
     with the resolution gap. The pan band is used as is, without histogram
-    matching.
+    matching. The low-pass is taken per row strip of the pan, and the
+    residual in place over it.
     """
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     k = 2 * fin.ratio + 1
-    kernel = np.full(k, 1.0 / k)
     pan2d = fin.pan.data[:, :, 0]
-    lowpass = _correlate_axis(_correlate_axis(pan2d, kernel, 0), kernel, 1)
-    return _inject(ms_up, 1.0, pan2d - lowpass)
+    detail = _separable(pan2d, np.full(k, 1.0 / k), 1)
+    return _inject(ms_up, 1.0, np.subtract(pan2d, detail, out=detail))

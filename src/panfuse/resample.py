@@ -32,18 +32,36 @@ def _correlate_axis(
     evaluated only at every ``step``-th position (0, step, 2*step, ...).
 
     Each kept output sums the same taps in the same order as the full
-    correlation, so decimating afterwards gives bit-identical values.
+    correlation, so decimating afterwards gives bit-identical values. The
+    filters run it on one row strip at a time, through :func:`_separable`.
     """
-    n = arr.shape[axis]
-    pad = kernel.size // 2
-    padded = np.take(arr, _reflect(np.arange(-pad, n + pad), n), axis=axis)
-    shape = list(arr.shape)
-    shape[axis] = len(range(0, n, step))
-    out = np.zeros(shape, dtype=np.float64)
-    sl = [slice(None)] * arr.ndim
+    return _correlate_span(arr, kernel, axis, step, slice(0, len(range(0, arr.shape[axis], step))))
+
+
+def _correlate_span(
+    arr: np.ndarray, kernel: np.ndarray, axis: int, step: int, span: slice
+) -> np.ndarray:
+    """The kept outputs ``span`` of :func:`_correlate_axis`. Only the reflected
+    input positions they read are gathered, and the taps add into zeros in
+    the same order, so the bits are those of the whole axis."""
+    pad, m = kernel.size // 2, span.stop - span.start
+    idx = np.arange(span.start * step - pad, (span.stop - 1) * step + pad + 1)
+    padded = np.take(arr, _reflect(idx, arr.shape[axis]), axis=axis)
+    out = np.zeros(arr.shape[:axis] + (m,) + arr.shape[axis + 1 :], dtype=np.float64)
     for j, kj in enumerate(kernel):
-        sl[axis] = slice(j, j + n, step)
-        out += kj * padded[tuple(sl)]
+        out += kj * padded[(slice(None),) * axis + (slice(j, j + (m - 1) * step + 1, step),)]
+    return out
+
+
+def _separable(arr: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:
+    """:func:`_correlate_axis` along axis 0, then axis 1, of an H x W (x B)
+    array, with the same bits, one :func:`_row_strips` strip of output rows
+    at a time: a strip gathers only the input rows it reads, so memory is the
+    output plus a few strips."""
+    height = len(range(0, arr.shape[0], step))
+    out = np.empty((height, len(range(0, arr.shape[1], step))) + arr.shape[2:], dtype=np.float64)
+    for rows in _row_strips(height, arr.shape[1], arr[0, 0].size):
+        out[rows] = _correlate_axis(_correlate_span(arr, kernel, 0, step, rows), kernel, 1, step)
     return out
 
 
@@ -84,9 +102,9 @@ def _gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
 
 
 def _downsample(arr: np.ndarray, ratio: int) -> np.ndarray:
-    """:func:`downsample_antialias` of an H x W (x B) array, as a fresh array."""
-    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
-    return _correlate_axis(_correlate_axis(arr, kernel, 0, ratio), kernel, 1, ratio)
+    """:func:`downsample_antialias` of an H x W (x B) array, as a fresh array:
+    the decimating blur of :func:`_separable`, one row strip at a time."""
+    return _separable(arr, _gaussian_kernel(2 * ratio, ratio / 2.0), ratio)
 
 
 def _downsample_adjoint(grad: np.ndarray, ratio: int) -> np.ndarray:

@@ -210,6 +210,33 @@ class TestOverflowExitsFour:
         assert not (tmp_path / "report" / "report.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def scaled_fused_dir(tmp_path_factory):
+    """A 16 x 16 x 4 fused image scaled by 1e200 beside an unscaled reference
+    and lrms: the SAM parts overflow, but SAM is scale-invariant."""
+    out = tmp_path_factory.mktemp("scaled")
+    rng = np.random.default_rng(41)
+    write_raster(Raster(rng.random((16, 16, 4)) * 1e200), out / "a.msr")
+    write_raster(Raster(rng.random((16, 16, 4))), out / "b.msr")
+    write_raster(Raster(rng.random((4, 4, 4))), out / "lrms.msr")
+    return out
+
+
+class TestLossOverflowRaises:
+    """An overflow inside a loss is an exit 4 naming the loss, in a fresh
+    process: no numpy warning line, and no value printed beside it."""
+
+    @pytest.mark.parametrize("name", ["sam", "total-sam", "mse"])
+    @pytest.mark.parametrize("grad_check", [False, True], ids=["value", "grad-check"])
+    def test_exit_four_without_warning(self, scaled_fused_dir, name, grad_check):
+        r = run_cli("loss", "--name", name, *(["--grad-check"] * grad_check),
+                    "--lrms", scaled_fused_dir / "lrms.msr", "--ratio", 4,
+                    scaled_fused_dir / "a.msr", scaled_fused_dir / "b.msr")
+        assert r.returncode == 4, r.stderr
+        assert r.stdout == ""
+        assert r.stderr == f"error: loss {name} overflowed\n"
+
+
 class TestGradientCheckStep:
     """A step below sqrt(eps) is refused: there a sign-flipped gradient passed."""
 

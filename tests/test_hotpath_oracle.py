@@ -25,13 +25,17 @@ adjoint's pass before each pass ran down the rows of an axis-first copy; the
 adjoint must match it to the bit, zero signs and subnormals included.
 ``tnc_tile_index`` is the channel-stack tile core before each row of tiles
 was laid out channel-major; the core must match it within 1e-12, with equal
-counts of valid tiles.
+counts of valid tiles. ``full_copy_hpf`` is HPF fusion before its low-pass
+ran per row strip, with a reflected copy of the whole pan per pass; HPF, and
+downsampling at shapes that span several row strips, must match their old
+bodies to the bit, zero signs included.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -61,7 +65,7 @@ from panfuse import (
     total_sam_loss,
     write_raster,
 )
-from panfuse._strips import _map_strips
+from panfuse._strips import _map_strips, _row_strips
 from panfuse.errors import ShapeMismatchError
 from panfuse.features import _apply_layer, _leaky_relu
 from panfuse.losses import _EPS as LOSS_EPS
@@ -1238,3 +1242,85 @@ def test_total_sam_same_bits_as_unshared_np_sum_body(bands, gradient_first):
     got_value, got_grad = got[::-1] if gradient_first else got
     assert same_bits(got_value, want_value)
     assert same_bits(got_grad, want_grad)
+
+
+# (height, width, ratio, bands) of downsamples that cross row strips: several
+# strips with a partial last one, widths above 1024 whose strips hold 1 to 3
+# output rows, and sides shorter than the 2*ratio kernel radius, where a
+# border folds back onto the image more than once inside one strip.
+MULTI_STRIP_SHAPES = [
+    (120, 255, 3, 4),   # 2 strips: 32 rows, then 8
+    (200, 160, 2, 3),   # 2 strips: 68 rows, then 32
+    (96, 1024, 4, 4),   # 3 strips of 8 rows
+    (24, 1032, 4, 8),   # 2 strips of 3 rows
+    (40, 2056, 8, 4),   # 3 rows, then 2
+    (12, 4104, 4, 8),   # 3 strips of 1 row
+    (6, 4104, 3, 8),    # 2 strips of 1 row; each strip folds its rows
+    (4, 2052, 4, 4),    # one output row from 4 rows, folded more than once
+    (2, 1030, 2, 4),    # one output row from 2 rows, folded more than once
+    (320, 4, 4, 1),     # 4 columns, folded more than once along every row
+]
+
+
+@pytest.mark.parametrize("height, width, ratio, bands", MULTI_STRIP_SHAPES)
+def test_multi_strip_downsample_same_bits_as_old_body(height, width, ratio, bands):
+    rng = np.random.default_rng(height * 7 + width + ratio)
+    x = signed_zero_cube(rng, (height, width, bands))
+    got = downsample_antialias(Raster(x), ratio).data
+    assert same_bits(got, old_downsample(x, ratio))
+
+
+@pytest.mark.parametrize("height, width, ratio, bands", MULTI_STRIP_SHAPES)
+def test_multi_strip_downsample_of_a_plane_same_bits_as_old_body(height, width, ratio, bands):
+    """The 2-D pan plane that GS ``blur-decimate`` downsamples."""
+    rng = np.random.default_rng(height * 5 + width + ratio)
+    x = signed_zero_cube(rng, (height, width * bands))
+    want = old_downsample(x[:, :, None], ratio)[:, :, 0]
+    assert same_bits(_downsample(x, ratio), want)
+
+
+def test_multi_strip_shapes_cross_strips():
+    counts = [len(_row_strips(h // r, w, b)) for h, w, r, b in MULTI_STRIP_SHAPES]
+    assert counts == [2, 2, 3, 2, 2, 3, 2, 1, 1, 1]
+    assert {ratio for _, _, ratio, _ in MULTI_STRIP_SHAPES} == {2, 3, 4, 8}
+
+
+def full_copy_hpf(fin):
+    """HPF fusion with the whole-axis low-pass: a reflected copy of the whole
+    pan per pass, and a full-size low-pass and residual."""
+    ms_up = _upsample(fin.lrms.data, fin.ratio)
+    k = 2 * fin.ratio + 1
+    kernel = np.full(k, 1.0 / k)
+    pan2d = fin.pan.data[:, :, 0]
+    detail = pan2d - old_correlate_axis(old_correlate_axis(pan2d, kernel, 0), kernel, 1)
+    return np.clip(ms_up + 1.0 * detail[:, :, None], 0.0, 1.0)
+
+
+# (lrms height, lrms width, ratio, row strips of the pan); every last strip
+# is partial.
+HPF_STRIP_SCENES = [(80, 64, 4, 3), (25, 256, 4, 4), (50, 700, 2, 5)]
+
+
+@pytest.mark.parametrize("height, width, ratio, strips", HPF_STRIP_SCENES)
+def test_multi_strip_hpf_same_bits_as_full_copy(height, width, ratio, strips):
+    rng = np.random.default_rng(height + width + ratio)
+    pan = rng.random((height * ratio, width * ratio, 1))
+    pan[: 2 * ratio, :, 0] = -0.0
+    fin = FusionInput(Raster(rng.random((height, width, 4))), Raster(pan), ratio)
+    assert len(_row_strips(height * ratio, width * ratio, 1)) == strips
+    assert same_bits(fusion.fuse_hpf(fin).data, full_copy_hpf(fin))
+
+
+@pytest.mark.parametrize("size", [512, 1024])
+def test_downsample_memory_is_the_output_and_a_few_strips(size):
+    """No reflected copy of the whole input and no full-width intermediate:
+    the allocation peak stays within 4 MiB of the output."""
+    x = Raster(np.random.default_rng(size).random((size, size, 4)))
+    downsample_antialias(x, 4)  # builds the cached kernel
+    tracemalloc.start()
+    try:
+        out = downsample_antialias(x, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 4 * 2**20
