@@ -13,6 +13,8 @@ import threading
 from collections import deque
 from typing import Callable, Sequence, TypeVar
 
+import numpy as np
+
 S = TypeVar("S")
 T = TypeVar("T")
 
@@ -85,14 +87,14 @@ def _map_strips(fn: Callable[[S], T], strips: Sequence[S]) -> list[T]:
     thread and the helper.
 
     Both threads take the next strip from one counter, so neither idles while
-    strips remain. ``fn`` runs on either thread: it must set any ``np.errstate``
-    it needs itself (error state is per thread) and call only private
-    functions, never a traced public one. One strip, or one CPU, runs inline.
+    strips remain, and both run under the caller's ``np.errstate``. ``fn`` must
+    call only private functions, never a traced public one. One strip, or one
+    CPU, runs inline.
     """
     if len(strips) < 2 or not _helper_ready():
         return [fn(s) for s in strips]
     results: list = [None] * len(strips)
-    lock = threading.Lock()
+    lock, state = threading.Lock(), np.geterr()
     taken = 0
     helper_failure: list[BaseException] = []
     helper_done = threading.Event()
@@ -108,7 +110,8 @@ def _map_strips(fn: Callable[[S], T], strips: Sequence[S]) -> list[T]:
 
     def helper_job() -> None:
         try:
-            drain()
+            with np.errstate(**state):
+                drain()
         except BaseException as exc:  # raised again on the calling thread
             helper_failure.append(exc)
         finally:

@@ -11,14 +11,11 @@ Exit codes: 0 ok, 1 gradient check failed (``loss --grad-check``), 2 usage,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import features, fusion, losses, metrics, raster, resample
-from .errors import DegenerateInputError, PanfuseError, UsageError
+from .errors import DegenerateInputError, NonFiniteRasterError, PanfuseError, UsageError
 from .raster import Raster
 
 # method name -> (fusion call, the --lrpan modes it accepts, default first).
@@ -113,12 +110,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pan = raster.read_raster(args.pan)
     reports = []
     for path in args.fused:
-        fused = raster.read_raster(path)
-        report = metrics.build_report(Path(path).stem, fused, reference, lrms, pan, args.ratio)
+        fused, stem = raster.read_raster(path), Path(path).stem
+        try:
+            reports.append(metrics.build_report(stem, fused, reference, lrms, pan, args.ratio))
+        except DegenerateInputError as exc:
+            raise type(exc)(f"eval {stem}: {exc}") from exc
         del fused  # freed before the next read, so one fused cube is held at a time
-        for column, name in zip(metrics._columns(report.q_order), metrics.METRIC_COLUMNS):
-            _check_finite(f"eval {report.method}: {column}", getattr(report, name))
-        reports.append(report)
     if args.format == "csv":
         text = metrics.reports_to_csv(reports)
         name = "report.csv"
@@ -147,11 +144,6 @@ def _loss_inputs(args: argparse.Namespace) -> tuple[Raster, Raster, losses.LossC
     return fused, reference, losses.LossContext(lrms, args.ratio, extractor)
 
 
-def _check_finite(what: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DegenerateInputError(f"{what} overflowed to {value}")
-
-
 def _scores(args: argparse.Namespace, flag: str) -> list[float]:
     text = getattr(args, flag[2:].replace("-", "_"))
     if not text:
@@ -169,6 +161,7 @@ def _grad_check_window(height: int, width: int, ratio: int) -> tuple[int, int, i
     return top, left, cells * ratio
 
 
+@raster._finite_result  # the analytic gradient can overflow where the loss value does not
 def _grad_check(
     args: argparse.Namespace, fused: Raster, reference: Raster, ctx: losses.LossContext
 ) -> int:
@@ -196,28 +189,23 @@ def cmd_loss(args: argparse.Namespace) -> int:
     if args.grad_check:
         with_gradient = [name for name, loss in LOSSES.items() if loss.gradient is not None]
         raster._choice("--name with an analytic gradient to check", args.name, with_gradient)
-    try:  # an overflow is a degeneracy; losses run on this thread, under its error state
-        with np.errstate(over="raise"):
-            if args.name == "disc":
-                fake, real = _scores(args, "--d-fake"), _scores(args, "--d-real")
-                value = losses.discriminator_loss(fake, real, args.disc_mode)
-            elif args.name == "gen-adv":
-                fused, reference, _ = _loss_inputs(args)
-                scores = _scores(args, "--d-score")
-                spec = losses.LossSpec(alpha=args.alpha, beta=args.beta)
-                n = len(scores)
-                value = losses.generator_loss(scores, [fused] * n, [reference] * n, spec)
-            else:
-                fused, reference, ctx = _loss_inputs(args)
-                try:
-                    value = LOSSES[args.name].value(fused, reference, ctx)
-                except DegenerateInputError as exc:  # such as a Gram matrix that overflowed
-                    raise type(exc)(f"loss {args.name}: {exc}") from exc
-            _check_finite(f"loss {args.name}", value)
-            if args.grad_check:  # only a raster-pair loss has a gradient to check
-                return _grad_check(args, fused, reference, ctx)
-    except FloatingPointError as exc:
-        raise DegenerateInputError(f"loss {args.name} overflowed") from exc
+    try:
+        if args.name == "disc":
+            fake, real = _scores(args, "--d-fake"), _scores(args, "--d-real")
+            value = losses.discriminator_loss(fake, real, args.disc_mode)
+        elif args.name == "gen-adv":
+            fused, reference, _ = _loss_inputs(args)
+            scores = _scores(args, "--d-score")
+            spec = losses.LossSpec(alpha=args.alpha, beta=args.beta)
+            n = len(scores)
+            value = losses.generator_loss(scores, [fused] * n, [reference] * n, spec)
+        else:
+            fused, reference, ctx = _loss_inputs(args)
+            value = LOSSES[args.name].value(fused, reference, ctx)
+        if args.grad_check:  # only a raster-pair loss has a gradient to check
+            return _grad_check(args, fused, reference, ctx)
+    except NonFiniteRasterError as exc:
+        raise type(exc)(f"loss {args.name} overflowed") from exc
     print(f"{value:.6f}")
     return 0
 

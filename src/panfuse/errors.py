@@ -39,7 +39,7 @@ class RasterShapeError(ShapeMismatchError, ValueError):
 
 
 class NonFiniteRasterError(DegenerateInputError, ValueError):
-    """Raster data contains NaN or infinite values (e.g. after an overflow)."""
+    """Raster data, or a loss or metric under the floating-point rule, overflowed or is NaN."""
 
 
 class RasterIOError(PanfuseError):

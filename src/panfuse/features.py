@@ -29,6 +29,7 @@ from .raster import (
     _check_positive_ints,
     _choice,
     _finite_real,
+    _finite_result,
     _frozen,
     _positive_int,
     _read_framed,
@@ -232,6 +233,7 @@ def _apply_layer(arr: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return out
 
 
+@_finite_result
 def extract_features(x: Raster, extractor: Extractor) -> Raster:
     """Map an image into feature space.
 
@@ -253,7 +255,6 @@ def extract_features(x: Raster, extractor: Extractor) -> Raster:
 def _stack_features(x: Raster, stack: ConvStackSpec) -> Raster:
     """The features of ``x`` through every layer of ``stack``."""
     arr = x.data
-    with np.errstate(over="ignore", invalid="ignore"):  # Raster rejects a non-finite result
-        for layer in stack.layers:
-            arr = _apply_layer(arr, layer)
+    for layer in stack.layers:
+        arr = _apply_layer(arr, layer)
     return Raster._adopt(arr)

@@ -33,6 +33,7 @@ from .raster import (
     _check_scale_pair,
     _choice,
     _finite_real,
+    _finite_result,
     _frozen,
     _positive_int,
     _real,
@@ -109,6 +110,7 @@ class GramMatrix:
         return self.matrix * self.n
 
 
+@_finite_result
 def pixel_loss(a: Raster, b: Raster, mode: str) -> float:
     """Mean absolute ("l1") or mean squared ("mse") difference."""
     _check_same_shape(a, b)
@@ -119,6 +121,7 @@ def pixel_loss(a: Raster, b: Raster, mode: str) -> float:
     return float((diff * diff).mean())
 
 
+@_finite_result
 def generator_loss(
     d_scores: Sequence[float],
     fused: Sequence[Raster],
@@ -192,6 +195,7 @@ def _sam_loss(f: np.ndarray, t: np.ndarray, mode: str) -> float:
     return _sam_value(_sam_parts(f, t))
 
 
+@_finite_result
 def sam_loss(fused: Raster, target: Raster, mode: str = "cosine") -> float:
     """Spectral-angle regularizer.
 
@@ -204,6 +208,7 @@ def sam_loss(fused: Raster, target: Raster, mode: str = "cosine") -> float:
     return _sam_loss(fused.data, target.data, mode)
 
 
+@_finite_result
 def total_sam_loss(
     fused: Raster, reference: Raster, lrms: Raster, ratio: int, mode: str = "cosine"
 ) -> float:
@@ -252,6 +257,7 @@ def gm_reconstruction_loss(fused: Raster, reference: Raster) -> float:
     return gm_perceptual_loss(fused, reference, IDENTITY)
 
 
+@_finite_result
 def gm_perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> float:
     """Frobenius distance between Gram matrices in feature space."""
     _check_same_shape(fused, reference)
@@ -271,6 +277,7 @@ def _gram_delta(
     return delta, float(np.sqrt(np.sum(delta * delta)))
 
 
+@_finite_result
 def perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> float:
     """Euclidean (root-sum-square) distance between feature maps."""
     _check_same_shape(fused, reference)
@@ -280,6 +287,7 @@ def perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> f
     return float(np.sqrt(np.sum(diff * diff)))
 
 
+@_finite_result
 def combined_loss(base: float, regularizer: float, spec: LossSpec) -> float:
     """Weighted objective eta1 * base + eta2 * regularizer."""
     base = _finite_real("combined loss base", base)
@@ -411,6 +419,7 @@ LOSSES = {
 }
 
 
+@_finite_result
 def loss_gradient(
     loss_id: str,
     fused: Raster,

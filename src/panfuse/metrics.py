@@ -23,13 +23,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._strips import _map_strips, _row_strips
-from .errors import DegenerateInputError, ShapeMismatchError, UsageError
+from .errors import DegenerateInputError, NonFiniteRasterError, ShapeMismatchError, UsageError
 from .raster import (
     Raster,
     _LastTwo,
     _check_bands,
     _check_same_shape,
     _check_scale_pair,
+    _finite_result,
     _frozen,
     _positive_int,
 )
@@ -66,6 +67,7 @@ class MetricReport:
         return {"method": self.method, **dict(zip(_columns(self.q_order), values))}
 
 
+@_finite_result
 def metric_sam(fused: Raster, reference: Raster) -> float:
     """Mean spectral angle between per-pixel band vectors, in radians.
 
@@ -85,6 +87,8 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
         g = reference.data[rows]
         nf = np.sqrt(np.einsum("ijk,ijk->ij", f, f))
         ng = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
+        if not (np.isfinite(nf).all() and np.isfinite(ng).all()):  # einsum ignores np.errstate
+            raise NonFiniteRasterError("metric_sam overflowed")
         mask = (nf >= _EPS) & (ng >= _EPS)
         u = np.divide(f, nf[:, :, None], out=np.zeros_like(f), where=mask[:, :, None])
         v = np.divide(g, ng[:, :, None], out=np.zeros_like(g), where=mask[:, :, None])
@@ -99,6 +103,7 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     return float(angles.mean())
 
 
+@_finite_result
 def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
     """Dimensionless global relative synthesis error.
 
@@ -201,6 +206,7 @@ def _uiqi(pairs: Sequence[tuple[int, int]]) -> Callable[..., tuple[np.ndarray, n
     return tile_q
 
 
+@_finite_result
 def metric_uiqi(a: Raster, b: Raster, block: int) -> float:
     """Universal image quality index on distinct block x block tiles.
 
@@ -256,6 +262,7 @@ def _q2n(bands: int) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     return tile_q
 
 
+@_finite_result
 def metric_q2n(fused: Raster, reference: Raster, block: int) -> float:
     """Hypercomplex quality index Q2^n (Alparone et al. 2004; Garzelli and Nencini
     2009): a pixel's B >= 2 bands are one Cayley-Dickson number of order 2^ceil(log2 B)
@@ -296,6 +303,7 @@ def _valid_window_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.einsum("rik,k->ri", taps, kernel).reshape(rows, cols, bands)
 
 
+@_finite_result
 def metric_ssim(fused: Raster, reference: Raster) -> float:
     """Mean structural similarity over an 11x11 Gaussian window (sigma 1.5).
 
@@ -371,6 +379,7 @@ def _qnr_low(lrms: Raster, pan: Raster, ratio: int, lr_block: int) -> tuple[floa
     return tuple(_tile_index((lrms.data, pan_lr), lr_block, _uiqi(pairs), pairs))
 
 
+@_finite_result
 def metric_qnr(
     fused: Raster, lrms: Raster, pan: Raster, ratio: int, block: int
 ) -> tuple[float, float, float]:

@@ -17,6 +17,7 @@ format of :mod:`panfuse.features`.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import operator
@@ -191,6 +192,25 @@ def _choice(name: str, value: object, choices: Sequence[str]) -> str:
         return value
     accepted = ", ".join(repr(c) for c in choices) or "none"
     raise ParameterError(f"{name} must be one of {accepted}; got {value!r}")
+
+
+def _finite_result(fn: Callable[..., _T]) -> Callable[..., _T]:
+    """``fn`` under ``np.errstate(over="raise", invalid="raise")``: the one floating-point
+    rule for every loss and metric. An overflow, an invalid operation, or a float or
+    tuple-of-floats result that is not finite is a non-finite error naming ``fn``."""
+
+    @functools.wraps(fn)
+    def ruled(*args: object, **kwargs: object) -> _T:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                value = fn(*args, **kwargs)
+            if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
+                raise FloatingPointError(f"{fn.__name__} returned {value}")
+        except FloatingPointError as exc:
+            raise NonFiniteRasterError(f"{fn.__name__} overflowed") from exc
+        return value
+
+    return ruled
 
 
 def _check_bands(what: str, bands: int, minimum: int, exact: bool = False) -> int:

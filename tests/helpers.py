@@ -16,14 +16,16 @@ import panfuse
 from panfuse import Raster
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, pin=None):
     """Run ``python -m panfuse`` on the same panfuse package the tests import,
-    so the suite works from a checkout without installing it."""
+    so the suite works from a checkout without installing it; with ``pin``,
+    under ``taskset -c pin``."""
     src = str(Path(panfuse.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    prefix = ["taskset", "-c", pin] if pin else []
     return subprocess.run(
-        [sys.executable, "-m", "panfuse", *map(str, args)],
+        [*prefix, sys.executable, "-m", "panfuse", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,

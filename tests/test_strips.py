@@ -54,6 +54,24 @@ def test_failure_is_raised_on_the_caller(failing):
     assert _map_strips(lambda s: -s, range(20)) == [-s for s in range(20)]
 
 
+def test_helper_runs_under_the_callers_error_state(monkeypatch):
+    """The first two strips wait for each other, so each thread runs one, and
+    both see the caller's ``np.errstate``, which the helper thread never set."""
+    monkeypatch.setattr(_strips, "_cpus", lambda: 2)
+    both = threading.Barrier(2, timeout=30)
+
+    def fn(s):
+        if s < 2:
+            both.wait()
+        return threading.get_ident(), np.geterr()
+
+    with np.errstate(over="raise", invalid="ignore", under="warn"):
+        want = np.geterr()
+        got = _map_strips(fn, range(4))
+    assert len({thread for thread, _ in got}) == 2
+    assert [state for _, state in got] == [want] * 4
+
+
 def test_nested_runner_runs_inline():
     """A strip that calls the runner again finishes instead of waiting for
     the helper it runs on."""
