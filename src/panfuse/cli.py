@@ -31,6 +31,10 @@ FUSE_METHODS = {
 }
 
 
+# eval --format -> its renderer, which writes report.<format>.
+REPORT_FORMATS = {"csv": metrics.reports_to_csv, "json": metrics.reports_to_json}
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,14 +120,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except DegenerateInputError as exc:
             raise type(exc)(f"eval {stem}: {exc}") from exc
         del fused  # freed before the next read, so one fused cube is held at a time
-    if args.format == "csv":
-        text = metrics.reports_to_csv(reports)
-        name = "report.csv"
-    else:
-        text = metrics.reports_to_json(reports)
-        name = "report.json"
+    text = REPORT_FORMATS[args.format](reports)
     out = _out_dir(args)
-    (out / name).write_text(text)
+    (out / f"report.{args.format}").write_text(text)
     print(text, end="")
     return 0
 
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--lrms", required=True)
     p_eval.add_argument("--pan", required=True)
     p_eval.add_argument("--ratio", type=int, default=4)
-    p_eval.add_argument("--format", default="csv", choices=("csv", "json"))
+    p_eval.add_argument("--format", default="csv", choices=REPORT_FORMATS)
     p_eval.add_argument("--out", default=".")
 
     p_loss = sub.add_parser("loss", help="evaluate a loss value or check its gradient")

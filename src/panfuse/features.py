@@ -24,6 +24,7 @@ import numpy as np
 from .errors import HeaderError, NonFiniteDataError, NonFiniteRasterError, PayloadSizeError
 from .raster import (
     Raster,
+    _Carrier,
     _LastTwo,
     _check_bands,
     _check_positive_ints,
@@ -43,7 +44,7 @@ IDENTITY = "identity"
 
 
 @dataclass(frozen=True, eq=False)
-class ConvLayer:
+class ConvLayer(_Carrier):
     """One convolution layer: weights (out, in, k, k), per-out-channel bias.
 
     The layer holds read-only float64 copies of the weights and bias, so a
@@ -75,11 +76,6 @@ class ConvLayer:
         object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "leaky_slope", slope)
 
-    def __reduce__(self) -> tuple:
-        """Copy and unpickle through the constructor, so a copy's arrays are
-        read-only too."""
-        return (ConvLayer, (self.weights, self.bias, self.stride, self.leaky_slope))
-
     @property
     def out_channels(self) -> int:
         return self.weights.shape[0]
@@ -94,7 +90,7 @@ class ConvLayer:
 
 
 @dataclass(frozen=True, eq=False)
-class ConvStackSpec:
+class ConvStackSpec(_Carrier):
     """Validated chain of conv layers, kept as a tuple, with a declared input
     band count."""
 

@@ -17,14 +17,14 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, UsageError
-from .raster import Raster, _band_sum, _check_scale_pair, _choice
+from .raster import Raster, _Carrier, _band_sum, _check_scale_pair, _choice
 from .resample import _STD_EPS, _downsample, _match_moments, _separable, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
 
 
-@dataclass(frozen=True)
-class FusionInput:
+@dataclass(frozen=True, eq=False)
+class FusionInput(_Carrier):
     """A (lrms, pan) pair with the resolution ratio between them."""
 
     lrms: Raster

@@ -26,6 +26,7 @@ from .errors import DegenerateInputError, ParameterError, UsageError
 from .features import IDENTITY, ConvStackSpec, Extractor, extract_features
 from .raster import (
     Raster,
+    _Carrier,
     _LastTwo,
     _band_sum,
     _check_bands,
@@ -85,8 +86,8 @@ def _lrms_and_ratio(ctx: LossContext) -> tuple[Raster, int]:
     return ctx.lrms, ctx.ratio
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+@dataclass(frozen=True, eq=False)
+class GramMatrix(_Carrier):
     """Channel inner-product matrix of a feature map, normalized by its
     pixel count ``n``, a positive integer."""
 
@@ -99,11 +100,6 @@ class GramMatrix:
             raise ValueError(f"gram matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n", _positive_int("pixel count", self.n))
-
-    def __reduce__(self) -> tuple:
-        """Copy and unpickle through the constructor, so a copy's matrix is
-        read-only too."""
-        return (GramMatrix, (self.matrix, self.n))
 
     @property
     def unnormalized(self) -> np.ndarray:

@@ -23,10 +23,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._strips import _map_strips, _row_strips
-from .errors import DegenerateInputError, NonFiniteRasterError, ShapeMismatchError, UsageError
+from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .raster import (
     Raster,
     _LastTwo,
+    _band_sum,
     _check_bands,
     _check_same_shape,
     _check_scale_pair,
@@ -85,17 +86,15 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     def strip(rows: slice) -> None:
         f = fused.data[rows]
         g = reference.data[rows]
-        nf = np.sqrt(np.einsum("ijk,ijk->ij", f, f))
-        ng = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
-        if not (np.isfinite(nf).all() and np.isfinite(ng).all()):  # einsum ignores np.errstate
-            raise NonFiniteRasterError("metric_sam overflowed")
+        nf = np.sqrt(_band_sum(f * f))
+        ng = np.sqrt(_band_sum(g * g))
         mask = (nf >= _EPS) & (ng >= _EPS)
         u = np.divide(f, nf[:, :, None], out=np.zeros_like(f), where=mask[:, :, None])
         v = np.divide(g, ng[:, :, None], out=np.zeros_like(g), where=mask[:, :, None])
         d = u - v
         s = np.add(u, v, out=u)
-        diff = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-        summ = np.sqrt(np.einsum("ijk,ijk->ij", s, s))
+        diff = np.sqrt(_band_sum(d * d))
+        summ = np.sqrt(_band_sum(s * s))
         # Masked pixels have u = v = 0, so their angle is atan2(0, 0) = 0.
         angles[rows] = 2.0 * np.arctan2(diff, summ)
 

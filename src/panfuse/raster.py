@@ -24,7 +24,7 @@ import operator
 import os
 import struct
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Generic, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -48,8 +48,18 @@ from .errors import (
 MSR_MAGIC = b"MSR1"
 
 
-@dataclass(frozen=True)
-class Raster:
+class _Carrier:
+    """The one carrier rule for every frozen dataclass that carries arrays: a
+    copy, deep copy or unpickle runs the constructor on the ``init`` fields,
+    so it is checked and read-only too. Each carrier is declared ``eq=False``
+    and so compares and hashes by identity, as arrays have no one truth value."""
+
+    def __reduce__(self) -> tuple:
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init))
+
+
+@dataclass(frozen=True, eq=False)
+class Raster(_Carrier):
     """Immutable H x W x B image cube of finite float64 values."""
 
     data: np.ndarray
@@ -64,11 +74,6 @@ class Raster:
         raster = object.__new__(cls)
         object.__setattr__(raster, "data", _checked(_real_array("raster data", arr, copy=False)))
         return raster
-
-    def __reduce__(self) -> tuple:
-        """Copy and unpickle through the constructor, so a copy's data is
-        checked and read-only too."""
-        return (Raster, (self.data,))
 
     @property
     def height(self) -> int:
@@ -111,12 +116,13 @@ _T = TypeVar("_T")
 class _LastTwo(Generic[_T]):
     """``compute``, remembering the values of its last two calls.
 
-    A call matches an entry when each argument that is an int or a str equals
-    the entry's and every other argument is the entry's object itself, held
-    through a weak reference, which an object that died never matches; the
-    rasters and conv stacks it is given are immutable, so a match holds what
-    computing again would give. The entries are one tuple, replaced whole: a
-    thread can only lose an entry, which is then computed again.
+    A call hits an entry whose key equals its own: each int or str argument
+    itself, every other one through a weak reference, which compares as its
+    object does (by identity, for a carrier) and, once that object dies,
+    equals only itself. The rasters and conv stacks it is given are immutable,
+    so a hit holds what computing again would give. The entries are one tuple,
+    replaced whole: a thread can only lose an entry, which is then computed
+    again.
     """
 
     def __init__(self, compute: Callable[..., _T]) -> None:
@@ -124,12 +130,12 @@ class _LastTwo(Generic[_T]):
         self.entries: tuple = ()  # ((key, value), ...), most recent first
 
     def __call__(self, *args: object) -> _T:
+        key = tuple(a if isinstance(a, (int, str)) else weakref.ref(a) for a in args)
         entries = self.entries
-        for key, value in entries:
-            if all(k() is a if isinstance(k, weakref.ref) else k == a for k, a in zip(key, args)):
+        for entry_key, value in entries:
+            if entry_key == key:
                 return value
         value = self.compute(*args)
-        key = tuple(a if isinstance(a, (int, str)) else weakref.ref(a) for a in args)
         self.entries = ((key, value), *entries[:1])
         return value
 
@@ -266,8 +272,8 @@ class Patch(NamedTuple):
     reference: Optional[Raster]
 
 
-@dataclass(frozen=True)
-class PatchSet:
+@dataclass(frozen=True, eq=False)
+class PatchSet(_Carrier):
     """Aligned (lrms, pan, reference) tiles cut from one scene."""
 
     patches: tuple[Patch, ...]
