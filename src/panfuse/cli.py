@@ -114,12 +114,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pan = raster.read_raster(args.pan)
     reports = []
     for path in args.fused:
-        fused, stem = raster.read_raster(path), Path(path).stem
-        try:
-            reports.append(metrics.build_report(stem, fused, reference, lrms, pan, args.ratio))
-        except DegenerateInputError as exc:
-            raise type(exc)(f"eval {stem}: {exc}") from exc
-        del fused  # freed before the next read, so one fused cube is held at a time
+        stem = Path(path).stem
+        # Read by row strips through one descriptor, held until the report is built.
+        with raster._RowFile(path) as fused:
+            try:
+                reports.append(metrics.build_report(stem, fused, reference, lrms, pan, args.ratio))
+            except DegenerateInputError as exc:
+                raise type(exc)(f"eval {stem}: {exc}") from exc
     text = REPORT_FORMATS[args.format](reports)
     out = _out_dir(args)
     (out / f"report.{args.format}").write_text(text)

@@ -51,6 +51,13 @@ def _band_mean(cube: np.ndarray) -> np.ndarray:
     return _plane(cube, lambda s, out: np.divide(_band_sum(s), bands, out=out))
 
 
+def _detail(pan: np.ndarray, intensity: np.ndarray) -> np.ndarray:
+    """The component-substitution detail P_matched - I, taken in place over
+    the matched pan, a fresh plane."""
+    matched = _match_moments(pan, intensity)
+    return np.subtract(matched, intensity, out=matched)
+
+
 def _inject(
     ms_up: np.ndarray,
     gain: float | np.ndarray | Callable[[np.ndarray, slice], np.ndarray],
@@ -82,16 +89,17 @@ def fuse_gihs(fin: FusionInput) -> Raster:
         raise UsageError(f"gihs requires at least 3 bands, got {fin.lrms.bands}")
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = _band_mean(ms_up)
-    return _inject(ms_up, 1.0, _match_moments(fin.pan.data[:, :, 0], intensity) - intensity)
+    return _inject(ms_up, 1.0, _detail(fin.pan.data[:, :, 0], intensity))
 
 
 def fuse_brovey(fin: FusionInput) -> Raster:
     """Brovey transform: band-ratio-preserving multiplicative injection."""
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = _band_mean(ms_up)
-    guarded = intensity + 1e-12  # g divides by it, so detail subtracts the same I
-    detail = _match_moments(fin.pan.data[:, :, 0], intensity) - guarded
-    return _inject(ms_up, lambda s, rows: s / guarded[rows, :, None], detail)
+    matched = _match_moments(fin.pan.data[:, :, 0], intensity)
+    intensity += 1e-12  # the guard: g divides by it, so the detail subtracts the same I
+    detail = np.subtract(matched, intensity, out=matched)
+    return _inject(ms_up, lambda s, rows: s / intensity[rows, :, None], detail)
 
 
 def _pca_basis(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,7 +151,7 @@ def fuse_pca(fin: FusionInput) -> Raster:
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     means, _, vecs = _pca_basis(ms_up)
     pc1 = _plane(ms_up, lambda s, out: np.matmul(s - means, vecs[:, 0], out=out))
-    return _inject(ms_up, vecs[:, 0], _match_moments(fin.pan.data[:, :, 0], pc1) - pc1)
+    return _inject(ms_up, vecs[:, 0], _detail(fin.pan.data[:, :, 0], pc1))
 
 
 def mmse_band_weights(lrms: Raster, pan: Raster, ratio: int) -> np.ndarray:
@@ -189,7 +197,8 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
     strips = _row_strips(*ms_up.shape)
     cross = sum(dev_i[s].ravel() @ ms_up[s].reshape(-1, ms_up.shape[2]) for s in strips)
     gains = cross / dev_i.size / var_i
-    return _inject(ms_up, gains, _match_moments(pan2d, intensity) - intensity)
+    del dev_i
+    return _inject(ms_up, gains, _detail(pan2d, intensity))
 
 
 def fuse_hpf(fin: FusionInput) -> Raster:

@@ -151,6 +151,8 @@ def _tile_index(
     index or a sequence of them: if no tile of output k is valid, its index
     is 1 when the two groups are equal within a relative 1e-9 (``np.allclose``,
     no absolute term): a constant that resampling moved by an ulp stays equal.
+    The channels are compared strip by strip, each read as ``p[rows]``, so a
+    part may be a :class:`raster._RowFile`.
     """
     height, width, _ = parts[0].shape
     block = _positive_int("block", block)
@@ -177,12 +179,20 @@ def _tile_index(
         return np.where(valid, values, 0.0).sum(axis=0), np.count_nonzero(valid, axis=0)
 
     total, count = map(sum, zip(*_map_strips(tile_row, range(0, height - block + 1, block))))
-    channels = [p[:, :, c] for p in parts for c in range(p.shape[2])]
+    channels = [(p, c) for p in parts for c in range(p.shape[2])]
+    strips = _row_strips(height, width, max(p.shape[2] for p in parts))
+
+    def close(i: int, j: int) -> bool:
+        """``np.allclose`` of channels i and j, strip by strip over every strip."""
+        (p, c), (q, d) = channels[i], channels[j]
+        return all([
+            np.allclose(p[rows][:, :, c], q[rows][:, :, d], rtol=1e-9, atol=0.0)
+            for rows in strips
+        ])
 
     def fallback(a, b) -> float:
         pairs = zip(np.atleast_1d(a), np.atleast_1d(b))
-        same = (np.allclose(channels[i], channels[j], rtol=1e-9, atol=0.0) for i, j in pairs)
-        return 1.0 if all(same) else 0.0
+        return 1.0 if all(close(i, j) for i, j in pairs) else 0.0
 
     return [
         float(total[k] / count[k]) if count[k] else fallback(a, b)
@@ -420,7 +430,8 @@ def build_report(
 ) -> MetricReport:
     """Evaluate all five metrics for one fused result and assemble a row.
 
-    Q-index blocks default to 32, clamped to the image size.
+    Q-index blocks default to 32, clamped to the image size. ``fused`` may be
+    a :class:`raster._RowFile`: every metric reads it by row slices only.
     """
     block = min(32, fused.height, fused.width)
     qnr, _, _ = metric_qnr(fused, lrms, pan, ratio, block)

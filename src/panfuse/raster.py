@@ -26,7 +26,7 @@ import struct
 import weakref
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Generic, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import BinaryIO, Callable, Generic, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -307,34 +307,28 @@ def _write_framed(
         raise RasterIOError(f"cannot write {what} to {path}: {exc}") from exc
 
 
-def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, np.ndarray]:
-    """Read a file written by :func:`_write_framed`; return (header, payload).
-
-    The payload is read straight into a fresh, aligned uint8 array, so a
-    reader can view it as its element type without a copy.
-    """
+def _existing(path: str | Path, what: str) -> Path:
     path = Path(path)
     if not path.is_file():
         raise MissingFileError(f"no such {what} file: {path}")
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(8)
-            if head[:4] != magic:
-                raise MagicError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
-            if len(head) < 8:
-                raise HeaderError(f"{path}: file too short for header length field")
-            (header_len,) = struct.unpack("<I", head[4:])
-            rest = os.fstat(fh.fileno()).st_size - 8
-            if rest < header_len:
-                raise HeaderError(
-                    f"{path}: declared header length {header_len} exceeds file size"
-                )
-            raw = fh.read(header_len)
-            payload = np.empty(rest - header_len, dtype=np.uint8)
-            got = fh.readinto(payload)
-    except OSError as exc:
-        raise RasterIOError(f"cannot read {path}: {exc}") from exc
-    if len(raw) != header_len or got != payload.size:
+    return path
+
+
+def _framed_header(fh: BinaryIO, path: Path, magic: bytes) -> tuple[dict, int]:
+    """The header half of :func:`_read_framed`: check the magic and header
+    length of ``fh``, an open framed file, and decode its JSON header. Returns
+    the header and the payload's byte count, with ``fh`` at the payload."""
+    head = fh.read(8)
+    if head[:4] != magic:
+        raise MagicError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+    if len(head) < 8:
+        raise HeaderError(f"{path}: file too short for header length field")
+    (header_len,) = struct.unpack("<I", head[4:])
+    rest = os.fstat(fh.fileno()).st_size - 8
+    if rest < header_len:
+        raise HeaderError(f"{path}: declared header length {header_len} exceeds file size")
+    raw = fh.read(header_len)
+    if len(raw) != header_len:
         raise RasterIOError(f"{path}: file changed while it was read")
     # ValueError covers bad UTF-8, bad JSON and integer literals too long to
     # convert; RecursionError covers a header nested too deep to decode.
@@ -344,6 +338,26 @@ def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, np.nd
         raise HeaderError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise HeaderError(f"{path}: header is not a JSON object")
+    return header, rest - header_len
+
+
+def _read_framed(path: str | Path, magic: bytes, what: str) -> tuple[dict, np.ndarray]:
+    """Read a file written by :func:`_write_framed`; return (header, payload).
+
+    The payload, the half after :func:`_framed_header`, is read straight into
+    a fresh, aligned uint8 array, so a reader can view it as its element type
+    without a copy.
+    """
+    path = _existing(path, what)
+    try:
+        with open(path, "rb") as fh:
+            header, size = _framed_header(fh, path, magic)
+            payload = np.empty(size, dtype=np.uint8)
+            got = fh.readinto(payload)
+    except OSError as exc:
+        raise RasterIOError(f"cannot read {path}: {exc}") from exc
+    if got != size:
+        raise RasterIOError(f"{path}: file changed while it was read")
     return header, payload
 
 
@@ -368,23 +382,109 @@ def write_raster(raster: Raster, path: str | Path) -> None:
     _write_framed(path, MSR_MAGIC, header, [payload], "raster")
 
 
-def read_raster(path: str | Path) -> Raster:
-    """Read an MSR file, validating magic, header, payload size, and finiteness."""
-    header, payload = _read_framed(path, MSR_MAGIC, "raster")
+def _msr_shape(path: Path, header: dict, size: int) -> tuple[int, int, int]:
+    """(height, width, bands) of an MSR ``header`` whose payload is ``size`` bytes,
+    or the header or payload-size error it breaks."""
     _check_positive_ints(path, header, ("width", "height", "bands"))
     if header.get("dtype") != "f64":
         raise HeaderError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-
     w, h, b = header["width"], header["height"], header["bands"]
     expected = w * h * b * 8
-    if len(payload) != expected:
-        raise PayloadSizeError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
+    if size != expected:
+        raise PayloadSizeError(f"{path}: payload is {size} bytes, header implies {expected}")
+    return h, w, b
+
+
+def _non_finite(path: Path) -> NonFiniteDataError:
+    return NonFiniteDataError(f"{path}: payload contains non-finite values")
+
+
+def read_raster(path: str | Path) -> Raster:
+    """Read an MSR file, validating magic, header, payload size, and finiteness."""
+    header, payload = _read_framed(path, MSR_MAGIC, "raster")
+    shape = _msr_shape(path, header, payload.size)
     try:
-        return Raster._adopt(payload.view("<f8").reshape(h, w, b))
+        return Raster._adopt(payload.view("<f8").reshape(shape))
     except NonFiniteRasterError as exc:
-        raise NonFiniteDataError(f"{path}: payload contains non-finite values") from exc
+        raise _non_finite(path) from exc
+
+
+class _RowFile:
+    """An MSR cube read by row strips from its file instead of held whole: it
+    stands in for a :class:`Raster` (``height``, ``width``, ``bands``, and
+    ``data``, which is the file itself) for code that reads ``data`` only in
+    row slices, as every metric of ``eval`` does.
+
+    Opening it checks the header as :func:`read_raster` does, then reads the
+    payload once, strip by strip under the array rule, and keeps nothing, so a
+    non-finite payload is refused before any metric runs. It holds one
+    descriptor until :meth:`close`, or the end of its ``with`` block.
+    ``data[lo:hi]`` and ``data[lo:hi, :c]`` are its only indexes: each is one
+    ``os.preadv`` of whole rows into a fresh array under the array rule, so a
+    file that shrank or took a NaN since it was opened is an IO error. Any
+    other index is a ``TypeError``: nothing reads the whole cube by accident.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = _existing(path, "raster")
+        try:
+            self._fh = open(self.path, "rb")
+        except OSError as exc:
+            raise RasterIOError(f"cannot read {self.path}: {exc}") from exc
+        try:
+            header, size = _framed_header(self._fh, self.path, MSR_MAGIC)
+            self.shape = _msr_shape(self.path, header, size)
+            self._fd, self._offset = self._fh.fileno(), self._fh.tell()
+            for rows in _row_strips(*self.shape):
+                self[rows]
+        except BaseException:
+            self._fh.close()
+            raise
+
+    @property
+    def data(self) -> _RowFile:
+        return self
+
+    @property
+    def height(self) -> int:
+        return self.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.shape[1]
+
+    @property
+    def bands(self) -> int:
+        return self.shape[2]
+
+    def __getitem__(self, index: slice | tuple[slice, slice]) -> np.ndarray:
+        rows, cols = index if isinstance(index, tuple) and len(index) == 2 else (index, slice(None))
+        if isinstance(rows, slice) and isinstance(cols, slice):
+            height, width, bands = self.shape
+            lo, hi, step = rows.indices(height)
+            start, stop, col_step = cols.indices(width)
+            if step == col_step == 1 and start == 0:
+                arr = np.empty((max(hi - lo, 0), width, bands), dtype="<f8")
+                try:
+                    got = os.preadv(self._fd, [arr], self._offset + lo * width * bands * 8)
+                except OSError as exc:
+                    raise RasterIOError(f"cannot read {self.path}: {exc}") from exc
+                if got != arr.nbytes:
+                    raise RasterIOError(f"{self.path}: file changed while it was read")
+                try:
+                    return _real_array("raster data", arr, copy=False)[:, :stop]
+                except NonFiniteRasterError as exc:
+                    raise _non_finite(self.path) from exc
+        raise TypeError(f"{self.path} is read by row slices [lo:hi] or [lo:hi, :c], not {index!r}")
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> _RowFile:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def _normalized_weights(pan_weights: Sequence[float], bands: int) -> np.ndarray:
