@@ -90,11 +90,12 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
         ng = np.sqrt(_band_sum(g * g))
         mask = (nf >= _EPS) & (ng >= _EPS)
         u = np.divide(f, nf[:, :, None], out=np.zeros_like(f), where=mask[:, :, None])
+        del f  # a row-file strip is its own array; only u is needed from here on
         v = np.divide(g, ng[:, :, None], out=np.zeros_like(g), where=mask[:, :, None])
         d = u - v
         s = np.add(u, v, out=u)
-        diff = np.sqrt(_band_sum(d * d))
-        summ = np.sqrt(_band_sum(s * s))
+        diff = np.sqrt(_band_sum(np.multiply(d, d, out=d)))
+        summ = np.sqrt(_band_sum(np.multiply(s, s, out=s)))
         # Masked pixels have u = v = 0, so their angle is atan2(0, 0) = 0.
         angles[rows] = 2.0 * np.arctan2(diff, summ)
 

@@ -58,8 +58,24 @@ class _Carrier:
         return (type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
 
+class _Cube:
+    """The H x W x B geometry of a :class:`Raster` or :class:`_RowFile`, read off ``data.shape``."""
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def bands(self) -> int:
+        return self.data.shape[2]
+
+
 @dataclass(frozen=True, eq=False)
-class Raster(_Carrier):
+class Raster(_Carrier, _Cube):
     """Immutable H x W x B image cube of finite float64 values."""
 
     data: np.ndarray
@@ -74,18 +90,6 @@ class Raster(_Carrier):
         raster = object.__new__(cls)
         object.__setattr__(raster, "data", _checked(_real_array("raster data", arr, copy=False)))
         return raster
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def bands(self) -> int:
-        return self.data.shape[2]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -409,7 +413,7 @@ def read_raster(path: str | Path) -> Raster:
         raise _non_finite(path) from exc
 
 
-class _RowFile:
+class _RowFile(_Cube):
     """An MSR cube read by row strips from its file instead of held whole: it
     stands in for a :class:`Raster` (``height``, ``width``, ``bands``, and
     ``data``, which is the file itself) for code that reads ``data`` only in
@@ -444,18 +448,6 @@ class _RowFile:
     @property
     def data(self) -> _RowFile:
         return self
-
-    @property
-    def height(self) -> int:
-        return self.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.shape[1]
-
-    @property
-    def bands(self) -> int:
-        return self.shape[2]
 
     def __getitem__(self, index: slice | tuple[slice, slice]) -> np.ndarray:
         rows, cols = index if isinstance(index, tuple) and len(index) == 2 else (index, slice(None))

@@ -21,7 +21,7 @@ from panfuse import (
     write_raster,
 )
 from panfuse import cli, metrics
-from helpers import computed_calls, random_raster, run_cli, separated_pair
+from helpers import computed_calls, framed, random_raster, run_cli, separated_pair
 
 
 # The losses that have an analytic gradient.
@@ -99,6 +99,14 @@ class TestSimulate:
     def test_too_small_usage_error(self, tmp_path):
         r = run_cli("simulate", "--size", 4, "--out", tmp_path)
         assert r.returncode == 2
+
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        """``--out`` must be a directory: an existing file there is an OS error,
+        which ``main`` reports as an IO error, exit 5."""
+        (tmp_path / "taken").write_bytes(b"")
+        assert cli.main(["simulate", "--size", "8", "--out", str(tmp_path / "taken")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and "taken" in err and "Traceback" not in err
 
 
 class TestDegrade:
@@ -222,6 +230,17 @@ class TestFuse:
         r = run_cli("fuse", "--method", "wavelet", "--lrms", scene_dir / "lrms.msr",
                     "--pan", scene_dir / "pan.msr", "--out", tmp_path)
         assert r.returncode == 2
+
+    def test_gs_mmse_on_identical_bands_exit_four(self, tmp_path, capsys):
+        """Identical lrms bands leave MMSE's band system rank-deficient."""
+        write_raster(Raster(np.repeat(random_raster(3, 4, 4, 1).data, 4, axis=2)),
+                     tmp_path / "ms.msr")
+        write_raster(random_raster(4, 16, 16, 1), tmp_path / "pan.msr")
+        argv = ["fuse", "--method", "gs", "--lrpan", "mmse", "--lrms", tmp_path / "ms.msr",
+                "--pan", tmp_path / "pan.msr", "--ratio", 4, "--out", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 4
+        assert capsys.readouterr().err == (
+            "error: fuse gs: mmse weights: rank-deficient band system\n")
 
     def test_gs_lrpan_flag_routes_to_mmse(self, scene_dir, tmp_path):
         for name, extra in (("wm", []), ("mm", ["--lrpan", "mmse"])):
@@ -681,6 +700,28 @@ class TestMalformedInputs:
         assert cli.main([str(a) for a in argv]) == 5
         err = capsys.readouterr().err
         assert "bad.csw" in err and "slope" in err and "Traceback" not in err
+
+    # The header of a one-layer 1 x 1 x 1 x 1 stack, whose weight and bias take 8 payload bytes.
+    ONE_LAYER = {"bands": 1, "layers": [{"out": 1, "in": 1, "k": 1, "stride": 1, "slope": 0.2}]}
+
+    @pytest.mark.parametrize(
+        "header,payload,message",
+        [
+            (ONE_LAYER, b"\x00" * 4, "layer 0 weights truncated"),
+            (ONE_LAYER, b"\x00" * 12, "4 trailing bytes"),
+            ({"bands": 1, "layers": {"0": ONE_LAYER["layers"][0]}}, b"\x00" * 8,
+             "header field 'layers' missing or not a list"),
+        ],
+        ids=["truncated-layer", "trailing-bytes", "layers-not-a-list"],
+    )
+    def test_malformed_csw_payload_exit_five(self, scene_dir, tmp_path, capsys, header,
+                                             payload, message):
+        csw = tmp_path / "bad.csw"
+        csw.write_bytes(framed(b"CSW1", json.dumps(header).encode(), payload))
+        argv = ["loss", "--name", "perceptual", "--extractor", csw,
+                scene_dir / "hrms.msr", scene_dir / "reference.msr"]
+        assert cli.main([str(a) for a in argv]) == 5
+        assert capsys.readouterr().err == f"error: {csw}: {message}\n"
 
 
 class TestParser:

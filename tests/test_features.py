@@ -386,6 +386,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ConvLayer(weights=np.ones((1, 1, 2, 2)), bias=np.zeros(1), stride=1, leaky_slope=0.0)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 1), (1, 1, 1, 3), (1, 1, 3), (1, 1, 3, 3, 1)])
+    def test_kernel_not_out_in_k_k_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"must be \(out, in, k, k\)"):
+            ConvLayer(weights=np.ones(shape), bias=np.zeros(1), stride=1, leaky_slope=0.0)
+
+    @pytest.mark.parametrize("bias", [np.zeros(1), np.zeros(3), np.zeros((2, 1))])
+    def test_bias_not_one_per_output_rejected(self, bias):
+        with pytest.raises(ValueError, match="does not match out=2"):
+            ConvLayer(weights=np.ones((2, 1, 1, 1)), bias=bias, stride=1, leaky_slope=0.0)
+
     def test_nonfinite_weights_rejected(self):
         w = np.ones((1, 1, 1, 1))
         w[0, 0, 0, 0] = np.nan

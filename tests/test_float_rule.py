@@ -122,7 +122,8 @@ def test_every_loss_and_metric_is_finite_or_degenerate(side):
 @pytest.mark.parametrize("side", ["fused", "reference"])
 def test_metric_sam_refuses_an_overflowed_norm(scale, side):
     """SAM is scale invariant, so no finite angle is right once a norm
-    overflows; einsum ignores numpy's error state, so the strip checks."""
+    overflows; the norms' squares and their ``raster._band_sum`` run under the
+    floating-point rule's error state on either thread, so the overflow raises."""
     rng = np.random.default_rng(3)
     pair = [rng.random((16, 16, 4)), rng.random((16, 16, 4))]
     pair[side == "reference"] *= scale

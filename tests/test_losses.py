@@ -94,6 +94,10 @@ class TestGeneratorLoss:
         with pytest.raises(UsageError):
             generator_loss([0.5, 0.5], [x], [x], LossSpec())
 
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(UsageError, match="at least one sample"):
+            generator_loss([], [], [], LossSpec())
+
 
 class TestDiscriminatorLoss:
     def test_as_printed_at_half(self):
@@ -111,6 +115,15 @@ class TestDiscriminatorLoss:
             discriminator_loss([1.0], [0.5], "bce")
         with pytest.raises(DegenerateInputError):
             discriminator_loss([0.5], [0.0], "as_printed")
+
+    @pytest.mark.parametrize(
+        "d_fake,d_real,message",
+        [([0.5, 0.5], [0.5], "equal length"), ([], [], "at least one sample")],
+        ids=["unequal-lengths", "empty"],
+    )
+    def test_bad_lengths_rejected(self, d_fake, d_real, message):
+        with pytest.raises(UsageError, match=message):
+            discriminator_loss(d_fake, d_real, "bce")
 
 
 class TestSamLoss:

@@ -148,6 +148,10 @@ class TestMsrIO:
         with pytest.raises(MissingFileError):
             read_raster(tmp_path / "absent.msr")
 
+    def test_write_into_a_directory(self, tmp_path):
+        with pytest.raises(RasterIOError, match="cannot write raster to"):
+            write_raster(random_raster(10, 2, 2, 1), tmp_path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.msr"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -72,6 +72,23 @@ def test_helper_runs_under_the_callers_error_state(monkeypatch):
     assert [state for _, state in got] == [want] * 4
 
 
+def test_helper_failure_is_raised_on_the_caller(monkeypatch):
+    """The two strips wait for each other, so the helper runs one of them; its
+    error reaches the caller, whose own strip succeeded."""
+    monkeypatch.setattr(_strips, "_cpus", lambda: 2)
+    both, caller = threading.Barrier(2, timeout=30), threading.get_ident()
+
+    def fn(s):
+        both.wait()
+        if threading.get_ident() != caller:
+            raise ValueError(f"helper strip {s}")
+        return s
+
+    with pytest.raises(ValueError, match="^helper strip [01]$"):
+        _map_strips(fn, range(2))
+    assert _map_strips(lambda s: -s, range(20)) == [-s for s in range(20)]
+
+
 def test_nested_runner_runs_inline():
     """A strip that calls the runner again finishes instead of waiting for
     the helper it runs on."""
