@@ -35,7 +35,18 @@ FUSE_METHODS = {
 REPORT_FORMATS = {"csv": metrics.reports_to_csv, "json": metrics.reports_to_json}
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that exists, or whose nearest existing ancestor
+    exists, as anything but a directory; ``main`` runs this before the work."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"--out {out}: {path} exists and is not a directory")
+            return
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
+    """``--out``, created after the work, so a failed command leaves none behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -285,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     # parser, so rebinding a handler in this module reaches ``main``.
     command = globals()[f"cmd_{args.command}"]
     try:
+        if hasattr(args, "out"):
+            _check_out(Path(args.out))
         return command(args)
     except PanfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, UsageError
-from .raster import Raster, _Carrier, _band_sum, _check_scale_pair, _choice
-from .resample import _STD_EPS, _downsample, _match_moments, _separable, _upsample
+from .raster import Raster, _Carrier, _band_sum, _check_scale_pair, _choice, _moments
+from .resample import _STD_EPS, _downsample, _match_coefficients, _matched, _separable, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
 
@@ -51,17 +51,24 @@ def _band_mean(cube: np.ndarray) -> np.ndarray:
     return _plane(cube, lambda s, out: np.divide(_band_sum(s), bands, out=out))
 
 
-def _detail(pan: np.ndarray, intensity: np.ndarray) -> np.ndarray:
-    """The component-substitution detail P_matched - I, taken in place over
-    the matched pan, a fresh plane."""
-    matched = _match_moments(pan, intensity)
-    return np.subtract(matched, intensity, out=matched)
+def _detail(pan: np.ndarray, intensity: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """The component-substitution detail P_matched - I, as a function of a row
+    slice: the moments of ``pan`` and ``intensity`` are taken now, and each
+    call matches only its rows of the pan, so no matched plane is built. A
+    call reads ``intensity`` when it runs."""
+    coefficients = _match_coefficients(pan, intensity)
+
+    def rows_detail(rows: slice) -> np.ndarray:
+        matched = _matched(pan[rows], coefficients)
+        return np.subtract(matched, intensity[rows], out=matched)
+
+    return rows_detail
 
 
 def _inject(
     ms_up: np.ndarray,
     gain: float | np.ndarray | Callable[[np.ndarray, slice], np.ndarray],
-    detail: np.ndarray,
+    detail: np.ndarray | Callable[[slice], np.ndarray],
 ) -> Raster:
     """clip(ms_up + gain * detail, 0, 1), the step every method ends with.
 
@@ -69,12 +76,14 @@ def _inject(
     written into it one strip of rows at a time, and it becomes the output.
     ``gain`` is a scalar or per band, or a function of a strip and its rows
     that returns the strip's per-pixel, per-band gain before the sum is
-    added; ``detail`` is H x W.
+    added; ``detail`` is an H x W plane, or a function of a strip's rows that
+    returns those rows of one (:func:`_detail`).
     """
     for rows in _row_strips(*ms_up.shape):
         s = ms_up[rows]
         g = gain(s, rows) if callable(gain) else gain
-        s += g * detail[rows, :, None]
+        d = detail(rows) if callable(detail) else detail[rows]
+        s += g * d[:, :, None]
         np.clip(s, 0.0, 1.0, out=s)
     return Raster._adopt(ms_up)
 
@@ -96,9 +105,8 @@ def fuse_brovey(fin: FusionInput) -> Raster:
     """Brovey transform: band-ratio-preserving multiplicative injection."""
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = _band_mean(ms_up)
-    matched = _match_moments(fin.pan.data[:, :, 0], intensity)
+    detail = _detail(fin.pan.data[:, :, 0], intensity)  # the moments of I before its guard
     intensity += 1e-12  # the guard: g divides by it, so the detail subtracts the same I
-    detail = np.subtract(matched, intensity, out=matched)
     return _inject(ms_up, lambda s, rows: s / intensity[rows, :, None], detail)
 
 
@@ -189,15 +197,16 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
         weights = mmse_band_weights(fin.lrms, fin.pan, fin.ratio)
         intensity = _plane(ms_up, lambda s, out: np.matmul(s, weights, out=out))
 
-    dev_i = intensity - intensity.mean()
-    var_i = np.mean(dev_i * dev_i)
+    mean_i, var_i = _moments(intensity)
     if np.sqrt(var_i) < _STD_EPS:
         raise DegenerateInputError("gs: intensity surrogate has zero variance")
-    # cov(band, I) = sum(b * dev_i) / n: dev_i sums to zero, so the band means drop out.
+    # cov(band, I) = sum(b * (I - mean_i)) / n: the deviations sum to zero, so
+    # the band means drop out. The deviations are taken a strip at a time.
     strips = _row_strips(*ms_up.shape)
-    cross = sum(dev_i[s].ravel() @ ms_up[s].reshape(-1, ms_up.shape[2]) for s in strips)
-    gains = cross / dev_i.size / var_i
-    del dev_i
+    cross = sum(
+        (intensity[s] - mean_i).ravel() @ ms_up[s].reshape(-1, ms_up.shape[2]) for s in strips
+    )
+    gains = cross / intensity.size / var_i
     return _inject(ms_up, gains, _detail(pan2d, intensity))
 
 

@@ -30,7 +30,7 @@ from typing import BinaryIO, Callable, Generic, Iterable, NamedTuple, Optional, 
 
 import numpy as np
 
-from ._strips import _row_strips
+from ._strips import _STRIP_ELEMENTS, _row_strips
 from .errors import (
     HeaderError,
     MagicError,
@@ -190,8 +190,10 @@ def _real_array(name: str, value: object, copy: bool = True) -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise ParameterError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
     arr = (np.array if copy else np.asarray)(arr, dtype=np.float64, order="C")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteRasterError(f"{name} contains non-finite values")
+    flat = arr.reshape(-1)  # checked a strip at a time, so no H x W x B mask is made
+    for lo in range(0, flat.size, _STRIP_ELEMENTS):
+        if not np.isfinite(flat[lo : lo + _STRIP_ELEMENTS]).all():
+            raise NonFiniteRasterError(f"{name} contains non-finite values")
     return _frozen(arr)
 
 
@@ -244,6 +246,35 @@ def _band_sum(cube: np.ndarray) -> np.ndarray:
     for b in range(1, cube.shape[2]):
         total += cube[:, :, b]
     return total
+
+
+def _moments(arr: np.ndarray) -> tuple[np.float64, np.float64]:
+    """(mean, variance) of a C-contiguous array, with the bits of ``np.mean``
+    and ``np.var``: the one place a plane's moments are taken.
+
+    numpy sums a contiguous array as one pairwise tree, which above 128
+    elements splits at half the count rounded down to a multiple of 8. The
+    variance's sum of squared deviations follows that tree down to leaves of
+    at most ``_STRIP_ELEMENTS`` (:func:`_squared_deviations`), so it squares
+    one leaf at a time instead of a whole deviation plane."""
+    flat = arr.reshape(-1)
+    mean = np.add.reduce(flat) / flat.size
+    return mean, _squared_deviations(flat, mean, 0, flat.size) / flat.size
+
+
+def _squared_deviations(flat: np.ndarray, mean: np.float64, lo: int, hi: int) -> np.float64:
+    """The sum of ``(flat[lo:hi] - mean) ** 2`` in numpy's pairwise tree: a
+    leaf is squared into a scratch of its size and summed by numpy. It
+    recurses at module level: a nested function that called itself would be
+    a reference cycle, keeping ``flat`` alive until the cyclic collector ran."""
+    n = hi - lo
+    if n <= _STRIP_ELEMENTS:
+        d = np.subtract(flat[lo:hi], mean)
+        return np.add.reduce(np.multiply(d, d, out=d))
+    half = n // 2
+    half -= half % 8
+    left = _squared_deviations(flat, mean, lo, lo + half)
+    return left + _squared_deviations(flat, mean, lo + half, hi)
 
 
 def _check_same_shape(a: Raster, b: Raster) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import Raster, _check_bands, _check_scale_pair, _frozen, _positive_int
+from .raster import Raster, _check_bands, _check_scale_pair, _frozen, _moments, _positive_int
 
 _STD_EPS = 1e-12
 
@@ -218,13 +218,30 @@ def wald_degrade(hrms: Raster, pan: Raster, ratio: int) -> tuple[Raster, Raster,
     return lrms, lrpan, hrms
 
 
-def _match_moments(src: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """:func:`histogram_match` of two arrays, as a fresh array."""
-    mu_s, sd_s = src.mean(), src.std()
-    mu_t, sd_t = target.mean(), target.std()
+def _match_coefficients(src: np.ndarray, target: np.ndarray) -> tuple[np.float64, ...]:
+    """(mu_s, sd_t / sd_s, mu_t) of :func:`histogram_match`, from the
+    :func:`_moments` of two C-contiguous arrays."""
+    mu_s, var_s = _moments(src)
+    mu_t, var_t = _moments(target)
+    sd_s = np.sqrt(var_s)
     if sd_s < _STD_EPS:
         raise DegenerateInputError("histogram_match: source has zero variance")
-    return (src - mu_s) * (sd_t / sd_s) + mu_t
+    return mu_s, np.sqrt(var_t) / sd_s, mu_t
+
+
+def _matched(src: np.ndarray, coefficients: tuple[np.float64, ...]) -> np.ndarray:
+    """``(src - mu_s) * scale + mu_t`` for ``src`` a plane or any slice of
+    one, as a fresh array written in place."""
+    mu_s, scale, mu_t = coefficients
+    out = np.subtract(src, mu_s)
+    out *= scale
+    out += mu_t
+    return out
+
+
+def _match_moments(src: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """:func:`histogram_match` of two C-contiguous arrays, as a fresh array."""
+    return _matched(src, _match_coefficients(src, target))
 
 
 def histogram_match(src: Raster, target: Raster) -> Raster:

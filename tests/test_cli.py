@@ -20,7 +20,7 @@ from panfuse import (
     wald_degrade,
     write_raster,
 )
-from panfuse import cli, metrics
+from panfuse import cli, metrics, raster
 from helpers import computed_calls, framed, random_raster, run_cli, separated_pair
 
 
@@ -107,6 +107,35 @@ class TestSimulate:
         assert cli.main(["simulate", "--size", "8", "--out", str(tmp_path / "taken")]) == 5
         err = capsys.readouterr().err
         assert err.startswith("io error: ") and "taken" in err and "Traceback" not in err
+
+
+# Each command with --out: its arguments, and the first raster call of its work.
+OUT_WORK = {
+    "simulate": (["simulate", "--size", "8"], "synth_scene"),
+    "degrade": (["degrade", "--hrms", "h.msr", "--pan", "p.msr"], "read_raster"),
+    "patchify": (["patchify", "--ms", "m.msr", "--pan", "p.msr"], "read_raster"),
+    "fuse": (["fuse", "--method", "gihs", "--lrms", "l.msr", "--pan", "p.msr"], "read_raster"),
+    "eval": (["eval", "--fused", "f.msr", "--reference", "r.msr", "--lrms", "l.msr",
+              "--pan", "p.msr"], "read_raster"),
+}
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+@pytest.mark.parametrize("command", OUT_WORK)
+def test_out_naming_a_file_fails_before_the_work(command, out, tmp_path, monkeypatch, capsys):
+    """An ``--out`` that is a file, or lies under one, is refused before the
+    command reads or computes anything: its first raster call never runs, and
+    the one error line names ``--out``."""
+    argv, first = OUT_WORK[command]
+    (tmp_path / "taken").write_bytes(b"")
+
+    def never(*args: object) -> None:
+        raise AssertionError(f"{first} ran")
+
+    monkeypatch.setattr(raster, first, never)
+    assert cli.main([*argv, "--out", str(tmp_path / out)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"io error: --out {tmp_path / out}: ")
 
 
 class TestDegrade:

@@ -1,5 +1,6 @@
 """Classical fusion baselines: formula oracles and exact-recovery cases."""
 
+import gc
 import math
 import tracemalloc
 
@@ -102,6 +103,42 @@ def test_fusion_peak_memory_within_output_bound(input_512, method):
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * out.data.nbytes
+
+
+@pytest.mark.parametrize("method", list(ALL_FUSIONS))
+def test_fusion_holds_its_output_and_one_plane(input_512, method):
+    """The moments are summed from strip-sized leaves, the detail is matched
+    one strip at a time and the output is checked one strip at a time, so
+    besides the output cube a fusion holds one H x W plane and strip
+    temporaries."""
+    ALL_FUSIONS[method](input_512)  # fills the Gaussian kernel cache outside the trace
+    tracemalloc.start()
+    try:
+        out = ALL_FUSIONS[method](input_512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = out.data.nbytes // out.bands
+    assert peak < out.data.nbytes + plane + 1.5 * 2**20
+
+
+@pytest.mark.parametrize("method", list(ALL_FUSIONS))
+def test_fusion_leaves_no_reference_cycle(input_512, method):
+    """With the cyclic collector off, the traced memory falls back to almost
+    nothing once the output is deleted: no cycle (such as a recursive nested
+    function) keeps an intensity or a pan plane alive."""
+    ALL_FUSIONS[method](input_512)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        out = ALL_FUSIONS[method](input_512)
+        del out
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current < 64 * 2**10
 
 
 class TestGihs:

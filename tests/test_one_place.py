@@ -18,6 +18,7 @@ RULES = {  # rule -> (owners in raster.py, pattern no other module may match, sp
     "carrier-copy": ("_Carrier", r"def __reduce__", ["def __reduce__(self):"]),
     "read-path": ("_read_framed _RowFile", r"os\.preadv|readinto|open\(",
                   ["os.preadv(fd, [a], 0)", "fh.readinto(a)", 'open(path, "rb")']),
+    "moments": ("_moments", r"\.(std|var)\(", ["sd = src.std()", "np.var(a)"]),
 }
 
 

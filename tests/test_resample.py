@@ -1,5 +1,7 @@
 """Anti-aliased downsampling, bicubic upsampling, degradation, matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,26 @@ class TestHistogramMatch:
     def test_multiband_rejected(self):
         with pytest.raises(ShapeMismatchError):
             histogram_match(random_raster(0, 8, 8, 2), random_raster(1, 8, 8, 1))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (256, 300), (1024, 97)])
+    def test_same_bits_as_the_whole_plane_formula(self, shape):
+        """Leaf-wise moments and an in-place map give the bits of numpy's
+        ``mean`` and ``std`` and the plain expression, over several leaves."""
+        rng = np.random.default_rng(shape[1])
+        src, target = (Raster(rng.random(shape)) for _ in range(2))
+        s, t = src.data, target.data
+        want = (s - s.mean()) * (t.std() / s.std()) + t.mean()
+        assert histogram_match(src, target).data.tobytes() == want.tobytes()
+
+    def test_holds_its_output_and_under_a_mebibyte(self):
+        """No deviation plane and no second output-sized temporary: a 1024 x
+        1024 match peaks below its output plus 1 MiB."""
+        rng = np.random.default_rng(31)
+        src, target = (Raster(rng.random((1024, 1024))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            out = histogram_match(src, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + 2**20
