@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from . import features, fusion, losses, metrics, raster, resample
-from .errors import DegenerateInputError, NonFiniteRasterError, PanfuseError, UsageError
+from .errors import DegenerateInputError, NonFiniteRasterError, PanfuseError
+from .errors import ShapeMismatchError, UsageError
 from .raster import Raster
 
 # method name -> (fusion call, the --lrpan modes it accepts, default first).
@@ -130,7 +131,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with raster._RowFile(path) as fused:
             try:
                 reports.append(metrics.build_report(stem, fused, reference, lrms, pan, args.ratio))
-            except DegenerateInputError as exc:
+            except (DegenerateInputError, ShapeMismatchError) as exc:
                 raise type(exc)(f"eval {stem}: {exc}") from exc
     text = REPORT_FORMATS[args.format](reports)
     out = _out_dir(args)

@@ -196,7 +196,8 @@ def sam_loss(fused: Raster, target: Raster, mode: str = "cosine") -> float:
     """Spectral-angle regularizer.
 
     ``cosine`` is the per-pixel form, mean of 1 - <f, t> / (|f| |t| + eps),
-    which is zero at identity and scale invariant. ``as_printed``
+    which is zero at identity. The eps = 1e-12 floor keeps it scale invariant
+    only while |f| |t| >> 1e-12; below that a pixel's loss goes to 1. ``as_printed``
     evaluates the global form 1 - sum(f*t) / (sum(f^2) * sum(t^2) + eps)
     exactly as published; it carries neither property.
     """

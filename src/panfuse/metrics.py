@@ -76,14 +76,13 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     angle is evaluated with the two-argument arctangent of the normalized
     sum/difference vectors, which is algebraically the arccos of the
     cosine similarity but avoids the catastrophic arccos cancellation
-    near zero angle. Angles are computed in the row strips of
-    :func:`_row_strips`, so the per-strip temporaries stay small.
+    near zero angle. Each :func:`_row_strips` strip sums its own angles, and
+    the strip sums are added in strip order: the same bits on any CPU count.
     """
     _check_same_shape(fused, reference)
     _check_bands("sam", fused.bands, 2)
-    angles = np.empty((fused.height, fused.width), dtype=np.float64)
 
-    def strip(rows: slice) -> None:
+    def strip(rows: slice) -> float:
         f = fused.data[rows]
         g = reference.data[rows]
         nf = np.sqrt(_band_sum(f * f))
@@ -97,10 +96,9 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
         diff = np.sqrt(_band_sum(np.multiply(d, d, out=d)))
         summ = np.sqrt(_band_sum(np.multiply(s, s, out=s)))
         # Masked pixels have u = v = 0, so their angle is atan2(0, 0) = 0.
-        angles[rows] = 2.0 * np.arctan2(diff, summ)
+        return 2.0 * float(np.arctan2(diff, summ, out=diff).sum())
 
-    _map_strips(strip, _row_strips(*fused.data.shape))
-    return float(angles.mean())
+    return sum(_map_strips(strip, _row_strips(*fused.data.shape))) / (fused.height * fused.width)
 
 
 @_finite_result

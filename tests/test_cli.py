@@ -406,6 +406,18 @@ class TestEval:
                     "--ratio", 4, "--out", tmp_path)
         assert r.returncode == 3
 
+    def test_shape_mismatch_names_the_fused_file(self, scene_dir, tmp_path, capsys):
+        """A shape error from the metrics carries the ``eval <stem>: `` prefix,
+        as a degenerate input does, so of two fused files the message names the
+        one at fault; no report is written."""
+        argv = ["eval", "--fused", scene_dir / "reference.msr", scene_dir / "lrms.msr",
+                "--reference", scene_dir / "reference.msr", "--lrms", scene_dir / "lrms.msr",
+                "--pan", scene_dir / "pan.msr", "--ratio", 4, "--out", tmp_path / "report"]
+        assert cli.main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == (
+            "error: eval lrms: high-resolution dims 16x16 != ratio 4 * 16x16\n")
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("bands, column", [(2, "q2"), (3, "q4"), (8, "q8"), (9, "q16")])
     def test_q2n_column_for_band_count(self, band_dir, tmp_path, capsys, bands, column):
         scene = band_dir / str(bands)

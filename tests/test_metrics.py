@@ -1,8 +1,10 @@
 """Quality metrics against hand computations and brute-force tile oracles."""
 
+import contextlib
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +25,11 @@ from panfuse import (
     reports_to_csv,
     reports_to_json,
     synth_scene,
+    write_raster,
 )
-from panfuse import metrics
+from panfuse import metrics, raster
+from panfuse._strips import _row_strips
+from panfuse.raster import _band_sum
 from panfuse.errors import DegenerateInputError, ShapeMismatchError, UsageError
 from helpers import CUBE_FAULTS, PAN_FAULTS, computed_calls, random_raster, scale_pair
 
@@ -177,6 +182,105 @@ class TestSam:
     def test_needs_two_bands(self):
         with pytest.raises(ShapeMismatchError):
             metric_sam(random_raster(0, 8, 8, 1), random_raster(1, 8, 8, 1))
+
+
+def plane_sam(fused, reference):
+    """SAM as it was computed before the strip sums: every strip writes its
+    angles into one H x W plane, which ``mean`` then averages. A test-only
+    oracle."""
+    angles = np.empty((fused.height, fused.width))
+    for rows in _row_strips(*fused.data.shape):
+        f = fused.data[rows]
+        g = reference.data[rows]
+        nf = np.sqrt(_band_sum(f * f))
+        ng = np.sqrt(_band_sum(g * g))
+        mask = (nf >= 1e-12) & (ng >= 1e-12)
+        u = np.divide(f, nf[:, :, None], out=np.zeros_like(f), where=mask[:, :, None])
+        v = np.divide(g, ng[:, :, None], out=np.zeros_like(g), where=mask[:, :, None])
+        d = u - v
+        s = np.add(u, v, out=u)
+        diff = np.sqrt(_band_sum(np.multiply(d, d, out=d)))
+        summ = np.sqrt(_band_sum(np.multiply(s, s, out=s)))
+        angles[rows] = 2.0 * np.arctan2(diff, summ)
+    return float(angles.mean())
+
+
+# (height, width, bands) of the strip-sum cases: strips of _STRIP_ELEMENTS
+# values, so a partial last strip where the strip rows do not divide the
+# height, and one-row and one-column images.
+SAM_SHAPES = {
+    "partial-last-strip": (97, 130, 4),
+    "wide-1030": (40, 1030, 4),
+    "one-row": (1, 1030, 3),
+    "one-column": (1030, 1, 5),
+    "one-column-many-strips": (20000, 1, 2),
+    **{f"bands-{b}": (45, 77, b) for b in range(2, 10)},
+}
+
+
+def _sam_pair(height, width, bands, seed):
+    """Two cubes with zero pixels in the fused image only, in the reference
+    only, and in both, plus, above two rows, one all-zero row in each."""
+    rng = np.random.default_rng(seed)
+    fused, reference = rng.random((2, height, width, bands))
+    fused[::7, ::5] = 0.0
+    reference[3::11, ::3] = 0.0
+    fused[::13, 1::4] = reference[::13, 1::4] = 0.0
+    if height > 2:
+        fused[height // 2] = 0.0
+        reference[-1] = 0.0
+    return Raster(fused), Raster(reference)
+
+
+class TestSamStripSums:
+    """``metric_sam`` adds per-strip angle sums in strip order; it stays
+    within 1e-15 relative (about 4 ulp at these values) of the mean of one
+    angle plane, with the same bits over a ``Raster`` and over a
+    ``raster._RowFile``, and with its inputs swapped."""
+
+    @pytest.mark.parametrize("shape", list(SAM_SHAPES.values()), ids=list(SAM_SHAPES))
+    def test_within_1e15_of_the_angle_plane(self, tmp_path, shape):
+        fused, reference = _sam_pair(*shape, seed=sum(shape))
+        want = plane_sam(fused, reference)
+        assert 0.0 < want < math.pi
+        got = metric_sam(fused, reference)
+        assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
+        assert metric_sam(reference, fused) == got
+        write_raster(fused, tmp_path / "f.msr")
+        with raster._RowFile(tmp_path / "f.msr") as rows:
+            assert metric_sam(rows, reference) == got
+
+    def test_partial_last_strip_is_covered(self):
+        strips = _row_strips(*SAM_SHAPES["partial-last-strip"])
+        assert len(strips) > 1
+        last, first = strips[-1], strips[0]
+        assert last.stop - last.start < first.stop - first.start
+
+    @pytest.mark.parametrize("side", ["fused", "reference", "both"])
+    def test_all_zero_side_is_zero(self, side):
+        x, y = _sam_pair(33, 40, 4, seed=5)
+        zero = Raster(np.zeros((33, 40, 4)))
+        pair = {"fused": (zero, y), "reference": (x, zero), "both": (zero, zero)}[side]
+        assert metric_sam(*pair) == 0.0 == plane_sam(*pair)
+
+    @pytest.mark.parametrize("source", ["raster", "row-file"])
+    def test_peak_memory_does_not_grow_with_the_image(self, tmp_path, source):
+        """At 1024 x 1024 x 4 an angle plane alone is 8 MiB; the strip sums
+        keep SAM's own allocations to a few strips' temporaries."""
+        rng = np.random.default_rng(41)
+        fused = Raster(rng.random((1024, 1024, 4)))
+        reference = Raster(rng.random((1024, 1024, 4)))
+        with contextlib.ExitStack() as stack:
+            if source == "row-file":
+                write_raster(fused, tmp_path / "f.msr")
+                fused = stack.enter_context(raster._RowFile(tmp_path / "f.msr"))
+            tracemalloc.start()
+            try:
+                metric_sam(fused, reference)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestErgas:
