@@ -3,11 +3,13 @@ one runner that computes independent strips on this thread and one helper.
 
 The runner returns the strips' results in strip order whichever thread ran
 them, so a caller that combines them in that order gets the same bits on any
-number of CPUs.
+number of CPUs. Every strip-sized array a strip writes is scratch that the
+calling thread allocated, so the helper allocates none.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import deque
@@ -16,6 +18,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 S = TypeVar("S")
+B = TypeVar("B")
 T = TypeVar("T")
 
 # Elements per strip array: 32 Ki float64 values (256 KiB), so a strip's few
@@ -42,6 +45,13 @@ def _row_strips(height: int, width: int, bands: int, min_rows: int = 1) -> list[
     :func:`_strip_rows` rows, at least ``min_rows``, the last cut at ``height``."""
     step = max(_strip_rows(width, bands), min_rows)
     return [slice(r, min(r + step, height)) for r in range(0, height, step)]
+
+
+def _shaped(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first values of a flat scratch ``buffer`` as a C-ordered array of
+    ``shape``: one buffer serves every strip, the last one too, however many
+    rows it has."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _cpus() -> int:
@@ -82,36 +92,42 @@ def _helper_ready() -> bool:
     return True
 
 
-def _map_strips(fn: Callable[[S], T], strips: Sequence[S]) -> list[T]:
-    """``[fn(s) for s in strips]``, with the strips shared between the calling
-    thread and the helper.
+def _map_strips(fn: Callable[[S, B], T], strips: Sequence[S], scratch: Callable[[], B]) -> list[T]:
+    """``[fn(s, buffers) for s in strips]``, with the strips shared between the
+    calling thread and the helper.
 
-    Both threads take the next strip from one counter, so neither idles while
-    strips remain, and both run under the caller's ``np.errstate``. ``fn`` must
-    call only private functions, never a traced public one. One strip, or one
-    CPU, runs inline.
+    ``scratch()`` makes one thread's strip buffers. It is called on the calling
+    thread once for each thread that runs strips, before any strip runs, and
+    each thread passes its own result to every strip it runs. So the helper
+    allocates no strip-sized array, and what it frees goes back to the calling
+    thread's malloc arena, where later work reuses it. Both threads take the
+    next strip from one counter, so neither idles while strips remain, and
+    both run under the caller's ``np.errstate``. ``fn`` must call only private
+    functions, never a traced public one. One strip, or one CPU, runs inline.
     """
     if len(strips) < 2 or not _helper_ready():
-        return [fn(s) for s in strips]
+        buffers = scratch()
+        return [fn(s, buffers) for s in strips]
+    mine, helpers = scratch(), scratch()
     results: list = [None] * len(strips)
     lock, state = threading.Lock(), np.geterr()
     taken = 0
     helper_failure: list[BaseException] = []
     helper_done = threading.Event()
 
-    def drain() -> None:
+    def drain(buffers: B) -> None:
         nonlocal taken
         while True:
             with lock:
                 i, taken = taken, taken + 1
             if i >= len(strips):
                 return
-            results[i] = fn(strips[i])
+            results[i] = fn(strips[i], buffers)
 
     def helper_job() -> None:
         try:
             with np.errstate(**state):
-                drain()
+                drain(helpers)
         except BaseException as exc:  # raised again on the calling thread
             helper_failure.append(exc)
         finally:
@@ -120,7 +136,7 @@ def _map_strips(fn: Callable[[S], T], strips: Sequence[S]) -> list[T]:
     _jobs.append(helper_job)
     _pending.release()
     try:
-        drain()
+        drain(mine)
     finally:
         with lock:
             taken = len(strips)  # after a failure here, the helper starts no new strip

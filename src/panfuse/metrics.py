@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._strips import _map_strips, _row_strips
+from ._strips import _map_strips, _row_strips, _shaped
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .raster import (
     Raster,
@@ -34,6 +34,8 @@ from .raster import (
     _finite_result,
     _frozen,
     _positive_int,
+    _row_scratch,
+    _rows,
 )
 from .resample import _downsample, _gaussian_kernel
 
@@ -78,27 +80,40 @@ def metric_sam(fused: Raster, reference: Raster) -> float:
     cosine similarity but avoids the catastrophic arccos cancellation
     near zero angle. Each :func:`_row_strips` strip sums its own angles, and
     the strip sums are added in strip order: the same bits on any CPU count.
+    A strip works in three cube and four plane buffers of its thread's scratch.
     """
     _check_same_shape(fused, reference)
     _check_bands("sam", fused.bands, 2)
+    strips = _row_strips(*fused.data.shape)
+    plane = strips[0].stop * fused.width
 
-    def strip(rows: slice) -> float:
-        f = fused.data[rows]
-        g = reference.data[rows]
-        nf = np.sqrt(_band_sum(f * f))
-        ng = np.sqrt(_band_sum(g * g))
-        mask = (nf >= _EPS) & (ng >= _EPS)
-        u = np.divide(f, nf[:, :, None], out=np.zeros_like(f), where=mask[:, :, None])
-        del f  # a row-file strip is its own array; only u is needed from here on
-        v = np.divide(g, ng[:, :, None], out=np.zeros_like(g), where=mask[:, :, None])
-        d = u - v
+    def scratch() -> tuple:
+        cubes = [np.empty(plane * fused.bands) for _ in range(3)]
+        planes = [np.empty(plane) for _ in range(2)] + [np.empty(plane, bool) for _ in range(2)]
+        return *cubes, *planes, _row_scratch(reference.data, strips[0].stop)
+
+    def strip(rows: slice, buffers: tuple) -> float:
+        u, v, d, nf, ng, mask, ng_ok, g_rows = buffers
+        f = _rows(fused.data, rows, d)  # a row file's strip is read into d's buffer
+        g = _rows(reference.data, rows, g_rows)
+        u, v, d = (_shaped(b, f.shape) for b in (u, v, d))
+        nf, ng, mask, ng_ok = (_shaped(b, f.shape[:2]) for b in (nf, ng, mask, ng_ok))
+        np.sqrt(_band_sum(np.multiply(f, f, out=u), nf), out=nf)
+        np.sqrt(_band_sum(np.multiply(g, g, out=u), ng), out=ng)
+        np.greater_equal(nf, _EPS, out=mask)
+        mask &= np.greater_equal(ng, _EPS, out=ng_ok)
+        u.fill(0.0)
+        np.divide(f, nf[:, :, None], out=u, where=mask[:, :, None])
+        v.fill(0.0)
+        np.divide(g, ng[:, :, None], out=v, where=mask[:, :, None])
+        np.subtract(u, v, out=d)  # over f's rows, which are no longer needed
         s = np.add(u, v, out=u)
-        diff = np.sqrt(_band_sum(np.multiply(d, d, out=d)))
-        summ = np.sqrt(_band_sum(np.multiply(s, s, out=s)))
+        diff = np.sqrt(_band_sum(np.multiply(d, d, out=d), nf), out=nf)
+        summ = np.sqrt(_band_sum(np.multiply(s, s, out=s), ng), out=ng)
         # Masked pixels have u = v = 0, so their angle is atan2(0, 0) = 0.
         return 2.0 * float(np.arctan2(diff, summ, out=diff).sum())
 
-    return sum(_map_strips(strip, _row_strips(*fused.data.shape))) / (fused.height * fused.width)
+    return sum(_map_strips(strip, strips, scratch)) / (fused.height * fused.width)
 
 
 @_finite_result
@@ -109,17 +124,25 @@ def metric_ergas(fused: Raster, reference: Raster, ratio: int) -> float:
     reference band means. Zero band means make the relative error
     undefined and are rejected. The squared errors and the reference band
     sums are summed per band in row strips, so no full-size difference array
-    is made and the reference is read once.
+    is made and the reference is read once. A strip's difference is its
+    thread's one scratch cube.
     """
     ratio = _positive_int("ratio", ratio)
     _check_same_shape(fused, reference)
+    strips = _row_strips(*fused.data.shape)
 
-    def strip(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        g = reference.data[rows]
-        d = fused.data[rows] - g
+    def scratch() -> tuple:
+        rows = strips[0].stop
+        return np.empty(rows * fused.width * fused.bands), _row_scratch(reference.data, rows)
+
+    def strip(rows: slice, buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
+        d, g_rows = buffers
+        g = _rows(reference.data, rows, g_rows)
+        f = _rows(fused.data, rows, d)  # a row file's strip is read into d's buffer
+        d = np.subtract(f, g, out=_shaped(d, f.shape))
         return np.einsum("ijk,ijk->k", d, d), np.einsum("ijk->k", g)
 
-    sq_err, ref_sum = map(sum, zip(*_map_strips(strip, _row_strips(*fused.data.shape))))
+    sq_err, ref_sum = map(sum, zip(*_map_strips(strip, strips, scratch)))
     pixels = fused.height * fused.width
     rmse = np.sqrt(sq_err / pixels)
     mu = ref_sum / pixels
@@ -139,9 +162,10 @@ def _tile_index(
     left out.
 
     Each row of tiles is one strip of :func:`_map_strips`: it is copied once
-    into a channel-major (tiles, C, block * block) array, so the means,
-    deviations and variances run along contiguous pixels, its deviations are
-    taken in place, and the covariance is one ``d @ d.T`` per tile.
+    into its thread's channel-major (tiles, C, block * block) scratch, so the
+    means, deviations and variances run along contiguous pixels, its
+    deviations are taken in place, and the covariance is one ``d @ d.T`` per
+    tile. A row-file part's rows are read into that thread's scratch too.
     ``tile_q(m, v, cov)`` gets the per-tile channel means (t, C),
     variances (t, C) and covariances ``cov[t, i, j] = cov(c_i, c_j)``
     (t, C, C), all with (n-1) normalization, and returns (values, valid),
@@ -162,12 +186,15 @@ def _tile_index(
     cols, n = width // block, block * block
     bounds = np.cumsum([0] + [p.shape[2] for p in parts])
 
-    def tile_row(r: int) -> tuple[np.ndarray, np.ndarray]:
-        stack = np.empty((cols, bounds[-1], n), dtype=np.float64)
+    def scratch() -> tuple:
+        return np.empty((cols, bounds[-1], n)), [_row_scratch(p, block) for p in parts]
+
+    def tile_row(r: int, buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
+        stack, reads = buffers
         tiles = stack.reshape(cols, bounds[-1], block, block)
-        for p, lo, hi in zip(parts, bounds, bounds[1:]):
-            row = p[r : r + block, : cols * block].reshape(block, cols, block, hi - lo)
-            tiles[:, lo:hi] = row.transpose(1, 3, 0, 2)
+        for p, p_rows, lo, hi in zip(parts, reads, bounds, bounds[1:]):
+            row = _rows(p, slice(r, r + block), p_rows)[:, : cols * block]
+            tiles[:, lo:hi] = row.reshape(block, cols, block, hi - lo).transpose(1, 3, 0, 2)
         # Skipped tiles may divide by zero; their values are dropped below.
         with np.errstate(divide="ignore", invalid="ignore"):
             m = stack.mean(axis=2)
@@ -177,7 +204,8 @@ def _tile_index(
             values, valid = tile_q(m, v, cov)
         return np.where(valid, values, 0.0).sum(axis=0), np.count_nonzero(valid, axis=0)
 
-    total, count = map(sum, zip(*_map_strips(tile_row, range(0, height - block + 1, block))))
+    tile_rows = range(0, height - block + 1, block)
+    total, count = map(sum, zip(*_map_strips(tile_row, tile_rows, scratch)))
     channels = [(p, c) for p in parts for c in range(p.shape[2])]
     strips = _row_strips(height, width, max(p.shape[2] for p in parts))
 
@@ -293,9 +321,15 @@ def _ssim_window() -> np.ndarray:
     return _gaussian_kernel(5, 1.5)
 
 
-def _valid_window_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _valid_window_mean(
+    x: np.ndarray,
+    kernel: np.ndarray,
+    vertical: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Separable valid-mode correlation with a 1-D kernel over the first two
-    axes of an H x W x B array.
+    axes of an H x W x B array, into the flat scratch ``out`` through the flat
+    scratch ``vertical`` (fresh arrays when ``out`` is not given).
 
     Each pass is one ``einsum`` over a window view of the taps. The
     horizontal pass reads the (rows, W * B) array in windows of
@@ -303,12 +337,17 @@ def _valid_window_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     k neighbouring columns. einsum runs without ``optimize``, so no BLAS call.
     """
     k = kernel.size
-    vertical = np.einsum("rwbk,k->rwb", sliding_window_view(x, k, axis=0), kernel)
-    rows, width, bands = vertical.shape
+    rows, width, bands = x.shape[0] - k + 1, x.shape[1], x.shape[2]
     cols = width - k + 1
+    if out is None:
+        vertical, out = np.empty(rows * width * bands), np.empty(rows * cols * bands)
+    window = sliding_window_view(x, k, axis=0)
+    vertical = np.einsum("rwbk,k->rwb", window, kernel, out=_shaped(vertical, (rows, width, bands)))
     flat = vertical.reshape(rows, width * bands)
     taps = sliding_window_view(flat, (k - 1) * bands + 1, axis=1)[:, : cols * bands, ::bands]
-    return np.einsum("rik,k->ri", taps, kernel).reshape(rows, cols, bands)
+    return np.einsum("rik,k->ri", taps, kernel, out=_shaped(out, (rows, cols * bands))).reshape(
+        rows, cols, bands
+    )
 
 
 @_finite_result
@@ -325,7 +364,9 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     gives the same bits. The map is evaluated in the :func:`_row_strips`
     strips of output rows across all bands, each at least twice the 10-row
     window halo (a strip then reads at most 1.5 times its output rows), and
-    the strips' band sums are added in strip order.
+    the strips' band sums are added in strip order. A strip works in five
+    buffers of its thread's scratch: two of its input rows, one of the
+    vertical pass and two of its output rows.
     """
     _check_same_shape(fused, reference)
     if min(fused.height, fused.width) < 11:
@@ -336,29 +377,38 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
     kernel = _ssim_window()
     halo = kernel.size - 1
     rows, cols = fused.height - halo, fused.width - halo
+    strips = _row_strips(rows, fused.width, fused.bands, 2 * halo)
 
-    def strip(out_rows: slice) -> np.ndarray:
-        x = fused.data[out_rows.start : out_rows.stop + halo]
-        y = reference.data[out_rows.start : out_rows.stop + halo]
-        prod = x * x
-        prod += y * y
-        e_sq = _valid_window_mean(prod, kernel)
-        e_xy = _valid_window_mean(np.multiply(x, y, out=prod), kernel)
-        del prod
-        mu_x = _valid_window_mean(x, kernel)
-        mu_y = _valid_window_mean(y, kernel)
+    def scratch() -> tuple:
+        out_rows, width, bands = strips[0].stop, fused.width, fused.bands
+        inputs = [np.empty((out_rows + halo) * width * bands) for _ in range(2)]
+        outputs = [np.empty(out_rows * cols * bands) for _ in range(2)]
+        y_rows = _row_scratch(reference.data, out_rows + halo)
+        return *inputs, np.empty(out_rows * width * bands), *outputs, y_rows
+
+    def strip(out_rows: slice, buffers: tuple) -> np.ndarray:
+        a, p, vertical, e, m, y_rows = buffers
+        in_rows = slice(out_rows.start, out_rows.stop + halo)
+        x = _rows(fused.data, in_rows, a)  # a row file's strip is read into a's buffer
+        y = _rows(reference.data, in_rows, y_rows)
         # ((2 mu_xy + C1)(2 (E[xy] - mu_xy) + C2)) / ((mu_sq + C1)(E[x^2 + y^2]
         # - mu_sq + C2)) with mu_xy = mu_x mu_y and mu_sq = mu_x^2 + mu_y^2,
-        # each step in place in the window means it no longer needs.
-        mu_xy = mu_x * mu_y
+        # each step in place in a buffer whose value is no longer needed.
+        mu_x = _valid_window_mean(x, kernel, vertical, m)
+        mu_y = _valid_window_mean(y, kernel, vertical, p)
+        mu_xy = np.multiply(mu_x, mu_y, out=_shaped(e, mu_x.shape))
         mu_sq = np.multiply(mu_x, mu_x, out=mu_x)
         mu_sq += np.multiply(mu_y, mu_y, out=mu_y)
+        e_xy = _valid_window_mean(np.multiply(x, y, out=_shaped(p, x.shape)), kernel, vertical, p)
         e_xy -= mu_xy
         e_xy *= 2
         e_xy += c2
         mu_xy *= 2
         mu_xy += c1
         mu_xy *= e_xy
+        prod = np.multiply(y, y, out=_shaped(p, y.shape))
+        prod += np.multiply(x, x, out=_shaped(a, x.shape))  # y*y + x*x: the bits of x*x + y*y
+        e_sq = _valid_window_mean(prod, kernel, vertical, a)
         e_sq -= mu_sq
         e_sq += c2
         mu_sq += c1
@@ -366,7 +416,7 @@ def metric_ssim(fused: Raster, reference: Raster) -> float:
         mu_xy /= mu_sq
         return mu_xy.sum(axis=(0, 1))
 
-    band_sums = sum(_map_strips(strip, _row_strips(rows, fused.width, fused.bands, 2 * halo)))
+    band_sums = sum(_map_strips(strip, strips, scratch))
     return float(np.mean(band_sums / (rows * cols)))
 
 

@@ -30,7 +30,7 @@ from typing import BinaryIO, Callable, Generic, Iterable, NamedTuple, Optional, 
 
 import numpy as np
 
-from ._strips import _STRIP_ELEMENTS, _row_strips
+from ._strips import _STRIP_ELEMENTS, _row_strips, _shaped
 from .errors import (
     HeaderError,
     MagicError,
@@ -190,11 +190,18 @@ def _real_array(name: str, value: object, copy: bool = True) -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise ParameterError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
     arr = (np.array if copy else np.asarray)(arr, dtype=np.float64, order="C")
-    flat = arr.reshape(-1)  # checked a strip at a time, so no H x W x B mask is made
+    _check_finite(name, arr)
+    return _frozen(arr)
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    """The array rule's finiteness check of a C-ordered float64 array: a NaN or
+    infinity is a non-finite error. It checks a strip at a time, so no mask of
+    the array's size is made."""
+    flat = arr.reshape(-1)
     for lo in range(0, flat.size, _STRIP_ELEMENTS):
         if not np.isfinite(flat[lo : lo + _STRIP_ELEMENTS]).all():
             raise NonFiniteRasterError(f"{name} contains non-finite values")
-    return _frozen(arr)
 
 
 def _choice(name: str, value: object, choices: Sequence[str]) -> str:
@@ -233,16 +240,16 @@ def _check_bands(what: str, bands: int, minimum: int, exact: bool = False) -> in
     return bands
 
 
-def _band_sum(cube: np.ndarray) -> np.ndarray:
-    """The per-pixel band sum of an H x W x B array, with the bits of
-    ``np.sum(cube, axis=2)``. Below 8 bands numpy adds the bands in order
-    onto +0.0, which adding whole band slices onto ``cube[:, :, 0] + 0.0``
-    repeats without a per-pixel loop (the +0.0 turns an all -0.0 pixel into
-    +0.0, as numpy does). From 8 bands on numpy sums pairwise, so this calls
-    it."""
+def _band_sum(cube: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The per-pixel band sum of an H x W x B array, into ``out`` if given, with
+    the bits of ``np.sum(cube, axis=2)``. Below 8 bands numpy adds the bands in
+    order onto +0.0, which adding whole band slices onto ``cube[:, :, 0] +
+    0.0`` repeats without a per-pixel loop (the +0.0 turns an all -0.0 pixel
+    into +0.0, as numpy does). From 8 bands on numpy sums pairwise, so this
+    calls it."""
     if cube.shape[2] >= 8:
-        return np.sum(cube, axis=2)
-    total = cube[:, :, 0] + 0.0
+        return np.sum(cube, axis=2, out=out)
+    total = np.add(cube[:, :, 0], 0.0, out=out)
     for b in range(1, cube.shape[2]):
         total += cube[:, :, b]
     return total
@@ -451,13 +458,14 @@ class _RowFile(_Cube):
     row slices, as every metric of ``eval`` does.
 
     Opening it checks the header as :func:`read_raster` does, then reads the
-    payload once, strip by strip under the array rule, and keeps nothing, so a
-    non-finite payload is refused before any metric runs. It holds one
-    descriptor until :meth:`close`, or the end of its ``with`` block.
-    ``data[lo:hi]`` and ``data[lo:hi, :c]`` are its only indexes: each is one
-    ``os.preadv`` of whole rows into a fresh array under the array rule, so a
-    file that shrank or took a NaN since it was opened is an IO error. Any
-    other index is a ``TypeError``: nothing reads the whole cube by accident.
+    payload once, strip by strip under the array rule, into one buffer, and
+    keeps nothing, so a non-finite payload is refused before any metric runs.
+    It holds one descriptor until :meth:`close`, or the end of its ``with``
+    block. :meth:`read` reads whole rows into the caller's scratch, and
+    ``data[lo:hi]`` and ``data[lo:hi, :c]`` into a fresh read-only array: each
+    is one ``os.preadv`` under the array rule's finiteness check, so a file
+    that shrank or took a NaN since it was opened is an IO error. Any other
+    index is a ``TypeError``: nothing reads the whole cube by accident.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -470,8 +478,10 @@ class _RowFile(_Cube):
             header, size = _framed_header(self._fh, self.path, MSR_MAGIC)
             self.shape = _msr_shape(self.path, header, size)
             self._fd, self._offset = self._fh.fileno(), self._fh.tell()
-            for rows in _row_strips(*self.shape):
-                self[rows]
+            strips = _row_strips(*self.shape)
+            buffer = _row_scratch(self, strips[0].stop)
+            for rows in strips:
+                self.read(rows, buffer)
         except BaseException:
             self._fh.close()
             raise
@@ -480,24 +490,33 @@ class _RowFile(_Cube):
     def data(self) -> _RowFile:
         return self
 
+    def read(self, rows: slice, buffer: np.ndarray) -> np.ndarray:
+        """``data[rows]`` for a ``rows`` slice of step 1, read into the start of
+        ``buffer``, a flat float64 scratch of at least that many values (see
+        :func:`_row_scratch`), and returned as a writable view of it."""
+        height, width, bands = self.shape
+        lo, hi, _ = rows.indices(height)
+        arr = _shaped(buffer, (max(hi - lo, 0), width, bands))
+        try:
+            got = os.preadv(self._fd, [arr], self._offset + lo * width * bands * 8)
+        except OSError as exc:
+            raise RasterIOError(f"cannot read {self.path}: {exc}") from exc
+        if got != arr.nbytes:
+            raise RasterIOError(f"{self.path}: file changed while it was read")
+        arr = arr.view("<f8")  # the payload's byte order, on any host
+        try:
+            _check_finite("raster data", arr)
+        except NonFiniteRasterError as exc:
+            raise _non_finite(self.path) from exc
+        return arr
+
     def __getitem__(self, index: slice | tuple[slice, slice]) -> np.ndarray:
         rows, cols = index if isinstance(index, tuple) and len(index) == 2 else (index, slice(None))
         if isinstance(rows, slice) and isinstance(cols, slice):
-            height, width, bands = self.shape
-            lo, hi, step = rows.indices(height)
-            start, stop, col_step = cols.indices(width)
+            lo, hi, step = rows.indices(self.height)
+            start, stop, col_step = cols.indices(self.width)
             if step == col_step == 1 and start == 0:
-                arr = np.empty((max(hi - lo, 0), width, bands), dtype="<f8")
-                try:
-                    got = os.preadv(self._fd, [arr], self._offset + lo * width * bands * 8)
-                except OSError as exc:
-                    raise RasterIOError(f"cannot read {self.path}: {exc}") from exc
-                if got != arr.nbytes:
-                    raise RasterIOError(f"{self.path}: file changed while it was read")
-                try:
-                    return _real_array("raster data", arr, copy=False)[:, :stop]
-                except NonFiniteRasterError as exc:
-                    raise _non_finite(self.path) from exc
+                return _frozen(self.read(rows, _row_scratch(self, hi - lo)))[:, :stop]
         raise TypeError(f"{self.path} is read by row slices [lo:hi] or [lo:hi, :c], not {index!r}")
 
     def close(self) -> None:
@@ -508,6 +527,21 @@ class _RowFile(_Cube):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _row_scratch(data: np.ndarray | _RowFile, rows: int) -> Optional[np.ndarray]:
+    """A flat float64 buffer to read ``rows`` rows of ``data`` into if it is a
+    :class:`_RowFile`, else None: an array's rows are views and need none."""
+    if isinstance(data, _RowFile):
+        return np.empty(max(rows, 0) * data.width * data.bands)
+    return None
+
+
+def _rows(data: np.ndarray | _RowFile, rows: slice, buffer: Optional[np.ndarray]) -> np.ndarray:
+    """``data[rows]`` in a strip: a view of an array's rows, or a row file's
+    rows read into ``buffer``, the calling thread's scratch, which is never
+    frozen and never leaves the strip that reads into it."""
+    return data.read(rows, buffer) if isinstance(data, _RowFile) else data[rows]
 
 
 def _normalized_weights(pan_weights: Sequence[float], bands: int) -> np.ndarray:

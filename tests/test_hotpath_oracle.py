@@ -189,6 +189,15 @@ def old_valid_window_mean(x, kernel):
     return final
 
 
+def old_window_mean_into(x, kernel, vertical, out):
+    """``old_valid_window_mean`` called as SSIM's strips call the window mean:
+    its result is copied into the start of the flat scratch ``out``."""
+    want = old_valid_window_mean(x, kernel)
+    got = out[: want.size].reshape(want.shape)
+    got[...] = want
+    return got
+
+
 def old_sam(f, g):
     eps = 1e-12
     nf = np.sqrt(np.sum(f * f, axis=2))
@@ -310,7 +319,8 @@ def _tile_mean(
         return float(values[valid].sum()), int(np.count_nonzero(valid))
 
     total, count = 0.0, 0
-    for row_total, row_count in _map_strips(tile_row, range(0, height - block + 1, block)):
+    rows = range(0, height - block + 1, block)
+    for row_total, row_count in _map_strips(lambda r, _: tile_row(r), rows, lambda: None):
         total += row_total
         count += row_count
     if count == 0:
@@ -559,7 +569,7 @@ def test_window_mean_matches_folded_pair_body(height, width, bands):
 def test_ssim_matches_folded_pair_window_mean(monkeypatch, height, width, bands):
     f, g = metric_pair(height, width, bands, seed=height + width * bands)
     got = metric_ssim(Raster(f), Raster(g))
-    monkeypatch.setattr(metrics, "_valid_window_mean", old_valid_window_mean)
+    monkeypatch.setattr(metrics, "_valid_window_mean", old_window_mean_into)
     assert abs(got - metric_ssim(Raster(f), Raster(g))) <= 1e-14
 
 
@@ -750,7 +760,8 @@ def tnc_tile_index(parts, block, tile_q, groups):
             values, valid = tile_q(m, v, cov)
         return np.where(valid, values, 0.0).sum(axis=0), np.count_nonzero(valid, axis=0)
 
-    total, count = map(sum, zip(*_map_strips(tile_row, range(0, height - block + 1, block))))
+    rows = range(0, height - block + 1, block)
+    total, count = map(sum, zip(*_map_strips(lambda r, _: tile_row(r), rows, lambda: None)))
     channels = [p[:, :, c] for p in parts for c in range(p.shape[2])]
 
     def fallback(a, b):

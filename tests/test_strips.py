@@ -3,10 +3,13 @@ the same bits on one CPU as on two."""
 
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
+from collections import deque
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -20,6 +23,10 @@ needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs CPU affinity control and at least 2 CPUs",
 )
+
+
+def no_scratch() -> None:
+    """The scratch factory of a strip function that writes no buffer."""
 
 
 def run_script(script: str) -> str:
@@ -36,7 +43,7 @@ def run_script(script: str) -> str:
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
 def test_results_in_strip_order(n):
     starts = range(0, 3 * n, 3)
-    assert _map_strips(lambda s: s * s, starts) == [s * s for s in starts]
+    assert _map_strips(lambda s, _: s * s, starts, no_scratch) == [s * s for s in starts]
 
 
 @pytest.mark.parametrize("failing", [0, 5, 19])
@@ -44,14 +51,14 @@ def test_failure_is_raised_on_the_caller(failing):
     """Whichever thread runs the failing strip, the caller raises its error,
     and the helper is idle again afterwards."""
 
-    def fn(s):
+    def fn(s, _):
         if s == failing:
             raise ValueError(f"strip {s}")
         return s
 
     with pytest.raises(ValueError, match=f"strip {failing}"):
-        _map_strips(fn, range(20))
-    assert _map_strips(lambda s: -s, range(20)) == [-s for s in range(20)]
+        _map_strips(fn, range(20), no_scratch)
+    assert _map_strips(lambda s, _: -s, range(20), no_scratch) == [-s for s in range(20)]
 
 
 def test_helper_runs_under_the_callers_error_state(monkeypatch):
@@ -60,14 +67,14 @@ def test_helper_runs_under_the_callers_error_state(monkeypatch):
     monkeypatch.setattr(_strips, "_cpus", lambda: 2)
     both = threading.Barrier(2, timeout=30)
 
-    def fn(s):
+    def fn(s, _):
         if s < 2:
             both.wait()
         return threading.get_ident(), np.geterr()
 
     with np.errstate(over="raise", invalid="ignore", under="warn"):
         want = np.geterr()
-        got = _map_strips(fn, range(4))
+        got = _map_strips(fn, range(4), no_scratch)
     assert len({thread for thread, _ in got}) == 2
     assert [state for _, state in got] == [want] * 4
 
@@ -78,21 +85,24 @@ def test_helper_failure_is_raised_on_the_caller(monkeypatch):
     monkeypatch.setattr(_strips, "_cpus", lambda: 2)
     both, caller = threading.Barrier(2, timeout=30), threading.get_ident()
 
-    def fn(s):
+    def fn(s, _):
         both.wait()
         if threading.get_ident() != caller:
             raise ValueError(f"helper strip {s}")
         return s
 
     with pytest.raises(ValueError, match="^helper strip [01]$"):
-        _map_strips(fn, range(2))
-    assert _map_strips(lambda s: -s, range(20)) == [-s for s in range(20)]
+        _map_strips(fn, range(2), no_scratch)
+    assert _map_strips(lambda s, _: -s, range(20), no_scratch) == [-s for s in range(20)]
 
 
 def test_nested_runner_runs_inline():
     """A strip that calls the runner again finishes instead of waiting for
     the helper it runs on."""
-    out = _map_strips(lambda s: sum(_map_strips(lambda t: s * t, range(4))), range(8))
+    def fn(s, _):
+        return sum(_map_strips(lambda t, _: s * t, range(4), no_scratch))
+
+    out = _map_strips(fn, range(8), no_scratch)
     assert out == [6 * s for s in range(8)]
 
 
@@ -104,7 +114,7 @@ def test_concurrent_callers_share_the_helper():
     def caller(k):
         try:
             for _ in range(20):
-                got = _map_strips(lambda s: (k, s), range(50))
+                got = _map_strips(lambda s, _: (k, s), range(50), no_scratch)
                 assert got == [(k, s) for s in range(50)]
             results[k] = True
         except BaseException as exc:
@@ -125,15 +135,118 @@ def test_concurrent_callers_share_the_helper():
     assert sorted(results) == list(range(6))
 
 
+@pytest.mark.parametrize("cpus, strips, threads", [(1, 8, 1), (2, 1, 1), (2, 8, 2)],
+                         ids=["one-cpu", "one-strip", "helper"])
+def test_scratch_is_made_on_the_caller_once_per_thread(monkeypatch, cpus, strips, threads):
+    """The factory runs on the calling thread, once for each thread that runs
+    strips, and each thread passes its own scratch to every strip it runs."""
+    monkeypatch.setattr(_strips, "_cpus", lambda: cpus)
+    caller, made = threading.get_ident(), []
+    both = threading.Barrier(threads, timeout=30)
+
+    def scratch():
+        made.append((threading.get_ident(), object()))
+        return made[-1][1]
+
+    def fn(s, buffers):
+        if s < threads:
+            both.wait()  # the first strips wait for each other, so each thread runs one
+        return threading.get_ident(), buffers
+
+    got = _map_strips(fn, range(strips), scratch)
+    assert [thread for thread, _ in made] == [caller] * threads
+    assert len({thread for thread, _ in got}) == threads
+    assert len({(thread, id(buffers)) for thread, buffers in got}) == threads
+    assert {id(buffers) for _, buffers in got} == {id(buffers) for _, buffers in made}
+
+
+def test_nested_runner_makes_its_scratch_on_its_own_thread(monkeypatch):
+    """A strip that calls the runner again makes that call's scratch on its
+    own thread: once on the helper, where the nested call runs inline, and
+    twice on the calling thread, which shares the nested strips again."""
+    monkeypatch.setattr(_strips, "_cpus", lambda: 2)
+    both = threading.Barrier(2, timeout=30)
+
+    def fn(s, _):
+        if s < 2:
+            both.wait()
+        made = []
+        inner = _map_strips(lambda t, b: b, range(4), lambda: made.append(threading.get_ident()))
+        on_helper = getattr(_strips._on_helper, "active", False)
+        return on_helper, made == [threading.get_ident()] * (1 if on_helper else 2), inner
+
+    got = _map_strips(fn, range(4), no_scratch)
+    assert {on_helper for on_helper, _, _ in got} == {False, True}
+    assert all(ok and inner == [None] * 4 for _, ok, inner in got)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_failing_scratch_raises_on_the_caller_before_any_job(monkeypatch, failing_call):
+    """A factory that raises does so on the calling thread, before any strip
+    runs and before a job is handed to the helper; the runner works after."""
+    monkeypatch.setattr(_strips, "_cpus", lambda: 2)
+    _map_strips(lambda s, _: s, range(4), no_scratch)  # the helper is running
+    jobs, pending = deque(), threading.Semaphore(0)
+    monkeypatch.setattr(_strips, "_jobs", jobs)
+    monkeypatch.setattr(_strips, "_pending", pending)
+    calls, ran = [], []
+
+    def scratch():
+        calls.append(threading.get_ident())
+        if len(calls) == failing_call:
+            raise MemoryError("no scratch")
+
+    with pytest.raises(MemoryError, match="no scratch"):
+        _map_strips(lambda s, _: ran.append(s), range(4), scratch)
+    assert calls == [threading.get_ident()] * failing_call
+    assert ran == [] and len(jobs) == 0
+    assert not pending.acquire(blocking=False)
+    monkeypatch.undo()
+    assert _map_strips(lambda s, _: -s, range(20), no_scratch) == [-s for s in range(20)]
+
+
+def test_concurrent_callers_never_share_scratch():
+    """Calling threads that outnumber the cores each get, in every strip,
+    scratch their own call made, and no scratch serves two calls."""
+    made, errors, lock = [], [], threading.Lock()
+
+    def caller(k):
+        try:
+            for _ in range(20):
+                mine = []
+                got = _map_strips(lambda s, b: b, range(50), lambda: mine.append([k]) or mine[-1])
+                assert 1 <= len(mine) <= 2
+                assert all(any(b is m for m in mine) for b in got)
+                with lock:
+                    made.extend(mine)
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len({id(b) for b in made}) == len(made)  # all alive, so one id per list
+
+
 def map_in_child() -> None:
-    sys.exit(0 if _map_strips(lambda s: s + 1, range(10)) == list(range(1, 11)) else 1)
+    got = _map_strips(lambda s, _: s + 1, range(10), no_scratch)
+    sys.exit(0 if got == list(range(1, 11)) else 1)
 
 
 @needs_two_cpus
 def test_forked_child_starts_its_own_helper():
     """A child forked after the helper started inherits no helper thread; its
     runner must not wait for the parent's."""
-    _map_strips(lambda s: s, range(4))
+    _map_strips(lambda s, _: s, range(4), no_scratch)
     child = multiprocessing.get_context("fork").Process(target=map_in_child)
     child.start()
     child.join(timeout=60)
@@ -224,6 +337,42 @@ def test_same_bits_on_one_and_two_cpus():
     two_digest, two_threads = run_script(DIGEST_SCRIPT.format(cpus=set(two))).split()
     assert (one_threads, two_threads) == ("1", "2")  # the helper ran only on two CPUs
     assert one_digest == two_digest
+
+
+# Five fusions of a 512 x 512 x 4 scene and their reports, then glibc's
+# account of this process's malloc arenas, written to a file as XML.
+ARENA_SCRIPT = """
+import ctypes, threading
+from panfuse import FusionInput, build_report, fusion, synth_scene, wald_degrade
+hrms, pan = synth_scene(512, 512, 4, 2000, [1.0] * 4)
+lrms, _, reference = wald_degrade(hrms, pan, 4)
+fin = FusionInput(lrms, pan, 4)
+for fuse in (fusion.fuse_gihs, fusion.fuse_brovey, fusion.fuse_pca, fusion.fuse_gs, fusion.fuse_hpf):
+    build_report(fuse.__name__, fuse(fin), reference, lrms, pan, 4)
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+stream = libc.fopen({path!r}.encode(), b"w")
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+print(threading.active_count())
+"""
+
+
+@needs_two_cpus
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="reads glibc's malloc_info")
+def test_helper_arena_holds_no_strip_temporaries(tmp_path):
+    """glibc gives the helper thread its own malloc arena, which keeps what
+    the helper frees. Every strip-sized array comes from the calling thread,
+    so after five reports no arena but the main one holds more than 1 MiB."""
+    path = tmp_path / "malloc.xml"
+    assert run_script(ARENA_SCRIPT.format(path=str(path))).split() == ["2"]
+    heaps = ElementTree.parse(path).getroot().iter("heap")
+    held = {heap.get("nr"): int(heap.find("system[@type='current']").get("size")) for heap in heaps}
+    assert "0" in held
+    assert {nr: size for nr, size in held.items() if nr != "0" and size > 2**20} == {}
 
 
 # The calls of one benchmark GAN step (losses, gradients, conv features) and
