@@ -38,9 +38,10 @@ REPORT_FORMATS = {"csv": metrics.reports_to_csv, "json": metrics.reports_to_json
 
 def _check_out(out: Path) -> None:
     """Refuse an ``--out`` that exists, or whose nearest existing ancestor
-    exists, as anything but a directory; ``main`` runs this before the work."""
+    exists, as anything but a directory; ``main`` runs this before the work.
+    A dangling symlink counts as existing: ``mkdir`` could not create it."""
     for path in (out, *out.parents):
-        if path.exists():
+        if path.is_symlink() or path.exists():
             if not path.is_dir():
                 raise NotADirectoryError(f"--out {out}: {path} exists and is not a directory")
             return

@@ -14,6 +14,9 @@ from panfuse import (
     ConvLayer,
     ConvStackSpec,
     Raster,
+    gm_perceptual_loss,
+    load_conv_stack,
+    perceptual_loss,
     read_raster,
     save_conv_stack,
     synth_scene,
@@ -136,6 +139,24 @@ def test_out_naming_a_file_fails_before_the_work(command, out, tmp_path, monkeyp
     assert cli.main([*argv, "--out", str(tmp_path / out)]) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"io error: --out {tmp_path / out}: ")
+
+
+@pytest.mark.parametrize("out", ["dangling", "dangling/sub"])
+@pytest.mark.parametrize("command", OUT_WORK)
+def test_out_at_a_dangling_symlink_fails_before_the_work(command, out, tmp_path, monkeypatch,
+                                                          capsys):
+    """A dangling symlink is refused as a file is: ``mkdir`` cannot create
+    the directory it names, so the command must not run first."""
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    test_out_naming_a_file_fails_before_the_work(command, out, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("out", ["link", "link/sub"])
+def test_out_through_a_symlink_to_a_directory_runs(out, tmp_path):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "dir")
+    assert cli.main(["simulate", "--size", "8", "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / out / "hrms.msr").is_file()
 
 
 class TestDegrade:
@@ -363,6 +384,20 @@ class TestEval:
         json_row = json.loads((tmp_path / "report.json").read_text())[0]
         for i, name in enumerate(("ssim", "sam", "ergas", "q4", "qnr")):
             assert float(csv_cells[i + 1]) == json_row[name]
+
+    def test_json_rows_are_the_csv_rows(self, scene_dir, tmp_path):
+        """report.json is a top-level array with one object per CSV row, keyed
+        by the CSV header in its order, the methods in input order."""
+        args = ["eval", "--fused", scene_dir / "reference.msr", scene_dir / "hrms.msr",
+                "--reference", scene_dir / "reference.msr", "--lrms", scene_dir / "lrms.msr",
+                "--pan", scene_dir / "pan.msr", "--ratio", 4, "--out", tmp_path]
+        for fmt in ("csv", "json"):
+            assert cli.main([str(a) for a in (*args, "--format", fmt)]) == 0
+        header, *table = csv.reader((tmp_path / "report.csv").read_text().splitlines())
+        rows = json.loads((tmp_path / "report.json").read_text())
+        assert isinstance(rows, list) and [list(row) for row in rows] == [header] * len(table)
+        assert [row["method"] for row in rows] == [line[0] for line in table] == [
+            "reference", "hrms"]
 
     def test_five_methods_compute_the_qnr_low_side_once(self, scene_dir, tmp_path, capsys,
                                                        monkeypatch):
@@ -617,6 +652,27 @@ class TestLoss:
         assert self.loss_exit("--name", name, "--grad-check", "--extractor",
                               tmp_path / "stack.csw", tmp_path / "f.msr",
                               tmp_path / "r.msr") == code
+
+    @pytest.mark.parametrize("name, loss", [("perceptual", perceptual_loss),
+                                            ("gm-perceptual", gm_perceptual_loss)])
+    def test_value_with_a_two_layer_conv_stack(self, tmp_path, capsys, name, loss):
+        """A two-layer stack whose second layer has stride 2: the value exits 0
+        and prints the library's loss through the loaded stack."""
+        rng = np.random.default_rng(7)
+        layers = tuple(
+            ConvLayer(weights=rng.normal(0.0, 0.3, (c_out, c_in, 3, 3)),
+                      bias=rng.normal(0.0, 0.05, c_out), stride=stride, leaky_slope=0.2)
+            for c_in, c_out, stride in ((4, 8, 1), (8, 16, 2))
+        )
+        save_conv_stack(ConvStackSpec(bands=4, layers=layers), tmp_path / "stack.csw")
+        fused, reference = separated_pair(5, height=16, width=16, bands=4)
+        write_raster(fused, tmp_path / "f.msr")
+        write_raster(reference, tmp_path / "r.msr")
+        argv = ["loss", "--name", name, "--extractor", tmp_path / "stack.csw",
+                tmp_path / "f.msr", tmp_path / "r.msr"]
+        assert cli.main([str(a) for a in argv]) == 0
+        want = loss(fused, reference, load_conv_stack(tmp_path / "stack.csw"))
+        assert capsys.readouterr().out == f"{want:.6f}\n"
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(

@@ -351,14 +351,15 @@ class TestEvalFailures:
 
 def test_eval_holds_no_fused_cube(eval_scene, tmp_path):
     """Under tracemalloc, a one-method ``eval`` at 512 x 512 x 4 holds the
-    reference, the pan and the lrms, SAM's angle plane, and the strip
-    temporaries of each strip thread (2 MiB apiece), but no fused cube."""
+    reference, the pan and the lrms, the strip temporaries of each strip
+    thread (2 MiB apiece) and at most 1 MiB beside them, but no fused cube
+    and no 2 MiB plane."""
     hrms, pan = synth_scene(512, 512, 4, 12, [1.0] * 4)
     lrms, _, reference = wald_degrade(hrms, pan, 4)
     fused = fusion.fuse_gihs(FusionInput(lrms, pan, 4))
     for name, r in [("pan", pan), ("lrms", lrms), ("reference", reference), ("f", fused)]:
         write_raster(r, tmp_path / f"{name}.msr")
-    held = sum(r.data.nbytes for r in (reference, pan, lrms)) + pan.data.nbytes
+    held = sum(r.data.nbytes for r in (reference, pan, lrms))
     threads = 2 if _strips._cpus() >= 2 else 1
     del hrms, pan, lrms, reference, fused
     argv = [str(a) for a in (
@@ -371,7 +372,7 @@ def test_eval_holds_no_fused_cube(eval_scene, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < held + threads * 2 * 2**20
+    assert peak < held + threads * 2 * 2**20 + 2**20
 
 
 def test_eval_peak_at_1024_with_scratch_held_per_call(tmp_path):
