@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
-from collections import deque
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -26,10 +26,8 @@ T = TypeVar("T")
 # 1024 x 4 bands, 32 at 256 x 4).
 _STRIP_ELEMENTS = 32 * 1024
 
-# Jobs for the helper thread, one semaphore count per job; deque appends
-# and pops are thread-safe.
-_jobs: deque[Callable[[], None]] = deque()
-_pending = threading.Semaphore(0)
+# Jobs for the helper thread, which runs them in the order they were put.
+_jobs: queue.SimpleQueue[Callable[[], None]] = queue.SimpleQueue()
 _start_lock = threading.Lock()
 _started = False
 _on_helper = threading.local()
@@ -64,15 +62,13 @@ def _cpus() -> int:
 def _serve() -> None:
     _on_helper.active = True
     while True:
-        _pending.acquire()
-        _jobs.popleft()()
+        _jobs.get()()
 
 
 def _forget_helper() -> None:
     """A forked child has no helper thread, only its parent's bookkeeping."""
-    global _pending, _start_lock, _started
-    _jobs.clear()
-    _pending, _start_lock, _started = threading.Semaphore(0), threading.Lock(), False
+    global _jobs, _start_lock, _started
+    _jobs, _start_lock, _started = queue.SimpleQueue(), threading.Lock(), False
 
 
 if hasattr(os, "register_at_fork"):
@@ -104,6 +100,7 @@ def _map_strips(fn: Callable[[S, B], T], strips: Sequence[S], scratch: Callable[
     next strip from one counter, so neither idles while strips remain, and
     both run under the caller's ``np.errstate``. ``fn`` must call only private
     functions, never a traced public one. One strip, or one CPU, runs inline.
+    A strip's error is raised here once the helper is done, the caller's own first.
     """
     if len(strips) < 2 or not _helper_ready():
         buffers = scratch()
@@ -112,8 +109,7 @@ def _map_strips(fn: Callable[[S, B], T], strips: Sequence[S], scratch: Callable[
     results: list = [None] * len(strips)
     lock, state = threading.Lock(), np.geterr()
     taken = 0
-    helper_failure: list[BaseException] = []
-    helper_done = threading.Event()
+    outcome: queue.SimpleQueue[BaseException | None] = queue.SimpleQueue()
 
     def drain(buffers: B) -> None:
         nonlocal taken
@@ -129,18 +125,17 @@ def _map_strips(fn: Callable[[S, B], T], strips: Sequence[S], scratch: Callable[
             with np.errstate(**state):
                 drain(helpers)
         except BaseException as exc:  # raised again on the calling thread
-            helper_failure.append(exc)
-        finally:
-            helper_done.set()
+            outcome.put(exc)
+        else:
+            outcome.put(None)
 
-    _jobs.append(helper_job)
-    _pending.release()
+    _jobs.put(helper_job)
     try:
         drain(mine)
     finally:
         with lock:
             taken = len(strips)  # after a failure here, the helper starts no new strip
-        helper_done.wait()
-    if helper_failure:
-        raise helper_failure[0]
+        failure = outcome.get()
+    if failure is not None:
+        raise failure
     return results

@@ -472,9 +472,11 @@ def gradient_check(
     gradient that the central difference's rounding, about ``eps * max(|L|, 1)
     / h``, leaves a relative ``eps**(1/3)`` (6e-6) in error; smaller elements
     are compared on that absolute scale. A step below ``sqrt(eps)``, where the
-    floor lets even a sign-flipped gradient pass, breaks the step rule."""
+    floor lets even a sign-flipped gradient pass, breaks the step rule. An
+    ``analytic`` of another shape than ``fused`` is refused, not broadcast."""
     if _finite_real("step size", h, positive=True) < math.sqrt(np.finfo(np.float64).eps):
         raise ParameterError(f"step size of a gradient check must be >= sqrt(eps), got {h}")
+    _check_same_shape(analytic, fused)
     fd = finite_difference_gradient(loss, fused, h)
     floor = np.finfo(np.float64).eps ** (2 / 3) * max(abs(loss(fused)), 1.0) / h
     ga, gf = analytic.data, fd.data

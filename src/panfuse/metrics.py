@@ -17,7 +17,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -495,9 +495,11 @@ def build_report(
     )
 
 
-def reports_to_csv(reports: list[MetricReport]) -> str:
+def reports_to_csv(reports: Iterable[MetricReport]) -> str:
     """Six-decimal CSV with header ``method,ssim,sam,ergas,q<n>,qnr``, the
-    Q2^n column named by the reports' one ``q_order`` (q4 for no report)."""
+    Q2^n column named by the reports' one ``q_order`` (q4 for no report).
+    ``reports`` is read once, so a generator gives every row."""
+    reports = list(reports)
     orders = {rep.q_order for rep in reports} or {4}
     if len(orders) > 1:
         raise UsageError(f"reports of Q2^n orders {sorted(orders)} cannot share one CSV")

@@ -316,17 +316,21 @@ class Patch(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PatchSet(_Carrier):
-    """Aligned (lrms, pan, reference) tiles cut from one scene."""
+    """Aligned (lrms, pan, reference) tiles cut from one scene, kept as a tuple."""
 
     patches: tuple[Patch, ...]
     ratio: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ratio", _positive_int("ratio", self.ratio))
-        for p in self.patches:
+        patches = tuple(self.patches)
+        for i, p in enumerate(patches):
+            if not isinstance(p, Patch):
+                raise ValueError(f"patch {i} must be a Patch, got {type(p).__name__}")
             _check_scale_pair(p.lrms, p.pan, self.ratio)
             if p.reference is not None:
                 _check_scale_pair(p.lrms, p.reference, self.ratio, pan=False)
+        object.__setattr__(self, "patches", patches)
 
 
 def _write_framed(
@@ -663,4 +667,4 @@ def patchify(ms: Raster, pan: Raster, patch: int, ratio: int) -> PatchSet:
                     reference=None,
                 )
             )
-    return PatchSet(patches=tuple(patches), ratio=ratio)
+    return PatchSet(patches=patches, ratio=ratio)

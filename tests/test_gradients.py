@@ -21,7 +21,7 @@ from panfuse import (
     total_sam_loss,
 )
 from panfuse import cli, losses
-from panfuse.errors import UsageError
+from panfuse.errors import ShapeMismatchError, UsageError
 from panfuse.losses import GRADIENTS, LOSSES, Loss, LossContext
 from helpers import random_raster, separated_pair
 
@@ -178,6 +178,16 @@ class TestGradientCheckFloor:
         median = np.argsort(np.abs(flat))[flat.size // 2]
         flat[median] = -flat[median]
         assert self.check(monkeypatch, case, flipped) >= 1e-4
+
+
+def test_gradient_check_refuses_an_analytic_gradient_of_another_shape():
+    """A 1 x 1 x 1 raster holding the l1 gradient's one value would broadcast
+    onto the 4 x 4 x 2 differences and pass."""
+    reference = random_raster(3, 4, 4, 2, lo=0.1, hi=0.4)
+    fused = Raster(reference.data + 0.5)
+    with pytest.raises(ShapeMismatchError, match=r"\(1, 1, 1\) vs \(4, 4, 2\)"):
+        gradient_check(lambda x: pixel_loss(x, reference, "l1"), Raster(np.full((1, 1, 1), 1 / 32)),
+                       fused, 1e-5)
 
 
 class TestLossTable:

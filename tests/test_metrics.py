@@ -633,6 +633,11 @@ class TestReport:
         assert json.loads(reports_to_json([rep]))[0]["q8"] == 0.75
         assert reports_to_csv([]) == "method,ssim,sam,ergas,q4,qnr\n"
 
+    def test_csv_of_a_generator_is_the_csv_of_the_list(self):
+        reps = [MetricReport(m, 0.5, 0.1, 2.0, 0.75, 0.9) for m in ("a", "b")]
+        assert reports_to_csv(r for r in reps) == reports_to_csv(reps)
+        assert reports_to_csv(reps).count("\n") == 3
+
     def test_csv_refuses_mixed_orders(self):
         reps = [MetricReport("a", 0.5, 0.1, 2.0, 0.75, 0.9, q_order=q) for q in (4, 8)]
         with pytest.raises(UsageError):

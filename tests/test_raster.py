@@ -440,6 +440,25 @@ class TestPatchify:
         with pytest.raises(ShapeMismatchError):
             PatchSet(patches=(bad,), ratio=2)
 
+    def test_patchset_keeps_a_generator_as_a_tuple(self):
+        lrms, pan = random_raster(0, 8, 8, 2), random_raster(1, 32, 32, 1)
+        ps = PatchSet(patches=(Patch(lrms, pan, None) for _ in range(3)), ratio=4)
+        assert type(ps.patches) is tuple and len(ps.patches) == 3
+        assert all(p.lrms is lrms and p.pan is pan for p in ps.patches)
+
+    def test_patchset_keeps_a_list_as_a_tuple(self):
+        lrms, pan = random_raster(0, 8, 8, 2), random_raster(1, 32, 32, 1)
+        patches = [Patch(lrms, pan, None)]
+        ps = PatchSet(patches=patches, ratio=4)
+        patches.append((lrms, pan, None))  # cannot reach the validated set
+        assert ps.patches == (Patch(lrms, pan, None),)
+        assert len(copy.deepcopy(ps).patches) == 1
+
+    def test_patchset_refuses_a_plain_tuple_by_index(self):
+        lrms, pan = random_raster(0, 8, 8, 2), random_raster(1, 32, 32, 1)
+        with pytest.raises(ValueError, match="^patch 1 must be a Patch, got tuple$"):
+            PatchSet(patches=(Patch(lrms, pan, None), (lrms, pan, None)), ratio=4)
+
     @pytest.mark.parametrize("fault", PAN_FAULTS + CUBE_FAULTS)
     def test_patchset_scale_pair_faults(self, fault):
         lrms, pan, cube = scale_pair(fault)

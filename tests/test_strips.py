@@ -4,10 +4,11 @@ the same bits on one CPU as on two."""
 import multiprocessing
 import os
 import platform
+import queue
 import subprocess
 import sys
 import threading
-from collections import deque
+import time
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -93,6 +94,27 @@ def test_helper_failure_is_raised_on_the_caller(monkeypatch):
 
     with pytest.raises(ValueError, match="^helper strip [01]$"):
         _map_strips(fn, range(2), no_scratch)
+    assert _map_strips(lambda s, _: -s, range(20), no_scratch) == [-s for s in range(20)]
+
+
+def test_failures_on_both_threads_raise_the_callers(monkeypatch):
+    """The two strips wait for each other, so each thread runs one, and both
+    fail: the caller raises its own error once the helper has finished."""
+    monkeypatch.setattr(_strips, "_cpus", lambda: 2)
+    both, caller = threading.Barrier(2, timeout=30), threading.get_ident()
+    helper_finished = threading.Event()
+
+    def fn(s, _):
+        both.wait()
+        if threading.get_ident() != caller:
+            time.sleep(0.05)  # the caller's strip fails first
+            helper_finished.set()
+            raise ValueError(f"helper strip {s}")
+        raise ValueError(f"caller strip {s}")
+
+    with pytest.raises(ValueError, match="^caller strip [01]$"):
+        _map_strips(fn, range(2), no_scratch)
+    assert helper_finished.is_set()
     assert _map_strips(lambda s, _: -s, range(20), no_scratch) == [-s for s in range(20)]
 
 
@@ -186,9 +208,8 @@ def test_failing_scratch_raises_on_the_caller_before_any_job(monkeypatch, failin
     runs and before a job is handed to the helper; the runner works after."""
     monkeypatch.setattr(_strips, "_cpus", lambda: 2)
     _map_strips(lambda s, _: s, range(4), no_scratch)  # the helper is running
-    jobs, pending = deque(), threading.Semaphore(0)
+    jobs = queue.SimpleQueue()
     monkeypatch.setattr(_strips, "_jobs", jobs)
-    monkeypatch.setattr(_strips, "_pending", pending)
     calls, ran = [], []
 
     def scratch():
@@ -199,8 +220,7 @@ def test_failing_scratch_raises_on_the_caller_before_any_job(monkeypatch, failin
     with pytest.raises(MemoryError, match="no scratch"):
         _map_strips(lambda s, _: ran.append(s), range(4), scratch)
     assert calls == [threading.get_ident()] * failing_call
-    assert ran == [] and len(jobs) == 0
-    assert not pending.acquire(blocking=False)
+    assert ran == [] and jobs.empty()
     monkeypatch.undo()
     assert _map_strips(lambda s, _: -s, range(20), no_scratch) == [-s for s in range(20)]
 
