@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from ._strips import _row_strips
-from .errors import DegenerateInputError, UsageError
-from .raster import Raster, _Carrier, _band_sum, _check_scale_pair, _choice, _moments
+from .errors import DegenerateInputError
+from .raster import Raster, _Carrier, _band_sum, _check_bands, _check_scale_pair, _choice, _moments
 from .resample import _STD_EPS, _downsample, _match_coefficients, _matched, _separable, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
@@ -94,8 +94,7 @@ def fuse_gihs(fin: FusionInput) -> Raster:
     The intensity is the equal-weight band mean, which folds the NIR band
     into the substitution instead of restricting it to three color bands.
     """
-    if fin.lrms.bands < 3:
-        raise UsageError(f"gihs requires at least 3 bands, got {fin.lrms.bands}")
+    _check_bands("gihs", fin.lrms.bands, 3)
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = _band_mean(ms_up)
     return _inject(ms_up, 1.0, _detail(fin.pan.data[:, :, 0], intensity))

@@ -67,7 +67,7 @@ class LossSpec:
         for name in ("alpha", "beta", "eta1", "eta2"):
             object.__setattr__(self, name, _finite_real(f"loss weight {name}", getattr(self, name)))
         if self.eta1 < 0 or self.eta2 < 0:
-            raise UsageError("eta1 and eta2 must be nonnegative")
+            raise ParameterError("eta1 and eta2 must be nonnegative")
 
 
 class LossContext(NamedTuple):

@@ -53,8 +53,8 @@ class MetricReport:
     """One evaluated method: the five Table-style metric values.
 
     Value ranges: ssim in [-1, 1], sam in [0, pi] (radians), ergas >= 0,
-    q4 in [-1, 1], qnr in [0, 1]. ``q4`` is the Q2^n of order ``q_order``,
-    which names its column: q2, q4, q8, q16 for 2, 3-4, 5-8, 9-16 bands.
+    q4 in [0, 1] up to 8 bands (q2-q8), qnr in [0, 1]. ``q4`` is the Q2^n of order
+    ``q_order``, which names its column: q2, q4, q8, q16 for 2, 3-4, 5-8, 9-16 bands.
     """
 
     method: str
@@ -303,7 +303,7 @@ def metric_q2n(fused: Raster, reference: Raster, block: int) -> float:
     """Hypercomplex quality index Q2^n (Alparone et al. 2004; Garzelli and Nencini
     2009): a pixel's B >= 2 bands are one Cayley-Dickson number of order 2^ceil(log2 B)
     (complex for 2 bands, octonion for 5-8); tiles are scored, skipped and averaged as
-    in :func:`metric_uiqi`, with hypercomplex moments. |Q| <= 1 up to 8 bands only."""
+    in :func:`metric_uiqi`, with hypercomplex moments. Q in [0, 1] up to 8 bands only."""
     _check_same_shape(fused, reference)
     bands = _check_bands("q2n", fused.bands, 2)
     groups = [(range(bands), range(bands, 2 * bands))]
@@ -322,14 +322,12 @@ def _ssim_window() -> np.ndarray:
 
 
 def _valid_window_mean(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    vertical: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    x: np.ndarray, kernel: np.ndarray, vertical: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Separable valid-mode correlation with a 1-D kernel over the first two
     axes of an H x W x B array, into the flat scratch ``out`` through the flat
-    scratch ``vertical`` (fresh arrays when ``out`` is not given).
+    scratch ``vertical``: the first (H - k + 1) * W * B values of ``vertical``
+    and the first (H - k + 1) * (W - k + 1) * B of ``out`` are written.
 
     Each pass is one ``einsum`` over a window view of the taps. The
     horizontal pass reads the (rows, W * B) array in windows of
@@ -339,8 +337,6 @@ def _valid_window_mean(
     k = kernel.size
     rows, width, bands = x.shape[0] - k + 1, x.shape[1], x.shape[2]
     cols = width - k + 1
-    if out is None:
-        vertical, out = np.empty(rows * width * bands), np.empty(rows * cols * bands)
     window = sliding_window_view(x, k, axis=0)
     vertical = np.einsum("rwbk,k->rwb", window, kernel, out=_shaped(vertical, (rows, width, bands)))
     flat = vertical.reshape(rows, width * bands)

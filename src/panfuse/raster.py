@@ -356,6 +356,8 @@ def _write_framed(
 def _existing(path: str | Path, what: str) -> Path:
     path = Path(path)
     if not path.is_file():
+        if path.exists():
+            raise RasterIOError(f"{what} path {path} exists but is not a file")
         raise MissingFileError(f"no such {what} file: {path}")
     return path
 
@@ -553,14 +555,14 @@ def _normalized_weights(pan_weights: Sequence[float], bands: int) -> np.ndarray:
     finite, nonnegative weight per band with a finite positive sum."""
     weights = np.asarray(pan_weights, dtype=object)
     if weights.shape != (bands,):
-        raise UsageError(f"pan_weights length {weights.size} does not match band count {bands}")
+        raise ParameterError(f"pan_weights length {weights.size} does not match band count {bands}")
     w = np.array([_finite_real("pan weight", v) for v in weights], dtype=np.float64)
     if np.any(w < 0):
-        raise UsageError("pan_weights must be nonnegative")
+        raise ParameterError("pan_weights must be nonnegative")
     with np.errstate(over="ignore"):
         total = w.sum()
     if not np.isfinite(total) or total <= 0:
-        raise UsageError("pan_weights must have a finite positive sum")
+        raise ParameterError("pan_weights must have a finite positive sum")
     return w / total
 
 

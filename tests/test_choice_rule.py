@@ -20,6 +20,7 @@ from panfuse import (
     cli,
     discriminator_loss,
     extract_features,
+    fuse_gihs,
     fuse_gs,
     generator_loss,
     histogram_match,
@@ -163,6 +164,7 @@ BAND_SITES = {
     "histogram_match source": (lambda b: histogram_match(_cube(b), _cube(1, 58)), 1, True),
     "histogram_match target": (lambda b: histogram_match(_cube(1), _cube(b, 58)), 1, True),
     "extractor": (lambda b: extract_features(_cube(b), _stack(4)), 4, True),
+    "gihs": (lambda b: fuse_gihs(FusionInput(_cube(b), _cube(1, 58), 1)), 3, False),
 }
 
 # one band short, or, for a site that needs an exact count, one over too

@@ -292,6 +292,16 @@ class TestFuse:
         assert capsys.readouterr().err == (
             "error: fuse gs: mmse weights: rank-deficient band system\n")
 
+    def test_gihs_on_two_bands_exit_three(self, band_dir, tmp_path, capsys):
+        """Was a usage error, exit 2; every other band shortfall exits 3."""
+        scene = band_dir / "2"
+        argv = ["fuse", "--method", "gihs", "--lrms", scene / "lrms.msr",
+                "--pan", scene / "pan.msr", "--ratio", 4, "--out", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == (
+            "error: fuse gihs: gihs requires at least 3 bands, got 2\n")
+        assert not (tmp_path / "out").exists()
+
     def test_gs_lrpan_flag_routes_to_mmse(self, scene_dir, tmp_path):
         for name, extra in (("wm", []), ("mm", ["--lrpan", "mmse"])):
             r = run_cli("fuse", "--method", "gs", "--lrms", scene_dir / "lrms.msr",
@@ -451,6 +461,18 @@ class TestEval:
         assert cli.main([str(a) for a in argv]) == 3
         assert capsys.readouterr().err == (
             "error: eval lrms: high-resolution dims 16x16 != ratio 4 * 16x16\n")
+        assert not (tmp_path / "report").exists()
+
+    def test_a_directory_as_fused_file_exit_five(self, scene_dir, tmp_path, capsys):
+        """Was reported as a missing file: ``no such raster file``."""
+        fused = tmp_path / "adir"
+        fused.mkdir()
+        argv = ["eval", "--fused", fused, "--reference", scene_dir / "reference.msr",
+                "--lrms", scene_dir / "lrms.msr", "--pan", scene_dir / "pan.msr",
+                "--ratio", 4, "--out", tmp_path / "report"]
+        assert cli.main([str(a) for a in argv]) == 5
+        assert capsys.readouterr().err == (
+            f"error: raster path {fused} exists but is not a file\n")
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("bands, column", [(2, "q2"), (3, "q4"), (8, "q8"), (9, "q16")])

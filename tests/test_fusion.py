@@ -173,7 +173,7 @@ class TestGihs:
 
     def test_needs_three_bands(self):
         fin = FusionInput(lrms=random_raster(0, 8, 8, 2), pan=random_raster(1, 8, 8, 1), ratio=1)
-        with pytest.raises(UsageError):
+        with pytest.raises(ShapeMismatchError, match=r"^gihs requires at least 3 bands, got 2$"):
             fuse_gihs(fin)
 
 

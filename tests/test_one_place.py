@@ -19,6 +19,7 @@ RULES = {  # rule -> (owners in raster.py, pattern no other module may match, sp
     "read-path": ("_read_framed _RowFile", r"os\.preadv|readinto|open\(",
                   ["os.preadv(fd, [a], 0)", "fh.readinto(a)", 'open(path, "rb")']),
     "moments": ("_moments", r"\.(std|var)\(", ["sd = src.std()", "np.var(a)"]),
+    "band-count": ("_check_bands", r"\.bands\s*[<>]", ["if fin.lrms.bands < 3:"]),
 }
 
 

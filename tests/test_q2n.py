@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from panfuse import Raster, metric_ergas, metric_q2n, metric_q4, metric_sam, metric_ssim
+from panfuse import (
+    Raster, metric_ergas, metric_q2n, metric_q4, metric_sam, metric_ssim, metric_uiqi,
+)
 from panfuse.errors import ShapeMismatchError
 from panfuse.metrics import _EPS, _conj_signs, _q2n, _tile_index
 from helpers import random_raster
@@ -179,6 +181,16 @@ def test_q2_matches_complex_numbers(height, width, block):
     ref = random_raster(4, height, width, 2)
     want = complex_q2(fused.data, ref.data, block)
     assert abs(metric_q2n(fused, ref, block) - want) <= 1e-12
+
+
+def test_an_inverted_cube_scores_near_plus_one():
+    """Q2^n is the modulus of a hypercomplex index, so it is never negative:
+    ``1 - reference`` scores near +1 where band 0's UIQI reads near -1."""
+    reference = random_raster(3, 64, 64, 4, lo=0.2, hi=0.8)
+    fused = Raster(1.0 - reference.data)
+    assert 0.9999 < metric_q2n(fused, reference, 32) <= 1.0
+    band0 = [Raster(r.data[:, :, :1]) for r in (fused, reference)]
+    assert metric_uiqi(*band0, 32) < -0.9998
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

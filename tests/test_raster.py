@@ -28,6 +28,7 @@ from panfuse import (
     fuse_hpf,
     fuse_pca,
     histogram_match,
+    load_conv_stack,
     loss_gradient,
     pan_from_weights,
     patchify,
@@ -147,6 +148,15 @@ class TestMsrIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
             read_raster(tmp_path / "absent.msr")
+
+    @pytest.mark.parametrize("reader, what", [(read_raster, "raster"), (raster._RowFile, "raster"),
+                                              (load_conv_stack, "weights")])
+    def test_a_directory_is_no_file(self, tmp_path, reader, what):
+        """Was MissingFileError, ``no such <what> file``, for a path that exists."""
+        with pytest.raises(RasterIOError) as info:
+            reader(tmp_path)
+        assert type(info.value) is RasterIOError and info.value.exit_code == 5
+        assert str(info.value) == f"{what} path {tmp_path} exists but is not a file"
 
     def test_write_into_a_directory(self, tmp_path):
         with pytest.raises(RasterIOError, match="cannot write raster to"):

@@ -4,6 +4,7 @@ rule's usage error (exit 2), which is also a ``ValueError``."""
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -55,6 +56,20 @@ NOT_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
               "np.nan": np.float64(math.nan), "10**400": 10**400}
 
 CASES = [(site, name) for site in sorted(REAL_SITES) for name in [*NOT_REALS, *NOT_FINITE]]
+
+# a call with real parameters outside their domain -> the message it raises
+OUT_OF_DOMAIN = {
+    "LossSpec eta1=-1": (lambda: LossSpec(eta1=-1), "eta1 and eta2 must be nonnegative"),
+    "LossSpec eta2=-1": (lambda: LossSpec(eta2=-1), "eta1 and eta2 must be nonnegative"),
+    "pan weights [1, -1]": (lambda: synth_scene(8, 8, 2, 0, [1.0, -1.0]),
+                            "pan_weights must be nonnegative"),
+    "pan weights [0, 0]": (lambda: synth_scene(8, 8, 2, 0, [0.0, 0.0]),
+                           "pan_weights must have a finite positive sum"),
+    "pan weights [1] for 2 bands": (lambda: synth_scene(8, 8, 2, 0, [1.0]),
+                                    "pan_weights length 1 does not match band count 2"),
+    "pan_from_weights [1, -1, 1, 1]": (lambda: pan_from_weights(HR, [1.0, -1.0, 1.0, 1.0]),
+                                       "pan_weights must be nonnegative"),
+}
 
 
 def _bits(result) -> bytes:
@@ -108,6 +123,14 @@ class TestRealRule:
         """A string was converted, or leaked numpy's own ValueError."""
         with pytest.raises(ParameterError, match="pan weight must be a real number"):
             synth_scene(8, 8, 2, 0, weights)
+
+    @pytest.mark.parametrize("site", OUT_OF_DOMAIN)
+    def test_a_real_outside_its_domain_is_the_rules_error(self, site):
+        """Was a plain UsageError, which ``except ValueError`` missed."""
+        call, message = OUT_OF_DOMAIN[site]
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert info.value.exit_code == 2 and isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("weights", [[1.0], [[1.0, 2.0]], 2.0, [-1.0, 2.0], [0.0, 0.0]])
     def test_other_pan_weight_faults_stay_usage_errors(self, weights):
