@@ -103,6 +103,8 @@ def cmd_patchify(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
+    if not args.name or Path(args.name).name != args.name:
+        raise UsageError(f"--name {args.name!r} is not a file stem")
     fuse, lrpan_modes = FUSE_METHODS[args.method]
     if args.lrpan is not None:
         raster._choice(f"--lrpan for --method {args.method}", args.lrpan, lrpan_modes)
@@ -141,10 +143,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-# loss name -> losses.Loss; "gen-adv" and "disc" read scores and are cmd_loss branches.
-LOSSES = losses.LOSSES
-
-
 def _loss_inputs(args: argparse.Namespace) -> tuple[Raster, Raster, losses.LossContext]:
     """The (fused, reference) pair and the context of every raster-pair loss."""
     if len(args.rasters) != 2:
@@ -181,7 +179,7 @@ def _grad_check(
     """Analytic against finite-difference gradient on the
     :func:`_grad_check_window` of a checked pair, on the grid of an lrms at
     the ratio's scale, which is cut to the window's cells."""
-    value, grad_id = LOSSES[args.name]
+    value, grad_id = losses.LOSSES[args.name]
     lrms, ratio = ctx.lrms, ctx.ratio or 0
     if lrms is None or (lrms.height * ratio, lrms.width * ratio) != fused.data.shape[:2]:
         lrms, ratio = None, 1  # an lrms at another scale is left whole
@@ -200,7 +198,7 @@ def _grad_check(
 
 def cmd_loss(args: argparse.Namespace) -> int:
     if args.grad_check:
-        with_gradient = [name for name, loss in LOSSES.items() if loss.gradient is not None]
+        with_gradient = [name for name, loss in losses.LOSSES.items() if loss.gradient is not None]
         raster._choice("--name with an analytic gradient to check", args.name, with_gradient)
     try:
         if args.name == "disc":
@@ -214,7 +212,7 @@ def cmd_loss(args: argparse.Namespace) -> int:
             value = losses.generator_loss(scores, [fused] * n, [reference] * n, spec)
         else:
             fused, reference, ctx = _loss_inputs(args)
-            value = LOSSES[args.name].value(fused, reference, ctx)
+            value = losses.LOSSES[args.name].value(fused, reference, ctx)
         if args.grad_check:  # only a raster-pair loss has a gradient to check
             return _grad_check(args, fused, reference, ctx)
     except NonFiniteRasterError as exc:
@@ -271,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=".")
 
     p_loss = sub.add_parser("loss", help="evaluate a loss value or check its gradient")
-    p_loss.add_argument("--name", required=True, choices=(*LOSSES, "gen-adv", "disc"))
+    # "gen-adv" and "disc" read scores and are cmd_loss branches, not losses.LOSSES entries.
+    p_loss.add_argument("--name", required=True, choices=(*losses.LOSSES, "gen-adv", "disc"))
     p_loss.add_argument("rasters", nargs="*", help="fused and reference .msr files")
     p_loss.add_argument("--lrms", default="", help="low-resolution ms for total-sam")
     p_loss.add_argument("--ratio", type=int)

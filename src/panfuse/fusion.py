@@ -17,8 +17,9 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError
-from .raster import Raster, _Carrier, _band_sum, _check_bands, _check_scale_pair, _choice, _moments
-from .resample import _STD_EPS, _downsample, _match_coefficients, _matched, _separable, _upsample
+from .raster import _EPS, Raster, _Carrier, _band_sum, _check_bands, _check_scale_pair, _choice
+from .raster import _moments
+from .resample import _downsample, _match_coefficients, _matched, _separable, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
 
@@ -105,7 +106,7 @@ def fuse_brovey(fin: FusionInput) -> Raster:
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = _band_mean(ms_up)
     detail = _detail(fin.pan.data[:, :, 0], intensity)  # the moments of I before its guard
-    intensity += 1e-12  # the guard: g divides by it, so the detail subtracts the same I
+    intensity += _EPS  # the guard: g divides by it, so the detail subtracts the same I
     return _inject(ms_up, lambda s, rows: s / intensity[rows, :, None], detail)
 
 
@@ -197,7 +198,7 @@ def fuse_gs(fin: FusionInput, lr_pan_mode: str = "weighted-mean") -> Raster:
         intensity = _plane(ms_up, lambda s, out: np.matmul(s, weights, out=out))
 
     mean_i, var_i = _moments(intensity)
-    if np.sqrt(var_i) < _STD_EPS:
+    if np.sqrt(var_i) < _EPS:
         raise DegenerateInputError("gs: intensity surrogate has zero variance")
     # cov(band, I) = sum(b * (I - mean_i)) / n: the deviations sum to zero, so
     # the band means drop out. The deviations are taken a strip at a time.

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError, UsageError
 from .features import IDENTITY, ConvStackSpec, Extractor, extract_features
 from .raster import (
+    _EPS,
     Raster,
     _Carrier,
     _LastTwo,
@@ -41,8 +42,6 @@ from .raster import (
     _real_array,
 )
 from .resample import _downsample, _downsample_adjoint
-
-_EPS = 1e-12
 
 SAM_MODES = ("cosine", "as_printed")
 DISC_MODES = ("as_printed", "bce")
@@ -196,8 +195,8 @@ def sam_loss(fused: Raster, target: Raster, mode: str = "cosine") -> float:
     """Spectral-angle regularizer.
 
     ``cosine`` is the per-pixel form, mean of 1 - <f, t> / (|f| |t| + eps),
-    which is zero at identity. The eps = 1e-12 floor keeps it scale invariant
-    only while |f| |t| >> 1e-12; below that a pixel's loss goes to 1. ``as_printed``
+    which is zero at identity. The eps floor (``raster._EPS``) keeps it scale
+    invariant only while |f| |t| >> eps; below that a pixel's loss goes to 1. ``as_printed``
     evaluates the global form 1 - sum(f*t) / (sum(f^2) * sum(t^2) + eps)
     exactly as published; it carries neither property.
     """
@@ -292,15 +291,10 @@ def combined_loss(base: float, regularizer: float, spec: LossSpec) -> float:
     return spec.eta1 * base + spec.eta2 * regularizer
 
 
-def _sam_cosine_gradient(fused: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """d/d fused of mean_p [1 - <f,t> / (|f| |t| + eps)]."""
-    return _sam_parts_gradient(fused, target, _sam_parts(fused, target))
-
-
 def _sam_parts_gradient(
     fused: np.ndarray, target: np.ndarray, parts: tuple[np.ndarray, ...]
 ) -> np.ndarray:
-    """:func:`_sam_cosine_gradient` given the :func:`_sam_parts` of its pair."""
+    """d/d fused of mean_p [1 - <f,t> / (|f| |t| + eps)], given its :func:`_sam_parts`."""
     dots, nf, nt = parts
     npix = fused.shape[0] * fused.shape[1]
     den = nf * nt + _EPS
@@ -335,7 +329,7 @@ def _mse_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndar
 
 
 def _sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
-    return _sam_cosine_gradient(fused.data, reference.data)
+    return _sam_parts_gradient(fused.data, reference.data, _sam_parts(fused.data, reference.data))
 
 
 def _total_sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:

@@ -25,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._strips import _map_strips, _row_strips, _shaped
 from .errors import DegenerateInputError, ShapeMismatchError, UsageError
 from .raster import (
+    _EPS,
     Raster,
     _LastTwo,
     _band_sum,
@@ -38,8 +39,6 @@ from .raster import (
     _rows,
 )
 from .resample import _downsample, _gaussian_kernel
-
-_EPS = 1e-12
 
 METRIC_COLUMNS = ("ssim", "sam", "ergas", "q4", "qnr")
 
@@ -174,8 +173,8 @@ def _tile_index(
     index or a sequence of them: if no tile of output k is valid, its index
     is 1 when the two groups are equal within a relative 1e-9 (``np.allclose``,
     no absolute term): a constant that resampling moved by an ulp stays equal.
-    The channels are compared strip by strip, each read as ``p[rows]``, so a
-    part may be a :class:`raster._RowFile`.
+    The channels are compared strip by strip through :func:`raster._rows`, so
+    a part may be a :class:`raster._RowFile`.
     """
     height, width, _ = parts[0].shape
     block = _positive_int("block", block)
@@ -206,14 +205,16 @@ def _tile_index(
 
     tile_rows = range(0, height - block + 1, block)
     total, count = map(sum, zip(*_map_strips(tile_row, tile_rows, scratch)))
-    channels = [(p, c) for p in parts for c in range(p.shape[2])]
+    channels = [(k, c) for k, p in enumerate(parts) for c in range(p.shape[2])]
     strips = _row_strips(height, width, max(p.shape[2] for p in parts))
+    first, second = ([_row_scratch(p, strips[0].stop) for p in parts] for _ in range(2))
 
     def close(i: int, j: int) -> bool:
         """``np.allclose`` of channels i and j, strip by strip over every strip."""
-        (p, c), (q, d) = channels[i], channels[j]
+        (a, c), (b, d) = channels[i], channels[j]
         return all([
-            np.allclose(p[rows][:, :, c], q[rows][:, :, d], rtol=1e-9, atol=0.0)
+            np.allclose(_rows(parts[a], rows, first[a])[:, :, c],
+                        _rows(parts[b], rows, second[b])[:, :, d], rtol=1e-9, atol=0.0)
             for rows in strips
         ])
 

@@ -46,6 +46,7 @@ from .errors import (
 )
 
 MSR_MAGIC = b"MSR1"
+_EPS = 1e-12  # the zero floor: a norm, spread or denominator below it counts as zero
 
 
 class _Carrier:
@@ -460,18 +461,16 @@ def read_raster(path: str | Path) -> Raster:
 class _RowFile(_Cube):
     """An MSR cube read by row strips from its file instead of held whole: it
     stands in for a :class:`Raster` (``height``, ``width``, ``bands``, and
-    ``data``, which is the file itself) for code that reads ``data`` only in
-    row slices, as every metric of ``eval`` does.
+    ``data``, which is the file itself) for code that reads ``data`` only through
+    :func:`_rows`, as every metric of ``eval`` does.
 
     Opening it checks the header as :func:`read_raster` does, then reads the
     payload once, strip by strip under the array rule, into one buffer, and
     keeps nothing, so a non-finite payload is refused before any metric runs.
     It holds one descriptor until :meth:`close`, or the end of its ``with``
-    block. :meth:`read` reads whole rows into the caller's scratch, and
-    ``data[lo:hi]`` and ``data[lo:hi, :c]`` into a fresh read-only array: each
-    is one ``os.preadv`` under the array rule's finiteness check, so a file
-    that shrank or took a NaN since it was opened is an IO error. Any other
-    index is a ``TypeError``: nothing reads the whole cube by accident.
+    block. :meth:`read` reads whole rows into the caller's scratch, as one
+    ``os.preadv`` under the array rule's finiteness check, so a file that
+    shrank or took a NaN since it was opened is an IO error.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -515,15 +514,6 @@ class _RowFile(_Cube):
         except NonFiniteRasterError as exc:
             raise _non_finite(self.path) from exc
         return arr
-
-    def __getitem__(self, index: slice | tuple[slice, slice]) -> np.ndarray:
-        rows, cols = index if isinstance(index, tuple) and len(index) == 2 else (index, slice(None))
-        if isinstance(rows, slice) and isinstance(cols, slice):
-            lo, hi, step = rows.indices(self.height)
-            start, stop, col_step = cols.indices(self.width)
-            if step == col_step == 1 and start == 0:
-                return _frozen(self.read(rows, _row_scratch(self, hi - lo)))[:, :stop]
-        raise TypeError(f"{self.path} is read by row slices [lo:hi] or [lo:hi, :c], not {index!r}")
 
     def close(self) -> None:
         self._fh.close()
@@ -656,6 +646,8 @@ def patchify(ms: Raster, pan: Raster, patch: int, ratio: int) -> PatchSet:
     ratio, patch = _check_scale_pair(ms, pan, ratio), _positive_int("patch size", patch)
     if patch % ratio != 0:
         raise UsageError(f"patch size {patch} not divisible by ratio {ratio}")
+    if patch > min(pan.height, pan.width):
+        raise ShapeMismatchError(f"patch size {patch} larger than pan {pan.height}x{pan.width}")
     mp = patch // ratio
     patches = []
     for py in range(pan.height // patch):

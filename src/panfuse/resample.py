@@ -14,9 +14,7 @@ import numpy as np
 
 from ._strips import _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import Raster, _check_bands, _check_scale_pair, _frozen, _moments, _positive_int
-
-_STD_EPS = 1e-12
+from .raster import _EPS, Raster, _check_bands, _check_scale_pair, _frozen, _moments, _positive_int
 
 
 def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
@@ -25,25 +23,13 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
-def _correlate_axis(
-    arr: np.ndarray, kernel: np.ndarray, axis: int, step: int = 1
-) -> np.ndarray:
-    """Correlate ``arr`` with a 1-D kernel along ``axis``, symmetric borders,
-    evaluated only at every ``step``-th position (0, step, 2*step, ...).
-
-    Each kept output sums the same taps in the same order as the full
-    correlation, so decimating afterwards gives bit-identical values. The
-    filters run it on one row strip at a time, through :func:`_separable`.
-    """
-    return _correlate_span(arr, kernel, axis, step, slice(0, len(range(0, arr.shape[axis], step))))
-
-
 def _correlate_span(
     arr: np.ndarray, kernel: np.ndarray, axis: int, step: int, span: slice
 ) -> np.ndarray:
-    """The kept outputs ``span`` of :func:`_correlate_axis`. Only the reflected
-    input positions they read are gathered, and the taps add into zeros in
-    the same order, so the bits are those of the whole axis."""
+    """The outputs ``span`` of ``arr`` correlated with a 1-D kernel along ``axis``
+    (symmetric borders) at every ``step``-th position. Only the reflected inputs
+    they read are gathered, and each output sums the same taps in the same order
+    into zeros as the whole axis would, so the bits are those of the whole axis."""
     pad, m = kernel.size // 2, span.stop - span.start
     idx = np.arange(span.start * step - pad, (span.stop - 1) * step + pad + 1)
     padded = np.take(arr, _reflect(idx, arr.shape[axis]), axis=axis)
@@ -54,19 +40,20 @@ def _correlate_span(
 
 
 def _separable(arr: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:
-    """:func:`_correlate_axis` along axis 0, then axis 1, of an H x W (x B)
+    """:func:`_correlate_span` along axis 0, then axis 1, of an H x W (x B)
     array, with the same bits, one :func:`_row_strips` strip of output rows
     at a time: a strip gathers only the input rows it reads, so memory is the
     output plus a few strips."""
     height = len(range(0, arr.shape[0], step))
     out = np.empty((height, len(range(0, arr.shape[1], step))) + arr.shape[2:], dtype=np.float64)
     for rows in _row_strips(height, arr.shape[1], arr[0, 0].size):
-        out[rows] = _correlate_axis(_correlate_span(arr, kernel, 0, step, rows), kernel, 1, step)
+        strip = _correlate_span(arr, kernel, 0, step, rows)
+        out[rows] = _correlate_span(strip, kernel, 1, step, slice(0, out.shape[1]))
     return out
 
 
 def _correlate_rows_adjoint(grad: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:
-    """Exact transpose of :func:`_correlate_axis` along axis 0 with the same
+    """Exact transpose of :func:`_correlate_span` along axis 0 with the same
     ``step``; the result has ``step`` times as many rows as ``grad``.
 
     ``grad`` is scattered straight into the padded rows, then the 2*pad
@@ -224,7 +211,7 @@ def _match_coefficients(src: np.ndarray, target: np.ndarray) -> tuple[np.float64
     mu_s, var_s = _moments(src)
     mu_t, var_t = _moments(target)
     sd_s = np.sqrt(var_s)
-    if sd_s < _STD_EPS:
+    if sd_s < _EPS:
         raise DegenerateInputError("histogram_match: source has zero variance")
     return mu_s, np.sqrt(var_t) / sd_s, mu_t
 
@@ -239,11 +226,6 @@ def _matched(src: np.ndarray, coefficients: tuple[np.float64, ...]) -> np.ndarra
     return out
 
 
-def _match_moments(src: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """:func:`histogram_match` of two C-contiguous arrays, as a fresh array."""
-    return _matched(src, _match_coefficients(src, target))
-
-
 def histogram_match(src: Raster, target: Raster) -> Raster:
     """Affine rescale of ``src`` to the mean and standard deviation of ``target``.
 
@@ -254,5 +236,5 @@ def histogram_match(src: Raster, target: Raster) -> Raster:
     """
     _check_bands("histogram_match source", src.bands, 1, exact=True)
     _check_bands("histogram_match target", target.bands, 1, exact=True)
-    return Raster._adopt(_match_moments(src.data, target.data))
+    return Raster._adopt(_matched(src.data, _match_coefficients(src.data, target.data)))
 

@@ -126,6 +126,12 @@ def scale_pair(fault=None, ratio=4):
     return lrms, pan, cube
 
 
+def fresh_rows(data, rows):
+    """``data[rows]`` of an array, or of a ``raster._RowFile`` read into a fresh buffer."""
+    lo, hi, _ = rows.indices(data.shape[0])
+    return panfuse.raster._rows(data, rows, panfuse.raster._row_scratch(data, hi - lo))
+
+
 def same_bits(got, want):
     """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
     got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)

@@ -57,7 +57,8 @@ def _reached(*args):
 
 
 def _cli_fuse(v):
-    return cli.cmd_fuse(argparse.Namespace(method="gs-mmse", lrpan=v, lrms="l.msr", pan="p.msr"))
+    args = argparse.Namespace(method="gs-mmse", lrpan=v, lrms="l.msr", pan="p.msr", name="fused")
+    return cli.cmd_fuse(args)
 
 
 def _cli_grad_check(v):

@@ -23,12 +23,12 @@ from panfuse import (
     wald_degrade,
     write_raster,
 )
-from panfuse import cli, metrics, raster
+from panfuse import cli, losses, metrics, raster
 from helpers import computed_calls, framed, random_raster, run_cli, separated_pair
 
 
 # The losses that have an analytic gradient.
-GRADIENT_NAMES = [name for name, (_, grad_id) in cli.LOSSES.items() if grad_id is not None]
+GRADIENT_NAMES = [name for name, (_, grad_id) in losses.LOSSES.items() if grad_id is not None]
 
 # A one-layer 4-band conv stack, a valid --extractor file.
 SWEEP_STACK = ConvStackSpec(
@@ -200,6 +200,17 @@ class TestPatchify:
         assert "4 patch pairs" in r.stdout
         assert (tmp_path / "patch_003_pan.msr").exists()
 
+    def test_patch_larger_than_pan_exit_three(self, tmp_path, capsys):
+        """No patch fits: one error line naming both sizes, and no ``--out``."""
+        write_raster(random_raster(0, 32, 32, 4), tmp_path / "ms.msr")
+        write_raster(random_raster(1, 32, 32, 1), tmp_path / "pan.msr")
+        argv = ["patchify", "--ms", tmp_path / "ms.msr", "--pan", tmp_path / "pan.msr",
+                "--patch", 64, "--ratio", 1, "--out", tmp_path / "o"]
+        assert cli.main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: patch size 64 larger than pan 32x32"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestArgumentFaults:
     """Bad argument values exit 2 through ``cli.main`` with a one-line error."""
@@ -291,6 +302,22 @@ class TestFuse:
         assert cli.main([str(a) for a in argv]) == 4
         assert capsys.readouterr().err == (
             "error: fuse gs: mmse weights: rank-deficient band system\n")
+
+    @pytest.mark.parametrize("name", ["sub/x", "", "."], ids=["path", "empty", "dot"])
+    def test_name_not_a_file_stem_exit_two(self, scene_dir, tmp_path, monkeypatch, capsys, name):
+        """A ``--name`` that is empty or not its own file name is refused
+        before any work: no raster is read and no ``--out`` is created."""
+
+        def never(*args: object) -> None:
+            raise AssertionError("read_raster ran")
+
+        monkeypatch.setattr(raster, "read_raster", never)
+        argv = ["fuse", "--method", "gihs", "--lrms", scene_dir / "lrms.msr",
+                "--pan", scene_dir / "pan.msr", "--name", name, "--out", tmp_path / "o"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --name {name!r} is not a file stem"]
+        assert not (tmp_path / "o").exists()
 
     def test_gihs_on_two_bands_exit_three(self, band_dir, tmp_path, capsys):
         """Was a usage error, exit 2; every other band shortfall exits 3."""
@@ -575,7 +602,7 @@ class TestLoss:
         assert r.returncode == 2
 
     @pytest.mark.parametrize(
-        "name", [name for name, (_, grad_id) in cli.LOSSES.items() if grad_id is not None]
+        "name", [name for name, (_, grad_id) in losses.LOSSES.items() if grad_id is not None]
     )
     def test_grad_check_every_analytic_gradient(self, tmp_path, name):
         # a pair whose per-element gap stays away from zero keeps l1 differentiable
@@ -658,7 +685,7 @@ class TestLoss:
         assert self.loss_exit("--name", "total-sam", *flags, "--lrms", scene_dir / "lrms.msr",
                               scene_dir / "hrms.msr", scene_dir / "reference.msr") == 2
 
-    @pytest.mark.parametrize("name", [*cli.LOSSES, "gen-adv"])
+    @pytest.mark.parametrize("name", [*losses.LOSSES, "gen-adv"])
     def test_extractor_read_for_every_loss(self, scene_dir, tmp_path, name):
         assert self.loss_exit("--name", name, "--extractor", tmp_path / "missing.csw",
                               "--d-score", "0.5", scene_dir / "hrms.msr",
@@ -698,7 +725,7 @@ class TestLoss:
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
-        name=st.sampled_from([*cli.LOSSES, "gen-adv", "disc"]),
+        name=st.sampled_from([*losses.LOSSES, "gen-adv", "disc"]),
         ratio=st.sampled_from([None, -4, 0, 1, 3, 4, 64]),
         lrms=st.sampled_from(["lrms.msr", "f.msr", None]),
         reference=st.sampled_from(["r.msr", "wide.msr"]),
@@ -943,7 +970,7 @@ class TestSweep:
         faulty = data.draw(st.sampled_from([None, *flags]))
         argv = [command]
         if command == "loss":
-            argv += ["--name", data.draw(st.sampled_from([*cli.LOSSES, "gen-adv", "disc"]))]
+            argv += ["--name", data.draw(st.sampled_from([*losses.LOSSES, "gen-adv", "disc"]))]
         for flag in flags:
             if flag == faulty and data.draw(st.booleans()):
                 continue  # the faulty flag is left out

@@ -30,7 +30,7 @@ from panfuse import (
     wald_degrade,
 )
 from panfuse.fusion import GS_LR_PAN_MODES
-from panfuse.resample import _correlate_axis, _match_moments, _upsample
+from panfuse.resample import _correlate_span, _match_coefficients, _matched, _upsample
 
 
 def _matched_pan(pan, target):
@@ -88,7 +88,8 @@ def old_hpf(fin):
     k = 2 * fin.ratio + 1
     kernel = np.full(k, 1.0 / k)
     pan2d = fin.pan.data[:, :, 0]
-    lowpass = _correlate_axis(_correlate_axis(pan2d, kernel, 0), kernel, 1)
+    rows = _correlate_span(pan2d, kernel, 0, 1, slice(0, pan2d.shape[0]))
+    lowpass = _correlate_span(rows, kernel, 1, 1, slice(0, rows.shape[1]))
     detail = pan2d - lowpass
     return np.clip(ms_up.data + detail[:, :, None], 0.0, 1.0)
 
@@ -152,8 +153,9 @@ def whole_cube_inject(ms_up, gain, detail):
 def whole_cube_gihs(fin):
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = ms_up.mean(axis=2)
+    pan2d = fin.pan.data[:, :, 0]
     return whole_cube_inject(
-        ms_up, 1.0, _match_moments(fin.pan.data[:, :, 0], intensity) - intensity
+        ms_up, 1.0, _matched(pan2d, _match_coefficients(pan2d, intensity)) - intensity
     )
 
 
@@ -162,8 +164,9 @@ def whole_cube_brovey(fin):
     intensity = ms_up.mean(axis=2)
     guarded = intensity + 1e-12
     gain = ms_up / guarded[:, :, None]
+    pan2d = fin.pan.data[:, :, 0]
     return whole_cube_inject(
-        ms_up, gain, _match_moments(fin.pan.data[:, :, 0], intensity) - guarded
+        ms_up, gain, _matched(pan2d, _match_coefficients(pan2d, intensity)) - guarded
     )
 
 
@@ -172,7 +175,8 @@ def whole_cube_hpf(fin):
     k = 2 * fin.ratio + 1
     kernel = np.full(k, 1.0 / k)
     pan2d = fin.pan.data[:, :, 0]
-    lowpass = _correlate_axis(_correlate_axis(pan2d, kernel, 0), kernel, 1)
+    rows = _correlate_span(pan2d, kernel, 0, 1, slice(0, pan2d.shape[0]))
+    lowpass = _correlate_span(rows, kernel, 1, 1, slice(0, rows.shape[1]))
     return whole_cube_inject(ms_up, 1.0, pan2d - lowpass)
 
 

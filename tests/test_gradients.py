@@ -199,7 +199,9 @@ class TestLossTable:
         return ConvStackSpec(bands=4, layers=(layer,))
 
     def test_registry_is_the_cli_table(self):
-        assert cli.LOSSES is LOSSES
+        commands = next(a for a in cli._PARSER._actions if a.dest == "command")
+        name = next(a for a in commands.choices["loss"]._actions if a.dest == "name")
+        assert name.choices == (*LOSSES, "gen-adv", "disc")
         assert Loss._fields == ("value", "gradient")
         assert tuple(LOSSES) == (
             "l1", "mse", "sam", "sam-printed", "total-sam",

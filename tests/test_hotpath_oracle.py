@@ -17,12 +17,13 @@ them bit for bit, SSIM (and its window mean), SAM and ERGAS within 1e-14, QNR, Q
 1e-12, and the conv features within 1e-12 of their largest magnitude (the
 order of the sums changed). ``masked_apply_layer`` is the per-tap conv layer
 before it padded into ``np.zeros`` and took its leaky ReLU as one max or min,
-and ``np_sum_sam_loss`` and ``np_sum_sam_cosine_gradient`` are the SAM loss
-and gradient before their band sums added band slices in order; the new
-bodies, and the band mean built on the same sum, must match them to the bit,
-zero signs included. ``strided_correlate_axis_adjoint`` is the downsample
-adjoint's pass before each pass ran down the rows of an axis-first copy; the
-adjoint must match it to the bit, zero signs and subnormals included.
+and ``np_sum_sam_loss``, ``np_sum_sam_parts`` and ``np_sum_sam_cosine_gradient``
+are the SAM loss, its parts and its gradient before their band sums added band
+slices in order; the new bodies, and the band mean built on the same sum, must
+match them to the bit, zero signs included. ``strided_correlate_axis_adjoint``
+is the downsample adjoint's pass before each pass ran down the rows of an
+axis-first copy; the adjoint must match it to the bit, zero signs and
+subnormals included.
 ``tnc_tile_index`` is the channel-stack tile core before each row of tiles
 was laid out channel-major; the core must match it within 1e-12, with equal
 counts of valid tiles. ``full_copy_hpf`` is HPF fusion before its low-pass
@@ -73,8 +74,9 @@ from panfuse.losses import (
     GRADIENT_LOSSES,
     GRADIENTS,
     _gram_delta_gradient,
-    _sam_cosine_gradient,
     _sam_loss,
+    _sam_parts,
+    _sam_parts_gradient,
     gram_matrix,
 )
 from panfuse.metrics import _EPS
@@ -414,11 +416,11 @@ def old_loss_gradient(loss_id, fused, reference, lrms=None, ratio=None):
     if loss_id == "mse":
         return Raster(2.0 * (f - g) / nelem)
     if loss_id == "sam_cosine":
-        return Raster(_sam_cosine_gradient(f, g))
+        return Raster(_sam_parts_gradient(f, g, _sam_parts(f, g)))
     if loss_id == "total_sam":
-        down = downsample_antialias(fused, ratio)
-        grad_full = _sam_cosine_gradient(f, g)
-        grad_low = _sam_cosine_gradient(down.data, lrms.data)
+        down = downsample_antialias(fused, ratio).data
+        grad_full = _sam_parts_gradient(f, g, _sam_parts(f, g))
+        grad_low = _sam_parts_gradient(down, lrms.data, _sam_parts(down, lrms.data))
         pulled = downsample_antialias_adjoint(
             Raster(grad_low), ratio, fused.height, fused.width
         )
@@ -1009,8 +1011,17 @@ def np_sum_sam_loss(f, t):
     return max(float(np.mean(1.0 - dots / (norms + LOSS_EPS))), 0.0)
 
 
+def np_sum_sam_parts(f, t):
+    """``_sam_parts`` with ``np.sum`` band reductions."""
+    parts = np.sum(f * t, axis=2), np.sqrt(np.sum(f * f, axis=2)), np.sqrt(np.sum(t * t, axis=2))
+    for p in parts:
+        p.flags.writeable = False
+    return parts
+
+
 def np_sum_sam_cosine_gradient(fused, target):
-    """``_sam_cosine_gradient`` with ``np.sum`` band reductions."""
+    """The cosine SAM gradient, ``_sam_parts_gradient`` of ``_sam_parts``, with
+    ``np.sum`` band reductions."""
     npix = fused.shape[0] * fused.shape[1]
     dots = np.sum(fused * target, axis=2)
     nf = np.sqrt(np.sum(fused * fused, axis=2))
@@ -1106,17 +1117,21 @@ def test_sam_value_and_gradient_same_bits_as_np_sum_body(bands):
     t[1, 0] = -0.0  # a pixel where only the target is all -0.0
     for a, b in ((f, t), (t, f), (f, f)):
         assert same_bits(_sam_loss(a, b, "cosine"), np_sum_sam_loss(a, b))
-        assert same_bits(_sam_cosine_gradient(a, b), np_sum_sam_cosine_gradient(a, b))
+        got = _sam_parts_gradient(a, b, _sam_parts(a, b))
+        assert same_bits(got, np_sum_sam_cosine_gradient(a, b))
 
 
 @pytest.mark.parametrize("bands", [2, 4, 8, 9])
 def test_total_sam_same_bits_as_np_sum_body(monkeypatch, bands):
+    """Total SAM's value and gradient, and the SAM gradient, against the same
+    calls with ``losses._sam_parts``, where the band sums are taken, patched to
+    ``np.sum`` reductions. Each run builds fresh rasters of the same values, so
+    no memo entry of the first run answers the second."""
     rng = np.random.default_rng(bands)
-    fused = Raster(rng.random((16, 12, bands)))
-    reference = Raster(rng.random((16, 12, bands)))
-    lrms = Raster(rng.random((4, 3, bands)))
+    arrays = rng.random((16, 12, bands)), rng.random((16, 12, bands)), rng.random((4, 3, bands))
 
     def run():
+        fused, reference, lrms = (Raster(a) for a in arrays)
         return (
             total_sam_loss(fused, reference, lrms, 4),
             loss_gradient("total_sam", fused, reference, lrms=lrms, ratio=4).data,
@@ -1124,10 +1139,17 @@ def test_total_sam_same_bits_as_np_sum_body(monkeypatch, bands):
         )
 
     got = run()
-    monkeypatch.setattr(losses, "_sam_loss", lambda f, t, mode: np_sum_sam_loss(f, t))
-    monkeypatch.setattr(losses, "_sam_cosine_gradient", np_sum_sam_cosine_gradient)
+    calls = []
+
+    def patched(f, t):
+        calls.append(f.shape)
+        return np_sum_sam_parts(f, t)
+
+    monkeypatch.setattr(losses, "_sam_parts", patched)
     for g, w in zip(got, run()):
         assert same_bits(g, w)
+    # Total SAM's two scales, shared by its value and gradient, then the SAM gradient.
+    assert calls == [(16, 12, bands), (4, 3, bands), (16, 12, bands)]
 
 
 @pytest.mark.parametrize("bands", [2, 4, 8, 9])

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "panfuse"
-RULES = {  # rule -> (owners in raster.py, pattern no other module may match, spellings it catches)
+# rule -> (owners in raster.py, pattern no other module may match, spellings it catches); an
+# owner is a function, a class or a module-level constant.
+RULES = {
     "read-only": ("_frozen", r"flags\.writeable = False", ["a.flags.writeable = False"]),
     "real-number": ("_finite_real _real", r"numbers\.Real", ["isinstance(v, numbers.Real)"]),
     "choice": ("_choice", r" not in ", ["if mode not in MODES:"]),
@@ -20,6 +22,7 @@ RULES = {  # rule -> (owners in raster.py, pattern no other module may match, sp
                   ["os.preadv(fd, [a], 0)", "fh.readinto(a)", 'open(path, "rb")']),
     "moments": ("_moments", r"\.(std|var)\(", ["sd = src.std()", "np.var(a)"]),
     "band-count": ("_check_bands", r"\.bands\s*[<>]", ["if fin.lrms.bands < 3:"]),
+    "floor": ("_EPS", r"[=+]\s*1e-12\b", ["_EPS = 1e-12", "intensity += 1e-12"]),
 }
 
 
@@ -32,7 +35,8 @@ def violations(package: Path) -> dict[str, list[str]]:  # rule -> ["file:line: t
 @pytest.mark.parametrize("rule", RULES)
 def test_only_raster_spells_the_rule(rule):
     source = (PACKAGE / "raster.py").read_text()
-    assert all(re.search(rf"^(def|class) {o}\b", source, re.M) for o in RULES[rule][0].split())
+    owners = RULES[rule][0].split()
+    assert all(re.search(rf"^((def|class) {o}\b|{o} = )", source, re.M) for o in owners)
     assert violations(PACKAGE)[rule] == []
 
 

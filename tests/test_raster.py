@@ -431,6 +431,14 @@ class TestPatchify:
         with pytest.raises(ShapeMismatchError):
             patchify(random_raster(0, 16, 16, 2), random_raster(1, 60, 60, 1), 32, 4)
 
+    @pytest.mark.parametrize("height, width", [(32, 32), (64, 32), (32, 64)])
+    def test_patch_larger_than_pan(self, height, width):
+        """A patch that fits in neither side, or in one only, gives no patch."""
+        ms, pan = random_raster(0, height // 2, width // 2, 2), random_raster(1, height, width, 1)
+        with pytest.raises(ShapeMismatchError) as err:
+            patchify(ms, pan, 64, 2)
+        assert str(err.value) == f"patch size 64 larger than pan {height}x{width}"
+
     def test_patch_not_divisible_by_ratio(self):
         with pytest.raises(UsageError):
             patchify(random_raster(0, 16, 16, 2), random_raster(1, 64, 64, 1), 30, 4)

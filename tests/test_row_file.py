@@ -34,7 +34,7 @@ from panfuse import (
 )
 from panfuse import _strips, fusion
 from panfuse.fusion import GS_LR_PAN_MODES
-from panfuse.resample import _downsample, _match_moments, _upsample
+from panfuse.resample import _downsample, _match_coefficients, _matched, _upsample
 
 from helpers import framed, random_raster
 
@@ -44,7 +44,8 @@ MSR_HEADER = b'{"width":2,"height":2,"bands":1,"dtype":"f64"}'
 def old_gihs(fin):
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = fusion._band_mean(ms_up)
-    detail = _match_moments(fin.pan.data[:, :, 0], intensity) - intensity
+    pan2d = fin.pan.data[:, :, 0]
+    detail = _matched(pan2d, _match_coefficients(pan2d, intensity)) - intensity
     return fusion._inject(ms_up, 1.0, detail)
 
 
@@ -52,7 +53,8 @@ def old_brovey(fin):
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     intensity = fusion._band_mean(ms_up)
     guarded = intensity + 1e-12
-    detail = _match_moments(fin.pan.data[:, :, 0], intensity) - guarded
+    pan2d = fin.pan.data[:, :, 0]
+    detail = _matched(pan2d, _match_coefficients(pan2d, intensity)) - guarded
     return fusion._inject(ms_up, lambda s, rows: s / guarded[rows, :, None], detail)
 
 
@@ -60,7 +62,8 @@ def old_pca(fin):
     ms_up = _upsample(fin.lrms.data, fin.ratio)
     means, _, vecs = fusion._pca_basis(ms_up)
     pc1 = fusion._plane(ms_up, lambda s, out: np.matmul(s - means, vecs[:, 0], out=out))
-    return fusion._inject(ms_up, vecs[:, 0], _match_moments(fin.pan.data[:, :, 0], pc1) - pc1)
+    pan2d = fin.pan.data[:, :, 0]
+    return fusion._inject(ms_up, vecs[:, 0], _matched(pan2d, _match_coefficients(pan2d, pc1)) - pc1)
 
 
 def old_gs(fin, lr_pan_mode):
@@ -78,7 +81,8 @@ def old_gs(fin, lr_pan_mode):
     strips = _strips._row_strips(*ms_up.shape)
     cross = sum(dev_i[s].ravel() @ ms_up[s].reshape(-1, ms_up.shape[2]) for s in strips)
     gains = cross / dev_i.size / var_i
-    return fusion._inject(ms_up, gains, _match_moments(pan2d, intensity) - intensity)
+    detail = _matched(pan2d, _match_coefficients(pan2d, intensity)) - intensity
+    return fusion._inject(ms_up, gains, detail)
 
 
 FUSIONS = {
@@ -178,20 +182,23 @@ class TestRowFile:
     def test_rows_are_the_payload_rows(self, tmp_path):
         cube = random_raster(5, 37, 11, 3)
         write_raster(cube, tmp_path / "c.msr")
+        buffer = np.empty(37 * 11 * 3)
         with raster._RowFile(tmp_path / "c.msr") as rows:
             assert (rows.height, rows.width, rows.bands) == (37, 11, 3)
             assert rows.data is rows and rows.shape == cube.data.shape
             for index in [slice(0, 37), slice(5, 9), slice(30, 99), slice(9, 9),
-                          (slice(4, 20), slice(None, 8)), (slice(None), slice(0, 11))]:
-                got = rows[index]
+                          slice(4, 20), slice(None)]:
+                got = rows.read(index, buffer)
                 assert np.array_equal(got, cube.data[index])
-                assert got.dtype == np.float64 and not got.flags.writeable
+                assert got.dtype == np.float64
 
     @pytest.mark.parametrize("index", [
         np.s_[3], np.s_[::2], np.s_[:, 1:], np.s_[:, ::2], np.s_[:, :, 0], np.s_[...],
-        np.s_[[0, 1]],
-    ], ids=["int", "row-step", "col-start", "col-step", "band", "ellipsis", "fancy"])
+        np.s_[[0, 1]], np.s_[0:4], np.s_[0:4, :2],
+    ], ids=["int", "row-step", "col-start", "col-step", "band", "ellipsis", "fancy", "rows",
+            "rows-cols"])
     def test_other_indexes_raise(self, tmp_path, index):
+        """A row file takes no index: its rows are read only into a buffer."""
         write_raster(random_raster(6, 8, 8, 2), tmp_path / "c.msr")
         with raster._RowFile(tmp_path / "c.msr") as rows, pytest.raises(TypeError):
             rows[index]
@@ -221,11 +228,12 @@ class TestRowFile:
     def test_nan_written_after_opening_names_the_path(self, tmp_path):
         path, cube = tmp_path / "c.msr", random_raster(7, 8, 8, 2)
         write_raster(cube, path)
+        buffer = np.empty(4 * 8 * 2)
         with raster._RowFile(path) as rows:
             _poison_last_value(path, np.nan)
             with pytest.raises(NonFiniteDataError, match="c.msr"):
-                rows[4:8]
-            assert np.array_equal(rows[0:4], cube.data[0:4])
+                rows.read(slice(4, 8), buffer)
+            assert np.array_equal(rows.read(slice(0, 4), buffer), cube.data[0:4])
 
 
     def test_read_fills_the_callers_buffer(self, tmp_path):
@@ -245,9 +253,9 @@ class TestRowFile:
 
     @pytest.mark.parametrize("fault", ["nan", "truncated"])
     def test_buffer_read_fails_as_a_fresh_read(self, tmp_path, fault):
-        """A file that takes a NaN, or is cut short, after it was opened gives
-        the same error through ``read`` into a buffer as through
-        ``data[lo:hi]``, and the rows before the fault still read."""
+        """A file that takes a NaN, or is cut short, after it was opened is an
+        IO error naming the file when ``read`` reaches the fault, and the rows
+        before the fault still read."""
         path, cube = tmp_path / "c.msr", random_raster(9, 8, 8, 2)
         write_raster(cube, path)
         buffer = np.empty(4 * 8 * 2)
@@ -256,13 +264,9 @@ class TestRowFile:
                 _poison_last_value(path, np.nan)
             else:
                 os.truncate(path, os.path.getsize(path) - 8)
-            with pytest.raises(RasterIOError) as fresh:
-                rows[4:8]
-            with pytest.raises(RasterIOError) as read:
+            want = NonFiniteDataError if fault == "nan" else RasterIOError
+            with pytest.raises(want, match="c.msr"):
                 rows.read(slice(4, 8), buffer)
-            assert type(read.value) is type(fresh.value)
-            assert str(read.value) == str(fresh.value)
-            assert "c.msr" in str(read.value)
             assert np.array_equal(rows.read(slice(0, 4), buffer), cube.data[0:4])
 
 

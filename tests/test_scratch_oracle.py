@@ -3,11 +3,12 @@ into its thread's scratch.
 
 The ``old_*`` functions below are SSIM, SAM and ERGAS, the SSIM window mean
 and the tile core of UIQI, Q2^n and QNR as they were when every strip made
-its own temporaries and a row-file strip was read into a fresh array. They
-are test-only oracles: each metric must give the same bits (``float.hex``)
-over a ``Raster``, over a ``raster._RowFile`` on either side, and with its
-inputs swapped. The oracles run their strips in order on the calling
-thread, which gave the same bits as the strip runner on any CPU count.
+its own temporaries and a row-file strip was read into a fresh array (here
+through ``helpers.fresh_rows``). They are test-only oracles: each metric must
+give the same bits (``float.hex``) over a ``Raster``, over a
+``raster._RowFile`` on either side, and with its inputs swapped. The oracles
+run their strips in order on the calling thread, which gave the same bits as
+the strip runner on any CPU count.
 """
 
 import contextlib
@@ -22,13 +23,14 @@ from panfuse._strips import _row_strips
 from panfuse.errors import ShapeMismatchError
 from panfuse.metrics import _EPS, _ssim_window
 from panfuse.raster import _band_sum, _positive_int
+from helpers import fresh_rows
 from test_metrics import SAM_SHAPES, _sam_pair
 
 
 def old_sam(fused, reference):
     def strip(rows):
-        f = fused.data[rows]
-        g = reference.data[rows]
+        f = fresh_rows(fused.data, rows)
+        g = fresh_rows(reference.data, rows)
         nf = np.sqrt(_band_sum(f * f))
         ng = np.sqrt(_band_sum(g * g))
         mask = (nf >= _EPS) & (ng >= _EPS)
@@ -47,8 +49,8 @@ def old_sam(fused, reference):
 
 def old_ergas(fused, reference, ratio):
     def strip(rows):
-        g = reference.data[rows]
-        d = fused.data[rows] - g
+        g = fresh_rows(reference.data, rows)
+        d = fresh_rows(fused.data, rows) - g
         return np.einsum("ijk,ijk->k", d, d), np.einsum("ijk->k", g)
 
     strips = _row_strips(*fused.data.shape)
@@ -76,8 +78,8 @@ def old_ssim(fused, reference):
     rows, cols = fused.height - halo, fused.width - halo
 
     def strip(out_rows):
-        x = fused.data[out_rows.start : out_rows.stop + halo]
-        y = reference.data[out_rows.start : out_rows.stop + halo]
+        x = fresh_rows(fused.data, slice(out_rows.start, out_rows.stop + halo))
+        y = fresh_rows(reference.data, slice(out_rows.start, out_rows.stop + halo))
         prod = x * x
         prod += y * y
         e_sq = old_valid_window_mean(prod, kernel)
@@ -120,7 +122,8 @@ def old_tile_index(parts, block, tile_q, groups):
         stack = np.empty((cols, bounds[-1], n), dtype=np.float64)
         tiles = stack.reshape(cols, bounds[-1], block, block)
         for p, lo, hi in zip(parts, bounds, bounds[1:]):
-            row = p[r : r + block, : cols * block].reshape(block, cols, block, hi - lo)
+            row = fresh_rows(p, slice(r, r + block))[:, : cols * block]
+            row = row.reshape(block, cols, block, hi - lo)
             tiles[:, lo:hi] = row.transpose(1, 3, 0, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             m = stack.mean(axis=2)
@@ -138,7 +141,8 @@ def old_tile_index(parts, block, tile_q, groups):
     def close(i, j):
         (p, c), (q, d) = channels[i], channels[j]
         return all([
-            np.allclose(p[rows][:, :, c], q[rows][:, :, d], rtol=1e-9, atol=0.0)
+            np.allclose(fresh_rows(p, rows)[:, :, c], fresh_rows(q, rows)[:, :, d],
+                        rtol=1e-9, atol=0.0)
             for rows in strips
         ])
 
