@@ -103,7 +103,7 @@ def cmd_patchify(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    if not args.name or Path(args.name).name != args.name:
+    if args.name in ("", "..") or Path(args.name).name != args.name:
         raise UsageError(f"--name {args.name!r} is not a file stem")
     fuse, lrpan_modes = FUSE_METHODS[args.method]
     if args.lrpan is not None:

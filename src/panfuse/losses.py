@@ -41,7 +41,7 @@ from .raster import (
     _real,
     _real_array,
 )
-from .resample import _downsample, _downsample_adjoint
+from .resample import _downsample_adjoint, _loss_downsample
 
 SAM_MODES = ("cosine", "as_printed")
 DISC_MODES = ("as_printed", "bce")
@@ -215,7 +215,7 @@ def total_sam_loss(
     _check_same_shape(fused, reference)
     ratio = _check_scale_pair(lrms, fused, ratio, pan=False)
     if _choice("sam mode", mode, SAM_MODES) != "cosine":
-        down = _downsample(fused.data, ratio)
+        down = _loss_downsample(fused.data, ratio)
         return 0.5 * _sam_loss(fused.data, reference.data, mode) + 0.5 * _sam_loss(
             down, lrms.data, mode
         )
@@ -230,7 +230,7 @@ def _total_sam_parts(
     """The read-only downsample of ``fused`` and the :func:`_sam_parts` of
     (fused, reference) and (downsample, lrms): what the cosine total SAM and
     its gradient share."""
-    down = _frozen(_downsample(fused.data, ratio))
+    down = _frozen(_loss_downsample(fused.data, ratio))
     return down, _sam_parts(fused.data, reference.data), _sam_parts(down, lrms.data)
 
 

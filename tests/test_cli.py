@@ -303,7 +303,9 @@ class TestFuse:
         assert capsys.readouterr().err == (
             "error: fuse gs: mmse weights: rank-deficient band system\n")
 
-    @pytest.mark.parametrize("name", ["sub/x", "", "."], ids=["path", "empty", "dot"])
+    @pytest.mark.parametrize(
+        "name", ["sub/x", "", ".", ".."], ids=["path", "empty", "dot", "dotdot"]
+    )
     def test_name_not_a_file_stem_exit_two(self, scene_dir, tmp_path, monkeypatch, capsys, name):
         """A ``--name`` that is empty or not its own file name is refused
         before any work: no raster is read and no ``--out`` is created."""

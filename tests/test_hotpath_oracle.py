@@ -23,7 +23,9 @@ slices in order; the new bodies, and the band mean built on the same sum, must
 match them to the bit, zero signs included. ``strided_correlate_axis_adjoint``
 is the downsample adjoint's pass before each pass ran down the rows of an
 axis-first copy; the adjoint must match it to the bit, zero signs and
-subnormals included.
+subnormals included, except on a training patch, where the adjoint and the
+losses' downsample are dense products and must stay within
+``assert_dense_close``'s tolerance of the tap bodies.
 ``tnc_tile_index`` is the channel-stack tile core before each row of tiles
 was laid out channel-major; the core must match it within 1e-12, with equal
 counts of valid tiles. ``full_copy_hpf`` is HPF fusion before its low-pass
@@ -82,10 +84,13 @@ from panfuse.losses import (
 from panfuse.metrics import _EPS
 from panfuse.raster import _band_sum
 from panfuse.resample import (
+    _blur_matrix,
     _catmull_rom_weights,
     _downsample,
     _downsample_adjoint,
     _gaussian_kernel,
+    _loss_downsample,
+    _on_patch,
     _reflect,
     _upsample,
 )
@@ -418,7 +423,7 @@ def old_loss_gradient(loss_id, fused, reference, lrms=None, ratio=None):
     if loss_id == "sam_cosine":
         return Raster(_sam_parts_gradient(f, g, _sam_parts(f, g)))
     if loss_id == "total_sam":
-        down = downsample_antialias(fused, ratio).data
+        down = _loss_downsample(f, ratio)
         grad_full = _sam_parts_gradient(f, g, _sam_parts(f, g))
         grad_low = _sam_parts_gradient(down, lrms.data, _sam_parts(down, lrms.data))
         pulled = downsample_antialias_adjoint(
@@ -470,7 +475,11 @@ def test_downsample_adjoint_matches_old_body(height, width, ratio, bands):
     rng = np.random.default_rng(height * 1000 + width * 10 + ratio + bands + 7)
     y = rng.standard_normal((height // ratio, width // ratio, bands))
     got = downsample_antialias_adjoint(Raster(y), ratio, height, width).data
-    assert np.array_equal(got, old_downsample_adjoint(y, ratio, height, width))
+    want = old_downsample_adjoint(y, ratio, height, width)
+    if _on_patch(height, width, bands):
+        assert_dense_close(got, want, old_downsample_adjoint(np.abs(y), ratio, height, width))
+    else:
+        assert np.array_equal(got, want)
 
 
 def metric_pair(height, width, bands, seed):
@@ -1159,7 +1168,7 @@ def test_total_sam_same_bits_as_np_sum_parts(bands):
     downsample and its adjoint."""
     rng = np.random.default_rng(200 + bands)
     f, r, lr = rng.random((16, 12, bands)), rng.random((16, 12, bands)), rng.random((4, 3, bands))
-    down = _downsample(f, 4)
+    down = _loss_downsample(f, 4)
     value = 0.5 * np_sum_sam_loss(f, r) + 0.5 * np_sum_sam_loss(down, lr)
     grad = 0.5 * np_sum_sam_cosine_gradient(f, r) + 0.5 * _downsample_adjoint(
         np_sum_sam_cosine_gradient(down, lr), 4
@@ -1235,11 +1244,87 @@ ADJOINT_SHAPES = RESAMPLE_SHAPES + [
 @pytest.mark.parametrize("height, width, ratio", ADJOINT_SHAPES)
 @pytest.mark.parametrize("bands", range(1, 10))
 def test_downsample_adjoint_same_bits_as_strided_body(height, width, ratio, bands):
+    """To the bit off a training patch; on one, within the dense tolerance."""
     rng = np.random.default_rng(height * 1000 + width * 10 + ratio + bands)
     for grad in (planted_cube(rng, (height // ratio, width // ratio, bands)),
                  rng.random((height // ratio, width // ratio, bands))):
         got = downsample_antialias_adjoint(Raster(grad), ratio, height, width).data
-        assert same_bits(got, strided_downsample_adjoint(grad, ratio))
+        want = strided_downsample_adjoint(grad, ratio)
+        if _on_patch(height, width, bands):
+            assert_dense_close(got, want, strided_downsample_adjoint(np.abs(grad), ratio))
+        else:
+            assert same_bits(got, want)
+
+
+def assert_dense_close(got, want, magnitudes):
+    """The dense products' tolerance against a tap body ``want``: elementwise
+    within 8 eps of that body applied to the input's magnitudes, plus 2**-1070."""
+    assert got.shape == want.shape
+    bound = 8 * np.finfo(np.float64).eps * magnitudes + 2.0**-1070
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("height, width, ratio", ADJOINT_SHAPES)
+@pytest.mark.parametrize("bands", range(1, 10))
+def test_loss_downsample_matches_old_body(height, width, ratio, bands):
+    """To the bit off a training patch; on one, within the dense tolerance."""
+    rng = np.random.default_rng(height * 1000 + width * 10 + ratio + bands + 3)
+    for x in (planted_cube(rng, (height, width, bands)), rng.random((height, width, bands))):
+        got, want = _loss_downsample(x, ratio), old_downsample(x, ratio)
+        if _on_patch(height, width, bands):
+            assert_dense_close(got, want, old_downsample(np.abs(x), ratio))
+        else:
+            assert same_bits(got, want)
+
+
+# Sides of 1, 3, 4 and 16 at ratios 1, 3, 4 and 16 are shorter than the
+# 2*ratio kernel radius, so a border folds back onto the axis more than once.
+@pytest.mark.parametrize(
+    "n, ratio", [(1, 1), (5, 1), (3, 3), (4, 4), (12, 4), (16, 16), (33, 3), (64, 4)]
+)
+def test_blur_matrix_is_built_once_read_only_and_the_tap_body_of_impulses(n, ratio):
+    matrix = _blur_matrix(n, ratio)
+    assert _blur_matrix(n, ratio) is matrix
+    assert matrix.flags.writeable is False
+    kernel = _gaussian_kernel(2 * ratio, ratio / 2.0)
+    assert same_bits(matrix, old_correlate_axis(np.eye(n), kernel, 0)[::ratio])
+
+
+# A 256 x 256 x 4 pair (README's loss size), a 200 x 8 strip and a 96 x 96 x 4
+# patch of one band too many: each keeps the tap loops.
+@pytest.mark.parametrize("height, width, bands", [(256, 256, 4), (200, 8, 1), (96, 96, 4)])
+def test_off_patch_loss_resampling_same_bits_as_tap_bodies(height, width, bands):
+    assert not _on_patch(height, width, bands)
+    rng = np.random.default_rng(height + width + bands)
+    x = planted_cube(rng, (height, width, bands))
+    grad = planted_cube(rng, (height // 4, width // 4, bands))
+    assert same_bits(_loss_downsample(x, 4), old_downsample(x, 4))
+    assert same_bits(_downsample_adjoint(grad, 4), strided_downsample_adjoint(grad, 4))
+
+
+@pytest.mark.parametrize("size, dense", [(88, True), (96, False)])
+def test_total_sam_value_and_gradient_take_one_side_of_the_patch_rule(size, dense):
+    """At 88 x 88 x 4 the value and the gradient both take the dense products,
+    at 96 x 96 x 4 both the tap loops; the two sides differ in bits here."""
+    assert _on_patch(size, size, 4) is dense
+    rng = np.random.default_rng(size)
+    f, r = rng.random((size, size, 4)), rng.random((size, size, 4))
+    lr = rng.random((size // 4, size // 4, 4))
+    matrix = _blur_matrix(size, 4)
+    tap_down = old_downsample(f, 4)
+    dense_down = matrix @ (matrix @ f.reshape(size, -1)).reshape(size // 4, size, 4)
+    assert not same_bits(dense_down, tap_down)
+    down = dense_down if dense else tap_down
+    low = np_sum_sam_cosine_gradient(down, lr)
+    if dense:
+        pulled = (matrix.T @ (matrix.T @ low).reshape(size // 4, -1)).reshape(size, size, 4)
+    else:
+        pulled = strided_downsample_adjoint(low, 4)
+    value = 0.5 * np_sum_sam_loss(f, r) + 0.5 * np_sum_sam_loss(down, lr)
+    grad = 0.5 * np_sum_sam_cosine_gradient(f, r) + 0.5 * pulled
+    fused, reference, lrms = Raster(f), Raster(r), Raster(lr)
+    assert same_bits(total_sam_loss(fused, reference, lrms, 4), value)
+    assert same_bits(loss_gradient("total_sam", fused, reference, lrms, 4).data, grad)
 
 
 @pytest.mark.parametrize("ratio", [1, 2, 3, 4, 8, 16])
@@ -1256,18 +1341,18 @@ def test_gaussian_kernel_is_built_once_and_read_only(ratio):
 @pytest.mark.parametrize("gradient_first", [False, True])
 def test_total_sam_same_bits_as_unshared_np_sum_body(bands, gradient_first):
     """Total SAM's value and gradient through the loss memo, in either order,
-    against the ``np.sum`` SAM bodies, a downsample of their own and the
-    strided adjoint."""
+    against the ``np.sum`` SAM bodies and the loss path's own downsample and
+    adjoint."""
     rng = np.random.default_rng(200 + bands)
     fused = Raster(signed_zero_cube(rng, (16, 12, bands), 1e-3))
     reference = Raster(signed_zero_cube(rng, (16, 12, bands), 1e-3))
     lrms = Raster(rng.random((4, 3, bands)))
-    down = _downsample(fused.data, 4)
+    down = _loss_downsample(fused.data, 4)
     want_value = 0.5 * np_sum_sam_loss(fused.data, reference.data) + 0.5 * np_sum_sam_loss(
         down, lrms.data
     )
     want_grad = 0.5 * np_sum_sam_cosine_gradient(fused.data, reference.data) + (
-        0.5 * strided_downsample_adjoint(np_sum_sam_cosine_gradient(down, lrms.data), 4)
+        0.5 * _downsample_adjoint(np_sum_sam_cosine_gradient(down, lrms.data), 4)
     )
     for memo in (losses._total_sam_parts, losses._gram_delta):
         memo.entries = ()

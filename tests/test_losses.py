@@ -469,7 +469,7 @@ class TestLossMemo:
 
     def test_repeat_call_hits(self, empty_memos, monkeypatch):
         f, r, lr = sam_triple(10)
-        downs = count_calls(monkeypatch, "_downsample")
+        downs = count_calls(monkeypatch, "_loss_downsample")
         grams = count_calls(monkeypatch, "gram_matrix")
         first = step_outputs(f, r, lr)
         again = step_outputs(f, r, lr)
@@ -500,7 +500,7 @@ class TestLossMemo:
         f, r, lr = sam_triple(12)
         step_outputs(f, r, lr)
         other = change(f, r, lr)
-        downs = count_calls(monkeypatch, "_downsample")
+        downs = count_calls(monkeypatch, "_loss_downsample")
         grams = count_calls(monkeypatch, "gram_matrix")
         got = step_outputs(*other)
         assert len(downs) == 1
@@ -513,7 +513,7 @@ class TestLossMemo:
         f, r, lr4 = sam_triple(13)
         lr2 = random_raster(16, 8, 8, 4)
         total_sam_loss(f, r, lr4, 4)
-        downs = count_calls(monkeypatch, "_downsample")
+        downs = count_calls(monkeypatch, "_loss_downsample")
         total_sam_loss(f, r, lr2, 2)
         assert len(downs) == 1 and downs[0][1] == 2
         assert [key[3] for key, _ in losses._total_sam_parts.entries] == [2, 4]
@@ -549,7 +549,7 @@ class TestLossMemo:
             assert all(len(memo.entries) <= 2 for memo in empty_memos)
         newest = [tuple(ref() for ref in key[:3]) for key, _ in losses._total_sam_parts.entries]
         assert newest == [triples[3], triples[2]]
-        downs = count_calls(monkeypatch, "_downsample")
+        downs = count_calls(monkeypatch, "_loss_downsample")
         step_outputs(*triples[2])
         assert downs == []
         step_outputs(*triples[1])
@@ -574,7 +574,7 @@ class TestLossMemo:
         """The gan-step-64 sequence on 8 patches: total SAM and its gradient,
         then the Gram reconstruction loss and its gradient."""
         patches = [sam_triple(60 + 3 * i, size=64) for i in range(8)]
-        downs = count_calls(monkeypatch, "_downsample")
+        downs = count_calls(monkeypatch, "_loss_downsample")
         grams = count_calls(monkeypatch, "gram_matrix")
         for f, r, lr in patches:
             total_sam_loss(f, r, lr, 4)
@@ -625,7 +625,9 @@ class TestLossMemo:
         f, r, lr = sam_triple(90)
         for raster, stem in ((f, "f"), (r, "r"), (lr, "lrms")):
             write_raster(raster, tmp_path / f"{stem}.msr")
-        core = count_calls(monkeypatch, "_downsample" if name == "total-sam" else "gram_matrix")
+        core = count_calls(
+            monkeypatch, "_loss_downsample" if name == "total-sam" else "gram_matrix"
+        )
         argv = ["loss", "--name", name, "--grad-check", "--lrms", tmp_path / "lrms.msr",
                 "--ratio", 4, tmp_path / "f.msr", tmp_path / "r.msr"]
         assert cli.main([str(a) for a in argv]) == 0
