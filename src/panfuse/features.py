@@ -3,7 +3,8 @@
 Either the identity (features are the image itself) or a small loadable
 stack of strided convolutions with leaky-ReLU activations, standing in
 for the bottleneck of a pretrained encoder. Weights come from CSW files;
-training is out of scope, so extraction is deterministic inference only.
+training is out of scope: extraction is deterministic inference, and its
+adjoint carries a feature-space gradient back to the image.
 
 CSW file layout (the framing of :mod:`panfuse.raster`'s MSR files):
     bytes 0-3   magic ``CSW1``
@@ -254,3 +255,24 @@ def _stack_features(x: Raster, stack: ConvStackSpec) -> Raster:
     for layer in stack.layers:
         arr = _apply_layer(arr, layer)
     return Raster._adopt(arr)
+
+
+def _features_adjoint(x: Raster, extractor: Extractor, grad: np.ndarray) -> np.ndarray:
+    """d/dx of <grad, extract_features(x, extractor)>: ``grad`` for the identity.
+    Per layer, last first, the slope scales ``grad`` where the pre-activation is
+    <= 0; the transpose of a strided correlation with odd k is a stride-1 one of
+    its input spread at the stride, with the flipped kernel, in and out swapped."""
+    if not isinstance(extractor, ConvStackSpec):
+        return grad
+    inputs = [x.data]
+    for layer in extractor.layers[:-1]:
+        inputs.append(_apply_layer(inputs[-1], layer))
+    for arr, layer in zip(reversed(inputs), reversed(extractor.layers)):
+        w, s = layer.weights, layer.stride
+        # At slope 1 the leaky ReLU is max(out, out), so this keeps the pre-activation's bits.
+        pre = _apply_layer(arr, ConvLayer(w, layer.bias, s, 1.0))
+        spread = np.zeros((*arr.shape[:2], w.shape[0]))
+        spread[::s, ::s] = np.where(pre <= 0, grad * layer.leaky_slope, grad)
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        grad = _apply_layer(spread, ConvLayer(flipped, np.zeros(w.shape[1]), 1, 1.0))
+    return grad

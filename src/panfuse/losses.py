@@ -4,7 +4,8 @@ Pixel losses, the adversarial generator/discriminator objectives, the
 spectral-angle regularizer at one and two resolutions, Gram-matrix and
 perceptual losses, and the weighted combination. ``LOSSES`` holds the
 raster-pair losses; seven have an analytic gradient with respect to the fused
-image in ``GRADIENTS``, verified by a central finite-difference oracle.
+image in ``GRADIENTS``, verified by a central finite-difference oracle; the
+perceptual ones there hold for any extractor of their ``LossContext``.
 
 Two of the published formulas are kept in both an as-printed and a
 corrected form behind a ``mode`` argument: the spectral-angle loss (the
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, UsageError
-from .features import IDENTITY, ConvStackSpec, Extractor, extract_features
+from .features import IDENTITY, Extractor, _features_adjoint, extract_features
 from .raster import (
     _EPS,
     Raster,
@@ -342,41 +343,32 @@ def _total_sam_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> n
 
 
 def _gram_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
-    return _gram_delta_gradient(fused.data, *_gram_delta(fused, reference, IDENTITY))
+    features = extract_features(fused, ctx.extractor).data  # refuses a bad extractor first
+    grad = _gram_delta_gradient(features, *_gram_delta(fused, reference, ctx.extractor))
+    return _features_adjoint(fused, ctx.extractor, grad)
 
 
 def _perceptual_gradient(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
-    diff = fused.data - reference.data
+    ext = ctx.extractor
+    diff = extract_features(fused, ext).data - extract_features(reference, ext).data
     norm = float(np.sqrt(np.sum(diff * diff)))
     if norm == 0.0:
-        return np.zeros_like(diff)
-    return diff / norm
+        return np.zeros_like(fused.data)
+    return _features_adjoint(fused, ext, diff / norm)
 
 
 _Gradient = Callable[[Raster, Raster, LossContext], np.ndarray]
 
-
-def _identity_only(gradient: _Gradient) -> _Gradient:
-    """``gradient``, which holds only where the features are the pixels."""
-
-    def checked(fused: Raster, reference: Raster, ctx: LossContext) -> np.ndarray:
-        if isinstance(ctx.extractor, ConvStackSpec):
-            raise UsageError("the perceptual gradients hold for the identity extractor only")
-        _choice("extractor", ctx.extractor, (IDENTITY,))
-        return gradient(fused, reference, ctx)
-
-    return checked
-
-
 # gradient id -> d loss / d fused of (fused, reference, ctx), as a fresh array.
+# The *_identity ids hold for any ctx.extractor; loss_gradient gives the identity.
 GRADIENTS: dict[str, _Gradient] = {
     "l1": _l1_gradient,
     "mse": _mse_gradient,
     "sam_cosine": _sam_gradient,
     "total_sam": _total_sam_gradient,
-    "gm_reconstruction": _gram_gradient,
-    "perceptual_identity": _identity_only(_perceptual_gradient),
-    "gm_perceptual_identity": _identity_only(_gram_gradient),
+    "gm_reconstruction": lambda f, r, ctx: _gram_gradient(f, r, LossContext()),
+    "perceptual_identity": _perceptual_gradient,
+    "gm_perceptual_identity": _gram_gradient,
 }
 
 GRADIENT_LOSSES = tuple(GRADIENTS)
@@ -421,8 +413,9 @@ def loss_gradient(
     """Analytic gradient of a supported loss with respect to ``fused``.
 
     ``total_sam`` chains through the anti-aliased downsampling via its
-    exact adjoint and needs ``lrms`` and ``ratio``. The l1 subgradient at
-    zero difference is zero. Frobenius-norm losses return a zero raster
+    exact adjoint and needs ``lrms`` and ``ratio``. The perceptual ids take the
+    identity extractor here, any through :data:`GRADIENTS`. The l1 subgradient
+    at zero difference is zero. Frobenius-norm losses return a zero raster
     at their (non-differentiable) minimum.
     """
     gradient = GRADIENTS[_choice("gradient loss id", loss_id, GRADIENT_LOSSES)]

@@ -65,6 +65,22 @@ def separated_pair(seed, height=8, width=8, bands=4):
     return Raster(f), Raster(f + gap)
 
 
+def directional_error(loss, grad, x, seed, directions=8, h=1e-6):
+    """Max over ``directions`` seeded unit directions v of the relative error
+    ``|a - f| / (|a| + |f|)`` of the analytic slope ``a = <grad, v>`` against
+    the central difference ``f = (loss(x + h v) - loss(x - h v)) / 2h``. A
+    gradient scaled by 1 + d reads about d / 2."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(directions):
+        v = rng.standard_normal(x.data.shape)
+        v /= np.linalg.norm(v)
+        a = float(np.sum(grad * v))
+        f = (loss(Raster(x.data + h * v)) - loss(Raster(x.data - h * v))) / (2 * h)
+        worst = max(worst, abs(a - f) / (abs(a) + abs(f)))
+    return worst
+
+
 def reflect_index(i, n):
     """Symmetric (half-sample) reflection of index i into [0, n)."""
     m = i % (2 * n)

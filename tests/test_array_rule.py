@@ -25,7 +25,7 @@ from panfuse import (
     pixel_loss,
     write_raster,
 )
-from panfuse.errors import NonFiniteDataError, NonFiniteRasterError, ParameterError, UsageError
+from panfuse.errors import NonFiniteDataError, NonFiniteRasterError, ParameterError
 from panfuse.features import IDENTITY
 from panfuse.losses import GRADIENTS, LossContext
 from helpers import framed, run_cli, separated_pair
@@ -162,12 +162,13 @@ class TestPerceptualGradientExtractor:
         got = GRADIENTS[loss_id](fused, reference, LossContext(extractor=IDENTITY))
         assert got.shape == fused.data.shape
 
-    def test_a_conv_stack_keeps_its_usage_error(self):
+    def test_a_unit_tap_conv_stack_is_the_identity(self):
+        """A conv stack is no choice to refuse: through one 1 x 1 tap of weight 1
+        and bias 0 on positive pixels, the gradient is the identity's, bit for bit."""
         fused, reference = separated_pair(32, height=4, width=4, bands=1)
         stack = ConvStackSpec(bands=1, layers=(ConvLayer(np.ones((1, 1, 1, 1)), [0.0], 1, 0.2),))
-        with pytest.raises(UsageError, match="identity extractor") as info:
-            GRADIENTS["perceptual_identity"](fused, reference, LossContext(extractor=stack))
-        assert not isinstance(info.value, ParameterError)
+        got = GRADIENTS["perceptual_identity"](fused, reference, LossContext(extractor=stack))
+        assert np.array_equal(got, loss_gradient("perceptual_identity", fused, reference).data)
 
 
 @pytest.fixture(scope="module")

@@ -22,8 +22,9 @@ from panfuse import (
 )
 from panfuse import cli, losses
 from panfuse.errors import ShapeMismatchError, UsageError
+from panfuse.features import _apply_layer, _features_adjoint, extract_features
 from panfuse.losses import GRADIENTS, LOSSES, Loss, LossContext
-from helpers import random_raster, separated_pair
+from helpers import directional_error, random_raster, separated_pair
 
 
 def loss_cases(fused, reference, lrms):
@@ -234,11 +235,13 @@ class TestLossTable:
         with pytest.raises(UsageError, match="lrms and ratio"):
             GRADIENTS["total_sam"](fused, reference, ctx)
 
-    @pytest.mark.parametrize("loss_id", ["perceptual_identity", "gm_perceptual_identity"])
-    def test_perceptual_gradients_refuse_a_conv_stack(self, loss_id):
+    @pytest.mark.parametrize("name", ["perceptual", "gm-perceptual"])
+    def test_perceptual_gradients_through_a_conv_stack(self, name):
         fused, reference = separated_pair(11, height=8, width=8, bands=4)
-        with pytest.raises(UsageError, match="identity extractor"):
-            GRADIENTS[loss_id](fused, reference, LossContext(extractor=self.conv_stack()))
+        value, grad_id = LOSSES[name]
+        ctx = LossContext(extractor=self.conv_stack())
+        analytic = Raster(GRADIENTS[grad_id](fused, reference, ctx))
+        assert gradient_check(lambda x: value(x, reference, ctx), analytic, fused) < 1e-4
 
     def test_gm_reconstruction_gradient_ignores_the_extractor(self):
         fused, reference = separated_pair(12, height=8, width=8, bands=4)
@@ -246,3 +249,100 @@ class TestLossTable:
             fused, reference, LossContext(extractor=self.conv_stack())
         )
         assert np.array_equal(got, loss_gradient("gm_reconstruction", fused, reference).data)
+
+
+def random_stack(seed, bands, layers):
+    """A conv stack of ``(out, k, stride, slope, bias mean)`` layers, with
+    N(0, 0.4) weights and N(bias mean, 0.1) biases drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    built = []
+    for out, k, stride, slope, bias in layers:
+        built.append(ConvLayer(rng.normal(0.0, 0.4, (out, bands, k, k)),
+                               bias + rng.normal(0.0, 0.1, out), stride, slope))
+        bands = out
+    return ConvStackSpec(bands=built[0].in_channels, layers=tuple(built))
+
+
+def pre_activations(x, stack):
+    """Each layer's pre-activation of ``x``: the layer at slope 1, where the
+    leaky ReLU keeps every value."""
+    arr, found = x.data, []
+    for layer in stack.layers:
+        found.append(_apply_layer(arr, ConvLayer(layer.weights, layer.bias, layer.stride, 1.0)))
+        arr = _apply_layer(arr, layer)
+    return found
+
+
+# name -> ((height, width), bands, layers of random_stack): strides 1-3, odd and
+# even sizes, kernels 1, 3 and 5, slopes 0, 0.2, 2.5 and -0.3, and a layer
+# whose every pre-activation is negative.
+STACK_CASES = {
+    "stride-1-kernel-3-odd": ((9, 9), 3, ((4, 3, 1, 0.2, 0.0),)),
+    "stride-2-kernel-5-even": ((10, 10), 2, ((3, 5, 2, -0.3, 0.0),)),
+    "stride-3-kernel-1-odd-by-even": ((11, 8), 3, ((4, 1, 3, 2.5, 0.0),)),
+    "stride-3-slope-0-even": ((16, 16), 2, ((3, 3, 3, 0.0, 0.0),)),
+    "strides-1-2-kernels-3-5": ((12, 9), 3, ((4, 3, 1, 0.2, 0.0), (3, 5, 2, -0.3, 0.0))),
+    "strides-2-3-kernels-1-3": ((16, 13), 2, ((4, 1, 2, 2.5, 0.0), (3, 3, 3, 0.0, 0.0))),
+    "all-negative-layer": ((8, 8), 3, ((4, 3, 1, 0.2, -20.0), (3, 3, 2, -0.3, 0.0))),
+}
+
+
+class TestConvStackGradients:
+    """The perceptual and Gram gradients through a conv stack, by the
+    extractor's adjoint."""
+
+    @pytest.mark.parametrize("name", ["perceptual", "gm-perceptual"])
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_matches_finite_differences(self, case, name):
+        (height, width), bands, layers = STACK_CASES[case]
+        stack = random_stack(0, bands, layers)
+        fused = random_raster(100, height, width, bands)
+        reference = random_raster(200, height, width, bands)
+        h = 1e-5
+        # A central difference across a kink of the leaky ReLU is not its derivative.
+        assert min(np.abs(pre).min() for pre in pre_activations(fused, stack)) > 100 * h
+        if case == "all-negative-layer":
+            assert (pre_activations(fused, stack)[0] < 0).all()
+        value, grad_id = LOSSES[name]
+        ctx = LossContext(extractor=stack)
+        analytic = Raster(GRADIENTS[grad_id](fused, reference, ctx))
+        assert gradient_check(lambda x: value(x, reference, ctx), analytic, fused, h) < 1e-4
+
+    def test_adjoint_of_a_linear_layer(self):
+        """<g, A x> = <A^T g, x> for a zero-bias layer at slope 1, over sizes 1-12,
+        strides 1-3 and kernels 1, 3 and 5."""
+        rng = np.random.default_rng(9)
+        for size in range(1, 13):
+            for stride in (1, 2, 3):
+                for k in (1, 3, 5):
+                    layer = ConvLayer(rng.normal(size=(3, 2, k, k)), np.zeros(3), stride, 1.0)
+                    stack = ConvStackSpec(bands=2, layers=(layer,))
+                    x = Raster(rng.normal(size=(size, size, 2)))
+                    ax = extract_features(x, stack).data
+                    g = rng.normal(size=ax.shape)
+                    forward = float(np.sum(g * ax))
+                    adjoint = float(np.sum(_features_adjoint(x, stack, g) * x.data))
+                    assert abs(forward - adjoint) <= 1e-13 * abs(forward), (size, stride, k)
+
+    @pytest.mark.parametrize("name", ["perceptual", "gm-perceptual"])
+    def test_directional_check_at_the_benchmark_shape(self, name):
+        """64 x 64 x 4 through the GAN step's two-layer stack (4 -> 8 at stride
+        1, 8 -> 16 at stride 2, slope 0.2, float32 weights as a CSW file holds
+        them): the gradient agrees with the central difference along 8 unit
+        directions, and the gradient scaled by 1.001 does not."""
+        rng = np.random.default_rng(7)
+        layers = tuple(
+            ConvLayer(rng.normal(0.0, 0.3, (c_out, c_in, 3, 3)).astype(np.float32),
+                      rng.normal(0.0, 0.05, c_out).astype(np.float32), stride, 0.2)
+            for c_in, c_out, stride in ((4, 8, 1), (8, 16, 2))
+        )
+        ctx = LossContext(extractor=ConvStackSpec(bands=4, layers=layers))
+        fused, reference = separated_pair(41, height=64, width=64, bands=4)
+        value, grad_id = LOSSES[name]
+        grad = GRADIENTS[grad_id](fused, reference, ctx)
+
+        def loss(x):
+            return value(x, reference, ctx)
+
+        assert directional_error(loss, grad, fused, seed=0) < 1e-5
+        assert directional_error(loss, 1.001 * grad, fused, seed=0) > 1e-4
