@@ -27,7 +27,6 @@ FUSE_METHODS = {
     "brovey": (lambda fin, lrpan: fusion.fuse_brovey(fin), ()),
     "pca": (lambda fin, lrpan: fusion.fuse_pca(fin), ()),
     "gs": (lambda fin, lrpan: fusion.fuse_gs(fin, lrpan), fusion.GS_LR_PAN_MODES),
-    "gs-mmse": (lambda fin, lrpan: fusion.fuse_gs(fin, lrpan), ("mmse",)),  # gs --lrpan mmse
     "hpf": (lambda fin, lrpan: fusion.fuse_hpf(fin), ()),
 }
 

@@ -15,7 +15,6 @@ CSW file layout (the framing of :mod:`panfuse.raster`'s MSR files):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -191,20 +190,14 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
 
 
 def _leaky_relu(out: np.ndarray, slope: float) -> None:
-    """x -> x if x > 0 else slope * x, in place.
-
-    One elementwise max (slope <= 1) or min (slope > 1) of x and slope * x:
-    the bits of multiplying the x <= 0 entries by the slope, without a branch
-    per element. A slope whose sign bit is set keeps that masked multiply:
-    there x and slope * x of a zero x are zeros of opposite signs, and numpy
-    leaves open which of the two a max or min returns.
-    """
-    if math.copysign(1.0, slope) < 0:
-        np.multiply(out, slope, out=out, where=out <= 0)
-    elif slope <= 1.0:
+    """x -> x if x > 0 else slope * x, in place: the x <= 0 entries times the slope.
+    For a slope in [+0, 1] those bits are one max of x and slope * x, with no branch
+    per element and no overflow, as |slope * x| <= |x|. Any other slope would scale
+    an x > 0 or pick between the two signed zeros of a zero x, so it masks instead."""
+    if not np.signbit(slope) and slope <= 1.0:
         np.maximum(out * slope, out, out=out)
     else:
-        np.minimum(out * slope, out, out=out)
+        np.multiply(out, slope, out=out, where=out <= 0)
 
 
 def _apply_layer(arr: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -272,7 +265,7 @@ def _features_adjoint(x: Raster, extractor: Extractor, grad: np.ndarray) -> np.n
         # At slope 1 the leaky ReLU is max(out, out), so this keeps the pre-activation's bits.
         pre = _apply_layer(arr, ConvLayer(w, layer.bias, s, 1.0))
         spread = np.zeros((*arr.shape[:2], w.shape[0]))
-        spread[::s, ::s] = np.where(pre <= 0, grad * layer.leaky_slope, grad)
+        spread[::s, ::s] = np.multiply(grad, layer.leaky_slope, out=grad.copy(), where=pre <= 0)
         flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         grad = _apply_layer(spread, ConvLayer(flipped, np.zeros(w.shape[1]), 1, 1.0))
     return grad

@@ -18,7 +18,7 @@ import numpy as np
 from ._strips import _row_strips
 from .errors import DegenerateInputError
 from .raster import _EPS, Raster, _Carrier, _band_sum, _check_bands, _check_scale_pair, _choice
-from .raster import _moments
+from .raster import _clip_unit, _moments
 from .resample import _downsample, _match_coefficients, _matched, _separable, _upsample
 
 GS_LR_PAN_MODES = ("weighted-mean", "blur-decimate", "mmse")
@@ -85,7 +85,7 @@ def _inject(
         g = gain(s, rows) if callable(gain) else gain
         d = detail(rows) if callable(detail) else detail[rows]
         s += g * d[:, :, None]
-        np.clip(s, 0.0, 1.0, out=s)
+        _clip_unit(s)
     return Raster._adopt(ms_up)
 
 

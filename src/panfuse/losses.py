@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, UsageError
-from .features import IDENTITY, Extractor, _features_adjoint, extract_features
+from .features import IDENTITY, ConvStackSpec, Extractor, _features_adjoint, extract_features
 from .raster import (
     _EPS,
     Raster,
@@ -258,6 +258,8 @@ def gm_reconstruction_loss(fused: Raster, reference: Raster) -> float:
 def gm_perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> float:
     """Frobenius distance between Gram matrices in feature space."""
     _check_same_shape(fused, reference)
+    if not isinstance(extractor, ConvStackSpec):  # refused before _gram_delta keys on it
+        _choice("extractor", extractor, (IDENTITY,))
     return _gram_delta(fused, reference, extractor)[1]
 
 
@@ -371,8 +373,6 @@ GRADIENTS: dict[str, _Gradient] = {
     "gm_perceptual_identity": _gram_gradient,
 }
 
-GRADIENT_LOSSES = tuple(GRADIENTS)
-
 
 class Loss(NamedTuple):
     """A raster-pair loss: its value of (fused, reference, ctx), and the id of
@@ -418,7 +418,7 @@ def loss_gradient(
     at zero difference is zero. Frobenius-norm losses return a zero raster
     at their (non-differentiable) minimum.
     """
-    gradient = GRADIENTS[_choice("gradient loss id", loss_id, GRADIENT_LOSSES)]
+    gradient = GRADIENTS[_choice("gradient loss id", loss_id, tuple(GRADIENTS))]
     _check_same_shape(fused, reference)
     return Raster._adopt(gradient(fused, reference, LossContext(lrms, ratio)))
 

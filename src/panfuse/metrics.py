@@ -351,9 +351,9 @@ def _valid_window_mean(
 def metric_ssim(fused: Raster, reference: Raster) -> float:
     """Mean structural similarity over an 11x11 Gaussian window (sigma 1.5).
 
-    Constants C1 = (0.01*L)^2 and C2 = (0.03*L)^2 with dynamic range
-    L = 1 for [0, 1] data. The map is computed in valid mode (no border
-    extrapolation) per band, then averaged over map and bands.
+    Constants C1 = (0.01*L)^2 and C2 = (0.03*L)^2 with dynamic range L = 1 for
+    [0, 1] data, the range :func:`raster._clip_unit` owns. The map is computed in
+    valid mode (no border extrapolation) per band, then averaged over map and bands.
 
     Four window means give the map: mu_x, mu_y, E[x^2 + y^2] and E[xy], with
     var_x + var_y = E[x^2 + y^2] - (mu_x^2 + mu_y^2) and cov = E[xy] -

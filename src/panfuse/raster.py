@@ -93,6 +93,11 @@ class Raster(_Carrier, _Cube):
         return raster
 
 
+def _clip_unit(arr: np.ndarray) -> np.ndarray:
+    """``arr`` clipped in place to [0, 1], the data range, and returned."""
+    return np.clip(arr, 0.0, 1.0, out=arr)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` as a read-only view whose every base array is read-only too:
     numpy lets the writeable flag of an array that owns its memory, or of a
@@ -630,7 +635,7 @@ def synth_scene(
                 np.exp(d, out=d)
                 d += 1.0
                 img += np.divide(amp, d, out=d)
-            cube[rows, :, b] = np.clip(img, 0.0, 1.0, out=img)
+            cube[rows, :, b] = _clip_unit(img)
 
     hrms = Raster._adopt(cube)
     return hrms, pan_from_weights(hrms, pan_weights)

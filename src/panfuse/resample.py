@@ -16,7 +16,8 @@ import numpy as np
 
 from ._strips import _STRIP_ELEMENTS, _row_strips
 from .errors import DegenerateInputError, ShapeMismatchError
-from .raster import _EPS, Raster, _check_bands, _check_scale_pair, _frozen, _moments, _positive_int
+from .raster import _EPS, Raster, _check_bands, _check_scale_pair, _clip_unit, _frozen, _moments
+from .raster import _positive_int
 
 
 def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
@@ -151,19 +152,13 @@ def downsample_antialias(x: Raster, ratio: int) -> Raster:
     return Raster._adopt(_downsample(x.data, ratio))
 
 
-def downsample_antialias_adjoint(grad: Raster, ratio: int, height: int, width: int) -> Raster:
-    """Adjoint of :func:`downsample_antialias`: the transposed decimating
-    blur, axis 1 then axis 0. Needed to backpropagate losses evaluated at
-    reduced scale. On a training patch, max(height, width)² · B <= 32 Ki, it
-    is two dense products within 8 eps of the taps' sums of magnitudes."""
-    ratio = _positive_int("ratio", ratio)
-    height, width = _positive_int("height", height), _positive_int("width", width)
-    if (grad.height * ratio, grad.width * ratio) != (height, width):
-        raise ShapeMismatchError(
-            f"adjoint target {height}x{width} is not ratio {ratio} times "
-            f"{grad.height}x{grad.width}"
-        )
-    return Raster._adopt(_downsample_adjoint(grad.data, ratio))
+def downsample_antialias_adjoint(grad: Raster, ratio: int) -> Raster:
+    """Adjoint of :func:`downsample_antialias`, an h x w x B ``grad`` to an
+    (h * ratio) x (w * ratio) x B raster: the transposed decimating blur, axis 1
+    then axis 0, to backpropagate losses evaluated at reduced scale. On a training
+    patch (:func:`_on_patch`) it is two dense products within 8 eps of the taps'
+    sums of magnitudes."""
+    return Raster._adopt(_downsample_adjoint(grad.data, _positive_int("ratio", ratio)))
 
 
 def _catmull_rom_weights(frac: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -206,7 +201,7 @@ def _upsample(arr: np.ndarray, ratio: int) -> np.ndarray:
         dst[...] = 0.0
         for idx, w in col_taps:
             dst += w.reshape((1, -1) + trailing) * np.take(strip, idx, axis=1)
-        np.clip(dst, 0.0, 1.0, out=dst)
+        _clip_unit(dst)
     return out
 
 

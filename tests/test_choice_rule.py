@@ -23,6 +23,7 @@ from panfuse import (
     fuse_gihs,
     fuse_gs,
     generator_loss,
+    gm_perceptual_loss,
     histogram_match,
     loss_gradient,
     metric_q2n,
@@ -37,7 +38,7 @@ from panfuse import (
 )
 from panfuse.errors import DegenerateInputError, ParameterError, ShapeMismatchError
 from panfuse.fusion import GS_LR_PAN_MODES
-from panfuse.losses import DISC_MODES, GRADIENT_LOSSES, LOSSES, PIXEL_MODES, SAM_MODES
+from panfuse.losses import DISC_MODES, GRADIENTS, LOSSES, PIXEL_MODES, SAM_MODES
 from panfuse.raster import _check_bands, _choice, _finite_real, _real
 from helpers import random_raster
 
@@ -56,8 +57,8 @@ def _reached(*args):
     raise _Reached
 
 
-def _cli_fuse(v):
-    args = argparse.Namespace(method="gs-mmse", lrpan=v, lrms="l.msr", pan="p.msr", name="fused")
+def _cli_fuse(v, method="gs"):
+    args = argparse.Namespace(method=method, lrpan=v, lrms="l.msr", pan="p.msr", name="fused")
     return cli.cmd_fuse(args)
 
 
@@ -72,10 +73,11 @@ CHOICE_SITES = {
     "total_sam_loss mode": (lambda v: total_sam_loss(HR, HR, LR, 2, v), SAM_MODES),
     "discriminator_loss mode": (lambda v: discriminator_loss([0.5], [0.5], v), DISC_MODES),
     "fuse_gs lr_pan_mode": (lambda v: fuse_gs(FusionInput(LR, PAN, 2), v), GS_LR_PAN_MODES),
-    "loss_gradient loss_id": (lambda v: loss_gradient(v, HR, HR), GRADIENT_LOSSES),
+    "loss_gradient loss_id": (lambda v: loss_gradient(v, HR, HR), tuple(GRADIENTS)),
     "extract_features extractor": (lambda v: extract_features(HR, v), ("identity",)),
     "perceptual_loss extractor": (lambda v: perceptual_loss(HR, HR, v), ("identity",)),
-    "cli fuse --lrpan": (_cli_fuse, ("mmse",)),
+    "gm_perceptual_loss extractor": (lambda v: gm_perceptual_loss(HR, HR, v), ("identity",)),
+    "cli fuse --lrpan": (_cli_fuse, GS_LR_PAN_MODES),
     "cli loss --grad-check --name": (_cli_grad_check, GRADIENT_NAMES),
 }
 
@@ -118,9 +120,8 @@ class TestChoiceRule:
             call(accepted[-1])
 
     def test_the_lrpan_message_names_both_flags(self):
-        with pytest.raises(ParameterError, match="--lrpan for --method gs-mmse") as info:
-            _cli_fuse("blur-decimate")
-        assert "'mmse'" in str(info.value)
+        with pytest.raises(ParameterError, match="--lrpan for --method hpf must be one of none"):
+            _cli_fuse("mmse", method="hpf")
 
     def test_a_numpy_str_is_a_str(self):
         assert _choice("mode", np.str_("l1"), PIXEL_MODES) == "l1"

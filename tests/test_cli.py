@@ -340,21 +340,8 @@ class TestFuse:
         wm = read_raster(tmp_path / "wm.msr")
         mm = read_raster(tmp_path / "mm.msr")
         assert not np.array_equal(wm.data, mm.data)
-        # gs-mmse method alias produces the same image as gs --lrpan mmse
-        r = run_cli("fuse", "--method", "gs-mmse", "--lrms", scene_dir / "lrms.msr",
-                    "--pan", scene_dir / "pan.msr", "--ratio", 4,
-                    "--name", "alias", "--out", tmp_path)
-        assert r.returncode == 0
-        assert np.array_equal(read_raster(tmp_path / "alias.msr").data, mm.data)
-        # an --lrpan that agrees with the alias is accepted
-        r = run_cli("fuse", "--method", "gs-mmse", "--lrpan", "mmse",
-                    "--lrms", scene_dir / "lrms.msr", "--pan", scene_dir / "pan.msr",
-                    "--ratio", 4, "--name", "alias2", "--out", tmp_path)
-        assert r.returncode == 0, r.stderr
-        assert np.array_equal(read_raster(tmp_path / "alias2.msr").data, mm.data)
 
     @pytest.mark.parametrize("method, lrpan", [
-        ("gs-mmse", "blur-decimate"),
         ("gihs", "mmse"),
         ("hpf", "weighted-mean"),
     ])
@@ -723,6 +710,21 @@ class TestLoss:
                 tmp_path / "f.msr", tmp_path / "r.msr"]
         assert cli.main([str(a) for a in argv]) == 0
         want = loss(fused, reference, load_conv_stack(tmp_path / "stack.csw"))
+        assert capsys.readouterr().out == f"{want:.6f}\n"
+
+    def test_a_steep_slope_keeps_a_finite_loss_finite(self, tmp_path, capsys):
+        """Weights 1e30 on a positive pair give positive features, which the
+        1e300 slope must not scale: that would overflow a finite loss."""
+        layer = ConvLayer(np.full((4, 4, 1, 1), 1e30), np.zeros(4), 1, 1e300)
+        save_conv_stack(ConvStackSpec(bands=4, layers=(layer,)), tmp_path / "big.csw")
+        fused, reference = separated_pair(5, height=8, width=8, bands=4)
+        write_raster(fused, tmp_path / "f.msr")
+        write_raster(reference, tmp_path / "r.msr")
+        argv = ["loss", "--name", "perceptual", "--extractor", tmp_path / "big.csw",
+                tmp_path / "f.msr", tmp_path / "r.msr"]
+        assert cli.main([str(a) for a in argv]) == 0
+        want = perceptual_loss(fused, reference, load_conv_stack(tmp_path / "big.csw"))
+        assert 1e29 < want < 1e32
         assert capsys.readouterr().out == f"{want:.6f}\n"
 
     @settings(derandomize=True, deadline=None, max_examples=150)

@@ -117,6 +117,22 @@ class TestConvStack:
         out = extract_features(x, spec)
         assert np.allclose(out.data, -0.4, atol=1e-15)
 
+    @pytest.mark.parametrize("slope, value", [(2.5, 1e308), (1e300, 1e10)])
+    def test_a_steep_slope_never_scales_a_positive_activation(self, slope, value):
+        """slope * value would overflow; a positive activation passes as it is."""
+        spec = single_layer(np.ones((1, 1, 1, 1)), [0.0], slope=slope)
+        out = extract_features(Raster(np.full((2, 2, 1), value)), spec)
+        assert np.array_equal(out.data, np.full((2, 2, 1), value))
+
+    def test_the_adjoint_of_a_steep_slope_passes_a_positive_pre_activation(self):
+        """1e300 * 1e10 would overflow; where the pre-activation is > 0 the
+        gradient passes as it is."""
+        spec = single_layer(np.ones((1, 1, 1, 1)), [0.0], slope=1e300)
+        grad = np.full((2, 2, 1), 1e10)
+        with np.errstate(over="raise"):
+            got = features._features_adjoint(Raster(np.full((2, 2, 1), 0.5)), spec, grad)
+        assert np.array_equal(got, grad)
+
     def test_slope_one_is_linear(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((2, 2, 3, 3))

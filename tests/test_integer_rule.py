@@ -47,12 +47,7 @@ def _conv(stride=1, bands=1):
 # public entry point and parameter -> (a call of that one integer, an integer it takes)
 INTEGER_SITES = {
     "downsample_antialias ratio": (lambda v: downsample_antialias(HR, v), 4),
-    "downsample_antialias_adjoint ratio": (
-        lambda v: downsample_antialias_adjoint(LR, v, 16, 16), 4),
-    "downsample_antialias_adjoint height": (
-        lambda v: downsample_antialias_adjoint(LR, 4, v, 16), 16),
-    "downsample_antialias_adjoint width": (
-        lambda v: downsample_antialias_adjoint(LR, 4, 16, v), 16),
+    "downsample_antialias_adjoint ratio": (lambda v: downsample_antialias_adjoint(LR, v), 4),
     "upsample ratio": (lambda v: upsample(LR, v), 4),
     "wald_degrade ratio": (lambda v: wald_degrade(HR, PAN, v), 4),
     "FusionInput ratio": (lambda v: fuse_gihs(FusionInput(LR, PAN, v)), 4),

@@ -23,6 +23,8 @@ RULES = {
     "moments": ("_moments", r"\.(std|var)\(", ["sd = src.std()", "np.var(a)"]),
     "band-count": ("_check_bands", r"\.bands\s*[<>]", ["if fin.lrms.bands < 3:"]),
     "floor": ("_EPS", r"[=+]\s*1e-12\b", ["_EPS = 1e-12", "intensity += 1e-12"]),
+    "range": ("_clip_unit", r"np\.clip\(.*,\s*0(\.0)?\s*,\s*1(\.0)?\s*[,)]",
+              ["np.clip(s, 0.0, 1.0, out=s)", "fused = np.clip(fused, 0, 1)"]),
 }
 
 

@@ -38,7 +38,7 @@ from panfuse import (
     wald_degrade,
     write_raster,
 )
-from panfuse.losses import GRADIENT_LOSSES
+from panfuse.losses import GRADIENTS
 from panfuse.errors import (
     DegenerateInputError,
     HeaderError,
@@ -542,10 +542,10 @@ READ_ONLY_PATHS = {
     "pan_from_weights": lambda tmp_path: (pan_from_weights(_scene()[0], [1.0, 2.0, 3.0, 4.0]),),
     "extract_features-identity": lambda tmp_path: (extract_features(_scene()[0], IDENTITY),),
     "extract_features-stack": lambda tmp_path: _stack_features(),
-    **{f"loss_gradient-{loss_id}": _gradient(loss_id) for loss_id in GRADIENT_LOSSES},
+    **{f"loss_gradient-{loss_id}": _gradient(loss_id) for loss_id in GRADIENTS},
     "downsample_antialias": lambda tmp_path: (downsample_antialias(_scene()[0], 4),),
     "downsample_antialias_adjoint": lambda tmp_path: (
-        downsample_antialias_adjoint(_scene()[2], 4, 16, 16),
+        downsample_antialias_adjoint(_scene()[2], 4),
     ),
     "upsample": lambda tmp_path: (upsample(_scene()[2], 4),),
     "histogram_match": lambda tmp_path: (histogram_match(_scene()[1], _scene()[3]),),
