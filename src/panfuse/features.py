@@ -189,38 +189,40 @@ def load_conv_stack(path: str | Path) -> ConvStackSpec:
         raise HeaderError(f"{path}: {exc}") from exc
 
 
-def _leaky_relu(out: np.ndarray, slope: float) -> None:
+def _leaky_relu(out: np.ndarray, slope: float) -> np.ndarray:
     """x -> x if x > 0 else slope * x, in place: the x <= 0 entries times the slope.
     For a slope in [+0, 1] those bits are one max of x and slope * x, with no branch
     per element and no overflow, as |slope * x| <= |x|. Any other slope would scale
     an x > 0 or pick between the two signed zeros of a zero x, so it masks instead."""
     if not np.signbit(slope) and slope <= 1.0:
-        np.maximum(out * slope, out, out=out)
-    else:
-        np.multiply(out, slope, out=out, where=out <= 0)
+        return np.maximum(out * slope, out, out=out)
+    return np.multiply(out, slope, out=out, where=out <= 0)
 
 
-def _apply_layer(arr: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Zero-padded strided cross-correlation + bias + leaky-ReLU.
-
-    One (H'*W' x C) @ (C x O) product per tap (i, j), on a strided view of
-    the padded input, accumulated in (i, j) order onto the bias.
-    """
-    k, s = layer.kernel_size, layer.stride
-    pad = k // 2
+def _correlate(
+    arr: np.ndarray, taps: np.ndarray, bias: np.ndarray | float, stride: int
+) -> np.ndarray:
+    """Zero-padded strided cross-correlation of ``arr`` with (k, k, in, out) ``taps``,
+    plus ``bias``: one (H'*W' x C) @ (C x O) product per tap (i, j), on a strided
+    view of the padded input, accumulated in (i, j) order onto the bias."""
+    k, pad = taps.shape[0], taps.shape[0] // 2
     height, width = arr.shape[:2]
     padded = np.zeros((height + 2 * pad, width + 2 * pad, arr.shape[2]))
     padded[pad : pad + height, pad : pad + width] = arr
-    h, w = (height - 1) // s + 1, (width - 1) // s + 1
-    out = np.empty((h, w, layer.out_channels))
-    out[...] = layer.bias
+    h, w = (height - 1) // stride + 1, (width - 1) // stride + 1
+    out = np.empty((h, w, taps.shape[3]))
+    out[...] = bias
     term = np.empty_like(out)
     for i in range(k):
         for j in range(k):
-            np.matmul(padded[i::s, j::s][:h, :w], layer._taps[i, j], out=term)
+            np.matmul(padded[i::stride, j::stride][:h, :w], taps[i, j], out=term)
             out += term
-    _leaky_relu(out, layer.leaky_slope)
     return out
+
+
+def _apply_layer(arr: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """A layer's pre-activation, then its leaky ReLU."""
+    return _leaky_relu(_correlate(arr, layer._taps, layer.bias, layer.stride), layer.leaky_slope)
 
 
 @_finite_result
@@ -252,20 +254,20 @@ def _stack_features(x: Raster, stack: ConvStackSpec) -> Raster:
 
 def _features_adjoint(x: Raster, extractor: Extractor, grad: np.ndarray) -> np.ndarray:
     """d/dx of <grad, extract_features(x, extractor)>: ``grad`` for the identity.
-    Per layer, last first, the slope scales ``grad`` where the pre-activation is
-    <= 0; the transpose of a strided correlation with odd k is a stride-1 one of
-    its input spread at the stride, with the flipped kernel, in and out swapped."""
+    One forward pass keeps where each pre-activation is <= 0; there, last layer first,
+    the slope scales ``grad``. The transpose of a strided correlation with odd k is a
+    stride-1 one of its input spread at the stride, the kernel flipped, in and out swapped."""
     if not isinstance(extractor, ConvStackSpec):
         return grad
-    inputs = [x.data]
-    for layer in extractor.layers[:-1]:
-        inputs.append(_apply_layer(inputs[-1], layer))
-    for arr, layer in zip(reversed(inputs), reversed(extractor.layers)):
-        w, s = layer.weights, layer.stride
-        # At slope 1 the leaky ReLU is max(out, out), so this keeps the pre-activation's bits.
-        pre = _apply_layer(arr, ConvLayer(w, layer.bias, s, 1.0))
-        spread = np.zeros((*arr.shape[:2], w.shape[0]))
-        spread[::s, ::s] = np.multiply(grad, layer.leaky_slope, out=grad.copy(), where=pre <= 0)
-        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        grad = _apply_layer(spread, ConvLayer(flipped, np.zeros(w.shape[1]), 1, 1.0))
+    arr, steps = x.data, []
+    for layer in extractor.layers:
+        pre = _correlate(arr, layer._taps, layer.bias, layer.stride)
+        steps.append((arr.shape[:2], pre <= 0))
+        arr = _leaky_relu(pre, layer.leaky_slope)
+    for layer, (size, nonpositive) in zip(reversed(extractor.layers), reversed(steps)):
+        s = layer.stride
+        spread = np.zeros((*size, layer.out_channels))
+        spread[::s, ::s] = np.multiply(grad, layer.leaky_slope, out=grad.copy(), where=nonpositive)
+        flipped = np.ascontiguousarray(layer._taps[::-1, ::-1].swapaxes(2, 3))
+        grad = _correlate(spread, flipped, 0.0, 1)
     return grad

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, UsageError
-from .features import IDENTITY, ConvStackSpec, Extractor, _features_adjoint, extract_features
+from .features import IDENTITY, Extractor, _features_adjoint, extract_features
 from .raster import (
     _EPS,
     Raster,
@@ -258,8 +258,7 @@ def gm_reconstruction_loss(fused: Raster, reference: Raster) -> float:
 def gm_perceptual_loss(fused: Raster, reference: Raster, extractor: Extractor) -> float:
     """Frobenius distance between Gram matrices in feature space."""
     _check_same_shape(fused, reference)
-    if not isinstance(extractor, ConvStackSpec):  # refused before _gram_delta keys on it
-        _choice("extractor", extractor, (IDENTITY,))
+    extract_features(fused, extractor)  # refuses a bad extractor before _gram_delta keys on it
     return _gram_delta(fused, reference, extractor)[1]
 
 

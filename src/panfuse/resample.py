@@ -208,12 +208,10 @@ def _upsample(arr: np.ndarray, ratio: int) -> np.ndarray:
 def upsample(x: Raster, ratio: int) -> Raster:
     """Bicubic (Catmull-Rom) upsampling by an integer factor.
 
-    Symmetric borders, output clipped to [0, 1]. ``ratio == 1`` is the
-    identity.
+    Symmetric borders, output clipped to [0, 1]; at ``ratio == 1`` the
+    result is an equal copy of ``x``, unclipped.
     """
     ratio = _positive_int("ratio", ratio)
-    if ratio == 1:
-        return x
     return Raster._adopt(_upsample(x.data, ratio))
 
 

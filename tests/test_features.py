@@ -23,6 +23,7 @@ from panfuse import (
     save_conv_stack,
 )
 from panfuse import features
+from panfuse.losses import GRADIENTS, LossContext
 from panfuse.errors import (
     HeaderError,
     MagicError,
@@ -360,6 +361,38 @@ class TestOneMemoPerProcess:
         assert hit is first
         assert same_bits(hit.data, features._stack_features.compute(x, stack).data)
         assert same_bits(hit.data, extract_features(x, fresh(stack)).data)
+
+
+@pytest.mark.usefixtures("empty_memo")
+class TestAdjointWork:
+    """A stack's gradient runs the stack forward once and each transpose once,
+    through the one correlation core, and builds no layer."""
+
+    @pytest.mark.parametrize("grad_id", ["perceptual_identity", "gm_perceptual_identity"])
+    @pytest.mark.parametrize("strides", [None, (1, 2, 3)], ids=["bench", "three-layers"])
+    def test_correlates_twice_per_layer_and_builds_no_layer(
+        self, bench_stack, monkeypatch, grad_id, strides
+    ):
+        spec = fresh(bench_stack) if strides is None else stack_of(150, 4, strides)
+        f, r = random_raster(151, 16, 16, 4), random_raster(152, 16, 16, 4)
+        extract_features(f, spec), extract_features(r, spec)  # the loss's remembered features
+        built, correlated = [], []
+        post_init, correlate = ConvLayer.__post_init__, features._correlate
+
+        def counted_post_init(layer):
+            built.append(layer)
+            post_init(layer)
+
+        def counted_correlate(*args):
+            correlated.append(args)
+            return correlate(*args)
+
+        monkeypatch.setattr(ConvLayer, "__post_init__", counted_post_init)
+        monkeypatch.setattr(features, "_correlate", counted_correlate)
+        grad = GRADIENTS[grad_id](f, r, LossContext(extractor=spec))
+        assert grad.shape == f.data.shape
+        assert built == []
+        assert len(correlated) == 2 * len(spec.layers)
 
 
 class TestCopies:

@@ -31,7 +31,12 @@ was laid out channel-major; the core must match it within 1e-12, with equal
 counts of valid tiles. ``full_copy_hpf`` is HPF fusion before its low-pass
 ran per row strip, with a reflected copy of the whole pan per pass; HPF, and
 downsampling at shapes that span several row strips, must match their old
-bodies to the bit, zero signs included.
+bodies to the bit, zero signs included. ``rebuilding_features_adjoint`` is
+the conv stack's adjoint before one forward pass kept each layer's input size
+and sign mask: it re-ran the stack for each layer's input, re-ran each layer
+at slope 1 for its pre-activation and built a layer for each transpose; the
+adjoint, and both perceptual gradients through a stack, must match it to the
+bit.
 """
 
 import itertools
@@ -70,10 +75,11 @@ from panfuse import (
 )
 from panfuse._strips import _map_strips, _row_strips
 from panfuse.errors import ShapeMismatchError
-from panfuse.features import _apply_layer, _leaky_relu
+from panfuse.features import _apply_layer, _features_adjoint, _leaky_relu
 from panfuse.losses import _EPS as LOSS_EPS
 from panfuse.losses import (
     GRADIENTS,
+    LossContext,
     _gram_delta_gradient,
     _sam_loss,
     _sam_parts,
@@ -1113,6 +1119,83 @@ def test_extract_features_same_bits_as_masked_stack(case):
     for layer in spec.layers:
         want = masked_apply_layer(want, layer)
     assert same_bits(extract_features(x, spec).data, want)
+
+
+def rebuilding_features_adjoint(x, extractor, grad):
+    """The stack's adjoint that re-ran the first L - 1 layers for their inputs,
+    and built a slope-1 layer for each pre-activation and one for each
+    transpose."""
+    if not isinstance(extractor, ConvStackSpec):
+        return grad
+    inputs = [x.data]
+    for layer in extractor.layers[:-1]:
+        inputs.append(_apply_layer(inputs[-1], layer))
+    for arr, layer in zip(reversed(inputs), reversed(extractor.layers)):
+        w, s = layer.weights, layer.stride
+        # At slope 1 the leaky ReLU is max(out, out), so this keeps the pre-activation's bits.
+        pre = _apply_layer(arr, ConvLayer(w, layer.bias, s, 1.0))
+        spread = np.zeros((*arr.shape[:2], w.shape[0]))
+        spread[::s, ::s] = np.multiply(grad, layer.leaky_slope, out=grad.copy(), where=pre <= 0)
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        grad = _apply_layer(spread, ConvLayer(flipped, np.zeros(w.shape[1]), 1, 1.0))
+    return grad
+
+
+ADJOINT_SLOPES = [0.0, 0.2, 1.0, 2.5, 7.0, -0.3, -0.0]
+
+
+def slope_bits(slope):
+    """A seed per slope, -0.0 apart from +0.0."""
+    return int(np.float64(slope).view(np.uint64))
+
+
+def adjoint_stack(rng, bands, first, layers, slope, zero_bias=False):
+    """``layers`` random layers at ``slope`` on ``bands`` input bands: the
+    first with ``(k, stride)`` of ``first``, the others drawn from ``rng``.
+    With ``zero_bias`` each bias is +0.0 or -0.0, so that an all-zero window
+    gives a zero pre-activation."""
+    built, c_in = [], bands
+    for i in range(layers):
+        k, stride = first if i == 0 else (rng.choice([1, 3, 5]), rng.integers(1, 4))
+        layer = random_layer(rng, c_in, int(rng.integers(1, 5)), int(k), int(stride), slope)
+        if zero_bias:
+            bias = np.full(layer.out_channels, rng.choice([0.0, -0.0]))
+            layer = ConvLayer(layer.weights, bias, layer.stride, slope)
+        built.append(layer)
+        c_in = layer.out_channels
+    return ConvStackSpec(bands=bands, layers=tuple(built))
+
+
+@pytest.mark.parametrize("slope", ADJOINT_SLOPES)
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_features_adjoint_same_bits_as_rebuilding_body(slope, layers):
+    """Sizes 1-13, bands 1-4, first kernels 1, 3 and 5 at strides 1-3, on
+    inputs and gradients with zeros of both signs, and at every third size
+    zero biases, where the pre-activation of an all-zero window is a zero."""
+    rng = np.random.default_rng([layers, slope_bits(slope)])
+    for size, (k, stride) in itertools.product(
+        range(1, 14), itertools.product([1, 3, 5], [1, 2, 3])
+    ):
+        stack = adjoint_stack(rng, 1 + size % 4, (k, stride), layers, slope, size % 3 == 0)
+        x = Raster(signed_zero_cube(rng, (size, size + 1 - size % 2, stack.bands)))
+        grad = signed_zero_cube(rng, extract_features(x, stack).data.shape)
+        want = rebuilding_features_adjoint(x, stack, grad)
+        assert same_bits(_features_adjoint(x, stack, grad), want), (size, k, stride)
+
+
+@pytest.mark.parametrize("grad_id", ["perceptual_identity", "gm_perceptual_identity"])
+@pytest.mark.parametrize("slope", ADJOINT_SLOPES)
+def test_perceptual_gradients_through_a_stack_same_bits_as_rebuilding_body(
+    monkeypatch, grad_id, slope
+):
+    rng = np.random.default_rng(slope_bits(slope))
+    stack = adjoint_stack(rng, 3, (3, 2), 3, slope)
+    fused = Raster(rng.random((13, 11, 3)))
+    reference = Raster(rng.random((13, 11, 3)))
+    ctx = LossContext(extractor=stack)
+    got = GRADIENTS[grad_id](fused, reference, ctx)
+    monkeypatch.setattr(losses, "_features_adjoint", rebuilding_features_adjoint)
+    assert same_bits(got, GRADIENTS[grad_id](fused, reference, ctx))
 
 
 @pytest.mark.parametrize("bands", BAND_COUNTS[1:])
